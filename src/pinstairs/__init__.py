@@ -23,6 +23,7 @@ from .markov import (
     BranchSequence,
     CompanionPair,
     NotFound,
+    NotMarkov,
     Sigma,
     TreeEntry,
     branch_sequence,

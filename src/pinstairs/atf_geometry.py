@@ -22,10 +22,10 @@ from .exact_core import (
     LatticeVector,
     Rational,
     RationalPoint,
+    _primitive_direction,
     affine_length,
     format_rational,
     point,
-    primitive_part,
     rational_pair_wedge,
     wedge,
 )
@@ -70,10 +70,8 @@ def _meet(n1: LatticeVector, c1: Rational, n2: LatticeVector, c2: Rational) -> R
 
 def _direction(a: RationalPoint, b: RationalPoint) -> LatticeVector:
     """Primitive integer direction of the segment a -> b."""
-    d = b - a
-    n = d.x.denominator * d.y.denominator // gcd(d.x.denominator, d.y.denominator)
-    v, k = primitive_part(LatticeVector(int(d.x * n), int(d.y * n)))
-    if k == 0:
+    v, length = _primitive_direction(a, b)
+    if length == 0:
         raise DomainError("zero segment has no direction")
     return v
 

@@ -257,8 +257,7 @@ def cmd_markov_tree(args) -> int:
 
 
 def cmd_markov_companions(args) -> int:
-    kw = {} if args.depth is None else {"search_depth": args.depth}
-    pair = companions(args.p, **kw)
+    pair = companions(args.p, args.depth)
     inner = ", ".join(str(q) for q in sorted(pair.pair))
     print(f"q ∈ {{{inner}}}")
     return 0
@@ -266,8 +265,12 @@ def cmd_markov_companions(args) -> int:
 
 def cmd_markov_branch(args) -> int:
     seq = branch_sequence(args.p, args.q, args.lo, args.hi)
-    for i, v in seq.items():
-        print(f"m[{i}] = {v}")
+    try:
+        lines = [f"m[{i}] = {v}" for i, v in seq.items()]
+    except ValueError as exc:  # only a term over the int/str digit limit of Python >= 3.11
+        raise DomainError("a branch term exceeds Python's int/str digit limit; "
+                          "PYTHONINTMAXSTRDIGITS=0 lifts it") from exc
+    print("\n".join(lines))
     return 0
 
 

@@ -112,14 +112,16 @@ def affine_length(a: RationalPoint, b: RationalPoint) -> Rational:
 
     Writes b - a = lam * u with u a primitive integer vector and returns lam.
     """
+    return _primitive_direction(a, b)[1]
+
+
+def _primitive_direction(a: RationalPoint, b: RationalPoint) -> tuple[LatticeVector, Rational]:
+    """(u, lam) with b - a = lam * u, u primitive; lam = 0 for a zero segment."""
     d = b - a
-    if d.x == 0 and d.y == 0:
-        return Fraction(0)
     # clear denominators, then divide out the integer gcd
     n = d.x.denominator * d.y.denominator // gcd(d.x.denominator, d.y.denominator)
-    ix, iy = int(d.x * n), int(d.y * n)
-    k = gcd(ix, iy)
-    return Fraction(k, n)
+    u, k = primitive_part(LatticeVector(int(d.x * n), int(d.y * n)))
+    return u, Fraction(k, n)
 
 
 def rational_pair_wedge(a: RationalPoint, b: RationalPoint) -> Rational:

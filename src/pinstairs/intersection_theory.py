@@ -164,11 +164,6 @@ def canonical_class(lattice: IntersectionLattice) -> HomologyClass:
     )
 
 
-def integral_against_h(lattice: IntersectionLattice, A: HomologyClass) -> bool:
-    """Whether Delta * a0 (the pairing with the line class) is an integer."""
-    return (Fraction(A.a0) * lattice.delta).denominator == 1
-
-
 def coefficients_from_intersections(w: WahlData, chi) -> list[Rational]:
     if len(chi) != w.m:
         raise DomainError(f"chi has length {len(chi)}, chain has {w.m}")

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import islice
 from math import gcd, isqrt
 from typing import Iterator, Optional
 
@@ -25,6 +27,7 @@ __all__ = [
     "BranchSequence",
     "Sigma",
     "NotFound",
+    "NotMarkov",
     "is_markov_triple",
     "validate_triple",
     "mutate",
@@ -41,10 +44,16 @@ __all__ = [
 MarkovTriple = tuple[int, int, int]
 
 MAX_TREE_DEPTH = 30
+FAMILY_CACHE_SIZE = 64  # staircase families kept, each with the branch terms it has grown
 
 
 class NotFound(DomainError):
-    """The bounded tree search was exhausted without encountering the number."""
+    """A search cut short by a caller-given depth missed the number: no proof it
+    is not a Markov number.  The exhaustive default search raises NotMarkov."""
+
+
+class NotMarkov(NotFound):
+    """The exhaustive pruned search proved the number is not a Markov number."""
 
 
 def is_markov_triple(a: int, b: int, c: int) -> bool:
@@ -80,31 +89,35 @@ class TreeEntry:
     mutated: Optional[int]  # which position of the parent was mutated
 
 
-def enumerate_tree(depth: int, max_depth: int = MAX_TREE_DEPTH) -> list[TreeEntry]:
-    """Breadth-first mutation tree from (1,1,1) down to the given depth.
-
-    Triples are deduplicated as unordered multisets, which suppresses the
-    repeated children at the first two levels; each node is reported once as
-    its sorted representative.
-    """
-    if depth < 0 or depth > max_depth:
-        raise DomainError(f"depth {depth} outside [0, {max_depth}]")
+def _tree_levels(expand=None) -> Iterator[list[tuple[MarkovTriple, MarkovTriple, int]]]:
+    """Levels of the mutation tree below (1,1,1) as (child, parent, position), each
+    triple once as its sorted representative (deduplicated as a multiset); only
+    children passing `expand` (all when None) are mutated further."""
     root = (1, 1, 1)
-    entries = [TreeEntry(root, None, None)]
     seen = {root}
-    frontier = [0]
-    for _ in range(depth):
-        nxt = []
-        for parent_idx in frontier:
-            t = entries[parent_idx].triple
+    frontier = [root]
+    while frontier:
+        level = []
+        for t in frontier:
             for k in (1, 2, 3):
                 child = tuple(sorted(mutate(t, k)))
-                if child in seen:
-                    continue
-                seen.add(child)
-                entries.append(TreeEntry(child, parent_idx, k))
-                nxt.append(len(entries) - 1)
-        frontier = nxt
+                if child not in seen:
+                    seen.add(child)
+                    level.append((child, t, k))
+        yield level
+        frontier = [c for c, _, _ in level if expand is None or expand(c)]
+
+
+def enumerate_tree(depth: int, max_depth: int = MAX_TREE_DEPTH) -> list[TreeEntry]:
+    """Breadth-first mutation tree from (1,1,1) down to the given depth."""
+    if depth < 0 or depth > max_depth:
+        raise DomainError(f"depth {depth} outside [0, {max_depth}]")
+    entries = [TreeEntry((1, 1, 1), None, None)]
+    index = {(1, 1, 1): 0}
+    for level in islice(_tree_levels(), depth):
+        for child, parent, k in level:
+            index[child] = len(entries)
+            entries.append(TreeEntry(child, index[parent], k))
     return entries
 
 
@@ -121,27 +134,19 @@ def _search_triple_with(p: int, max_depth: Optional[int]) -> Optional[MarkovTrip
     The parent chain of any triple containing p only passes through triples
     whose maximum is smaller than p, so the pruned search is exhaustive; with
     max_depth=None it terminates because there are finitely many such triples.
+    A max_depth that stops it before the frontier runs dry raises NotFound.
     """
-    root = (1, 1, 1)
-    if p in root:
-        return root
-    seen = {root}
-    frontier = [root]
-    level = 0
-    while frontier and (max_depth is None or level < max_depth):
-        level += 1
-        nxt = []
-        for t in frontier:
-            for k in (1, 2, 3):
-                child = tuple(sorted(mutate(t, k)))
-                if child in seen:
-                    continue
-                seen.add(child)
-                if p in child:
-                    return child
-                if child[2] < p:
-                    nxt.append(child)
-        frontier = nxt
+    if p == 1:
+        return (1, 1, 1)
+    for depth, level in enumerate(_tree_levels(lambda t: t[2] < p)):
+        if max_depth is not None and depth >= max_depth:
+            raise NotFound(
+                f"{p} not encountered within {max_depth} tree levels "
+                "(search exhausted; this does not prove p is not a Markov number)"
+            )
+        for child, _, _ in level:
+            if p in child:
+                return child
     return None
 
 
@@ -174,32 +179,35 @@ def _q_from_triple(p: int, u: int, v: int) -> int:
     return r if r != 0 else p
 
 
-def companions(p: int, search_depth: int = MAX_TREE_DEPTH) -> CompanionPair:
-    """The companion pair {q, p-q} of a Markov number, from any containing triple."""
-    t = _search_triple_with(p, search_depth)
-    if t is None:
-        raise NotFound(
-            f"{p} not encountered within {search_depth} tree levels "
-            "(search exhausted; this does not prove p is not a Markov number)"
-        )
-    if p <= 2:
-        return CompanionPair(p, 1, 1)
+def _co_entries(p: int, t: MarkovTriple) -> tuple[int, int]:
+    """The two entries of a triple containing p besides p, smaller first."""
     co = list(t)
     co.remove(p)
-    q = _q_from_triple(p, min(co), max(co))
-    pair = CompanionPair(p, q, p - q)
+    return min(co), max(co)
+
+
+def _companions_from(p: int, search_depth: Optional[int]) -> tuple[CompanionPair, MarkovTriple]:
+    """The companion pair of p and the triple containing p it was read from."""
+    t = _search_triple_with(p, search_depth)
+    if t is None:
+        raise NotMarkov(f"{p} is not a Markov number (proved by exhaustive tree search)")
+    if p <= 2:
+        return CompanionPair(p, 1, 1), t
+    q = _q_from_triple(p, *_co_entries(p, t))
     # mutation invariance: recompute from a second triple containing p
     k = next(i for i, x in enumerate(t) if x != p)
-    t2 = mutate(t, k + 1)
-    co2 = list(t2)
-    co2.remove(p)
-    q2 = _q_from_triple(p, min(co2), max(co2))
-    if {q2, p - q2} != {pair.q_plus, pair.q_minus}:
+    q2 = _q_from_triple(p, *_co_entries(p, mutate(t, k + 1)))
+    if {q2, p - q2} != {q, p - q}:
         raise AssertionError(f"companion pair not mutation-invariant for p={p}")
-    return pair
+    return CompanionPair(p, q, p - q), t
 
 
-def is_companion(p: int, q: int, search_depth: int = MAX_TREE_DEPTH) -> bool:
+def companions(p: int, search_depth: Optional[int] = None) -> CompanionPair:
+    """The companion pair {q, p-q} of a Markov number, from any containing triple."""
+    return _companions_from(p, search_depth)[0]
+
+
+def is_companion(p: int, q: int, search_depth: Optional[int] = None) -> bool:
     return q in companions(p, search_depth)
 
 
@@ -216,17 +224,14 @@ def _valley_pair(p: int, x: int, y: int) -> tuple[int, int]:
             return x, y
 
 
-def canonical_triple(p: int, q: int, search_depth: int = MAX_TREE_DEPTH) -> MarkovTriple:
+def canonical_triple(p: int, q: int, search_depth: Optional[int] = None) -> MarkovTriple:
     """The triple (p, a, b) with co-entries <= p, ordered so q = 3*a*b^{-1} mod p."""
-    pair = companions(p, search_depth)
+    pair, t = _companions_from(p, search_depth)
     if q not in pair:
         raise DomainError(f"{q} is not a companion of {p} (pair {set(pair.pair)})")
     if p <= 2:
         return (p, 1, 1)
-    t = _search_triple_with(p, search_depth)
-    co = list(t)
-    co.remove(p)
-    x, y = _valley_pair(p, co[0], co[1])
+    x, y = _valley_pair(p, *_co_entries(p, t))
     if _q_from_triple(p, x, y) == q:
         return (p, x, y)
     if _q_from_triple(p, y, x) == q:
@@ -244,10 +249,10 @@ class _Branch:
     diagonal staircase box at index 0.
     """
 
-    def __init__(self, p: int, q: int, search_depth: int = MAX_TREE_DEPTH):
+    def __init__(self, p: int, q: int):
         self.p = p
         self.q = q
-        _, a, b = canonical_triple(p, q, search_depth)
+        _, a, b = canonical_triple(p, q)
         if p <= 2:
             self.values = {0: 1, 1: 1}
         else:
@@ -256,14 +261,21 @@ class _Branch:
         self._hi = max(self.values)
 
     def __getitem__(self, i: int) -> int:
+        # store each term before moving the bound: a re-entered extension is harmless
         v = self.values
         while self._hi < i:
-            v[self._hi + 1] = 3 * self.p * v[self._hi] - v[self._hi - 1]
-            self._hi += 1
+            k = self._hi + 1
+            v[k] = 3 * self.p * v[k - 1] - v[k - 2]
+            self._hi = k
         while self._lo > i:
-            v[self._lo - 1] = 3 * self.p * v[self._lo] - v[self._lo + 1]
-            self._lo -= 1
+            k = self._lo - 1
+            v[k] = 3 * self.p * v[k + 1] - v[k + 2]
+            self._lo = k
         return v[i]
+
+
+# the shared branch of each (p, q) staircase family; a failed build is not cached
+_family = lru_cache(maxsize=FAMILY_CACHE_SIZE)(_Branch)
 
 
 @dataclass(frozen=True)
@@ -289,7 +301,7 @@ class BranchSequence:
 def branch_sequence(p: int, q: int, lo: int, hi: int) -> BranchSequence:
     if lo > hi:
         raise DomainError(f"empty window: lo={lo} > hi={hi}")
-    br = _Branch(p, q)
+    br = _family(p, q)
     values = tuple(br[i] for i in range(lo, hi + 1))
     for m0, m1 in zip(values, values[1:]):
         if not is_markov_triple(p, m0, m1):
@@ -318,13 +330,7 @@ class Sigma:
         p, not assumed), so sigma_p is irrational.
         """
         r = Fraction(r)
-        v = r * r - 3 * r + Fraction(1, self.p * self.p)
-        if v == 0:
-            return "equal"  # unreachable for rational r; kept for honesty
-        if v < 0:
-            return "less"  # strictly between the two roots
-        # outside the roots: below the smaller one or above sigma_p
-        return "less" if r <= Fraction(3, 2) else "greater"
+        return _sigma_compare(self.p, r.numerator, r.denominator)
 
     def decimal(self, digits: int, rounded: bool = False) -> str:
         """Decimal expansion to `digits` places, truncated (or rounded)."""
@@ -343,6 +349,17 @@ class Sigma:
         from math import sqrt
 
         return (3 * self.p + sqrt(9 * self.p * self.p - 4)) / (2 * self.p)
+
+
+def _sigma_compare(p: int, n: int, d: int) -> str:
+    """Sigma.compare for r = n/d, d > 0: p^2*d^2*(r^2 - 3r + 1/p^2) in integers."""
+    v = p * p * n * (n - 3 * d) + d * d
+    if v == 0:
+        return "equal"  # unreachable for rational r; kept for honesty
+    if v < 0:
+        return "less"  # strictly between the two roots
+    # outside the roots: below the smaller one or above sigma_p
+    return "less" if 2 * n <= 3 * d else "greater"
 
 
 def sigma_p(p: int) -> Sigma:

@@ -8,8 +8,12 @@ infinite union of open boxes
 indexed by the branch sequence m_i.  Membership reduces to an exact walk:
 alpha_sup(i) increases strictly to sigma_p, so the minimal box whose width
 exceeds alpha decides the verdict, and on failure the dominated inner corner
-is an exact obstruction.  The packing checks are the strict linear
-inequalities cut out by the triple completing (p1, p2).
+is an exact obstruction.  With alpha = n/d and beta = n'/d', the walk runs in
+integers on the family's cached branch: alpha >= alpha_sup(i) iff
+n*p*m_i >= d*m_{i+1}, beta >= beta_sup(i) iff n'*p*m_{i+1} >= d'*m_i, and
+n/d < sigma_p iff p^2*n^2 - 3p^2*n*d + d^2 < 0, or it is > 0 and 2n <= 3d.
+The packing checks are the strict linear inequalities cut out by the triple
+completing (p1, p2).
 """
 
 from __future__ import annotations
@@ -22,11 +26,11 @@ from .exact_core import DomainError, Rational, format_rational
 from .intersection_theory import NoCommonTriple, two_ball_degree
 from .markov import (
     _Branch,
+    _family,
+    _sigma_compare,
     canonical_triple,
     companions,
-    compare_to_sigma,
     is_markov_triple,
-    sigma_p,
 )
 
 __all__ = [
@@ -91,7 +95,7 @@ def _box(p: int, br: _Branch, i: int) -> StairBox:
 def stair_boxes(p: int, q: int, i_lo: int, i_hi: int) -> list[StairBox]:
     if i_lo > i_hi:
         raise DomainError(f"empty index window: {i_lo} > {i_hi}")
-    br = _Branch(p, q)
+    br = _family(p, q)
     boxes = [_box(p, br, i) for i in range(i_lo, i_hi + 1)]
     for a, b in zip(boxes, boxes[1:]):
         if not a.alpha_sup < b.alpha_sup:
@@ -101,33 +105,35 @@ def stair_boxes(p: int, q: int, i_lo: int, i_hi: int) -> list[StairBox]:
 
 def embeds(p: int, q: int, alpha: Rational, beta: Rational) -> EmbeddingVerdict:
     alpha, beta = Fraction(alpha), Fraction(beta)
-    if alpha <= 0 or beta <= 0:
+    n, d = alpha.numerator, alpha.denominator
+    nb, db = beta.numerator, beta.denominator
+    if n <= 0 or nb <= 0:
         raise DomainError("alpha and beta must be positive")
-    if compare_to_sigma(p, alpha) != "less":
+    if p < 1:
+        raise DomainError(f"p must be positive: {p}")
+    if _sigma_compare(p, n, d) != "less" or _sigma_compare(p, nb, db) != "less":
         return EmbeddingVerdict("OutsideVisibleRange")
-    if compare_to_sigma(p, beta) != "less":
-        return EmbeddingVerdict("OutsideVisibleRange")
-    br = _Branch(p, q)
+    m = _family(p, q)
+    pn, pnb = p * n, p * nb
     i = 0
-    if alpha >= _box(p, br, 0).alpha_sup:
+    if pn * m[0] >= d * m[1]:
         # walk up to the minimal i with alpha < alpha_sup(i)
-        while alpha >= _box(p, br, i).alpha_sup:
+        while pn * m[i] >= d * m[i + 1]:
             i += 1
-    elif compare_to_sigma(p, Fraction(1, p * p) / alpha) == "less":
-        # alpha above the decreasing limit of alpha_sup: the minimal box
-        # exists below; walk down to it
-        while alpha < _box(p, br, i - 1).alpha_sup:
+    elif _sigma_compare(p, d, p * pn) == "less":
+        # alpha above the decreasing limit 1/(p^2 sigma_p) of alpha_sup: the
+        # minimal box exists below; walk down to it
+        while pn * m[i - 1] < d * m[i]:
             i -= 1
     else:
         # alpha at or below the limit: every box is wide enough, and since
         # beta < sigma_p some box far down is tall enough
-        while beta >= _box(p, br, i).beta_sup:
+        while pnb * m[i + 1] >= db * m[i]:
             i -= 1
-        return EmbeddingVerdict("Embeds", witness=_box(p, br, i))
-    box = _box(p, br, i)
-    if beta < box.beta_sup:
-        return EmbeddingVerdict("Embeds", witness=box)
-    corner = (Fraction(br[i], p * br[i - 1]), box.beta_sup)
+        return EmbeddingVerdict("Embeds", witness=_box(p, m, i))
+    if pnb * m[i + 1] < db * m[i]:
+        return EmbeddingVerdict("Embeds", witness=_box(p, m, i))
+    corner = (Fraction(m[i], p * m[i - 1]), Fraction(m[i], p * m[i + 1]))
     if not (alpha >= corner[0] and beta >= corner[1]):
         raise AssertionError("obstruction corner is not dominated")
     return EmbeddingVerdict("DoesNotEmbed", obstruction=corner)
@@ -257,7 +263,7 @@ class ObstructionCertificate:
 
 def obstruction_certificate(p: int, q: int, i: int) -> ObstructionCertificate:
     """Exact identity s*L + D = 0 at the inner corner i of the staircase."""
-    br = _Branch(p, q)
+    br = _family(p, q)
     p1, p2, p3 = p, br[i + 1], br[i]
     if not is_markov_triple(p1, p2, p3):
         raise DomainError(f"index {i} does not give a Markov triple for ({p},{q})")

@@ -148,6 +148,18 @@ def brute_markov_numbers(bound):
     return sorted({x for t in brute_markov_triples(bound) for x in t})
 
 
+def fibonacci_markov_pair(k):
+    """(F_k, {q, F_k - q}) for an odd k >= 5, read off the Markov triple
+    (1, F_{k-2}, F_k) with q = 3 * F_{k-2} * 1^{-1} mod F_k."""
+    fib = [0, 1]
+    while len(fib) <= k:
+        fib.append(fib[-1] + fib[-2])
+    p, u = fib[k], fib[k - 2]
+    assert 1 + u * u + p * p == 3 * u * p
+    q = 3 * u % p
+    return p, {q, p - q}
+
+
 # ---------------------------------------------------------------------------
 # staircase membership from an explicit box list
 

@@ -1,11 +1,12 @@
 """End-to-end CLI behaviour: exit codes, exact text, JSON, SVG determinism."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from pinstairs.cli_plot import RenderSpec, render_base_diagram, render_staircase, run
+from pinstairs.cli_plot import RenderSpec, main, render_base_diagram, render_staircase, run
 from pinstairs.atf_geometry import delta_triangle, pavilion_polygon, vianna_triangle
 from pinstairs.exact_core import DomainError
 
@@ -82,6 +83,33 @@ def test_markov_branch_window(capsys):
     code, out, _ = invoke(capsys, "markov", "branch", "2", "1", "--lo", "-1", "--hi", "1")
     assert code == 0
     assert out.splitlines() == ["m[-1] = 5", "m[0] = 1", "m[1] = 1"]
+
+
+def test_main_refuses_branch_terms_beyond_the_int_str_digit_limit(capsys, monkeypatch):
+    # m[3990..4000] of the (5, 1) branch have about 4700 digits each
+    argv = ["pinstairs", "markov", "branch", "5", "1", "--lo", "3990", "--hi", "4000"]
+    monkeypatch.setattr(sys, "argv", argv)
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        pytest.skip("this Python has no int/str digit limit")
+    limit = get_limit()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("error:") and "PYTHONINTMAXSTRDIGITS=0" in err
+
+
+def test_companions_of_a_fourteen_digit_markov_number(capsys):
+    code, out, _ = invoke(capsys, "markov", "companions", "17167680177565")
+    assert code == 0 and out.startswith("q ∈ {")
+    code, _, err = invoke(capsys, "markov", "companions", "433", "--depth", "2")
+    assert code == 1 and "does not prove" in err
 
 
 def test_wahl_table_lines(capsys):

@@ -10,6 +10,7 @@ from pinstairs.exact_core import DomainError
 from pinstairs.markov import (
     BranchSequence,
     NotFound,
+    NotMarkov,
     branch_sequence,
     canonical_triple,
     companions,
@@ -30,7 +31,7 @@ from .frozen import (
     MARKOV_NUMBERS_1000,
     TREE_ROWS,
 )
-from .oracles import brute_markov_numbers, brute_markov_triples
+from .oracles import brute_markov_numbers, brute_markov_triples, fibonacci_markov_pair
 
 
 def tree_rows_by_depth(depth):
@@ -102,6 +103,22 @@ def test_companions_of_non_markov_number_raises():
         companions(6)
     with pytest.raises(NotFound):
         companions(433 * 2)
+
+
+def test_exhaustive_search_proves_non_markov_numbers():
+    with pytest.raises(NotMarkov, match="proved"):
+        companions(6)
+    with pytest.raises(NotFound, match="does not prove") as exc:
+        companions(433, search_depth=2)
+    assert not isinstance(exc.value, NotMarkov)
+    assert companions(433, search_depth=6).pair == companions(433).pair
+
+
+def test_companions_of_a_fourteen_digit_markov_number():
+    p, pair = fibonacci_markov_pair(65)
+    assert p == 17167680177565
+    assert companions(p).pair == pair
+    assert all((q * q + 9) % p == 0 for q in pair)
 
 
 def test_is_markov_number_agrees_with_brute_force():

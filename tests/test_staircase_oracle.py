@@ -107,6 +107,39 @@ def test_embeds_deep_tail_queries_terminate():
     assert v.answer == "Embeds"
 
 
+BENCHMARK_PAIRS = GRID_PAIRS + [(433, 104), (7453378, 1807955)]
+
+
+@pytest.mark.parametrize("p,q", BENCHMARK_PAIRS)
+def test_embeds_on_exact_box_edges(p, q):
+    boxes = stair_boxes(p, q, -60, 60)
+    sups = {b.index: (b.alpha_sup, b.beta_sup) for b in boxes}
+    # distinct corner coordinates with denominators <= D differ by at least
+    # 1/D^2, so x - eps lies above every corner coordinate below x
+    D = max(x.denominator for i in range(-8, 9) for x in sups[i])
+    eps = Fraction(1, 4 * D * D)
+    oracle = list(sups.values())
+    q_swap = 1 if p <= 2 else p - q
+    for i in range(-6, 7):
+        a, b = sups[i]
+        inner = sups[i - 1][0]
+        for x, y in [(a, b), (a, b - eps), (a - eps, b), (inner, b),
+                     (a - eps, b - eps), (inner - eps, b), (inner - eps, b - eps)]:
+            verdict = embeds(p, q, x, y)
+            assert (verdict.answer == "Embeds") == box_union_verdict(oracle, x, y)
+            assert embeds(p, q_swap, y, x).answer == verdict.answer
+            if verdict.answer == "Embeds":
+                assert verdict.witness.contains(x, y)
+            else:
+                assert x >= verdict.obstruction[0] and y >= verdict.obstruction[1]
+
+
+def test_failed_family_is_not_cached():
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            embeds(29, 3, Fraction(1, 10), Fraction(1, 10))
+
+
 def grid_points(p, n=30):
     sig = float(sigma_p(p))
     pts = []
