@@ -555,6 +555,9 @@ def run(argv) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:  # a failed self-check
+        print(f"internal error: {exc} (argv: {' '.join(map(str, argv))})", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

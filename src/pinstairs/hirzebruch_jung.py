@@ -103,12 +103,12 @@ def is_zero_continued_fraction(entries: HJChain) -> bool:
         raise DomainError(f"chain entries must be >= 1: {entries}")
     if not entries:
         return False
-    value = Fraction(entries[-1])
+    num, den = entries[-1], 1  # the suffix value num/den, den > 0
     for b in reversed(entries[:-1]):
-        if value <= 0:
+        if num <= 0:
             return False
-        value = b - 1 / value
-    return value == 0
+        num, den = b * num - den, num
+    return num == 0
 
 
 @dataclass(frozen=True)

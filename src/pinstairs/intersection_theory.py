@@ -72,10 +72,12 @@ def intersection_matrix(w: WahlData) -> list[list[int]]:
 def inverse_closed_form(w: WahlData) -> list[list[Rational]]:
     m = w.m
     p2 = w.p * w.p
-    return [
-        [Fraction(-(w.e[min(i, j) + 1] * w.f[max(i, j) + 1]), p2) for j in range(m)]
-        for i in range(m)
-    ]
+    inv: list[list[Rational]] = [[0] * m for _ in range(m)]
+    for i in range(m):
+        e = w.e[i + 1]
+        for j in range(i, m):  # symmetric: build each entry once
+            inv[i][j] = inv[j][i] = Fraction(-(e * w.f[j + 1]), p2)
+    return inv
 
 
 def is_negative_definite(matrix: list[list[int]]) -> bool:

@@ -4,11 +4,25 @@ A candidate broken ruling is a labeled tree (vertex labels = sphere
 self-intersections).  Combinatorial blow-up at a vertex hangs a -1 vertex on
 it and drops its label; at an edge it splits the edge with a -1 vertex and
 drops both endpoint labels.  A graph is a ruling degeneration when some
-blow-down order reaches the single 0-vertex; that is decided by exhaustive
-memoized search over contraction orders, with a greedy smallest-id reducer
-as the fast path.  For a Wahl chain of weight 7 or 10 the flanking dual
-Wahl subchains each admit exactly one vertex where an extra -1 sphere makes
-them degenerate, which pins the predicted rulings.
+blow-down order reaches the single 0-vertex.
+
+That is decided exactly, mostly without a search.  While exactly one vertex
+is contractible, every successful order must start with it, so it is
+contracted.  Labels only rise, and a surviving vertex sees at least one
+neighbour contracted, so a label >= 0 among two or more vertices rules the
+graph out.  Blow-downs keep a path a path, and a path degenerates exactly
+when its negated labels, read end to end, form a zero continued fraction
+(Christophersen; Stevens).  Only a tree that is not a path is left to an
+exhaustive memoized search over contraction orders, with a memo local to
+the call; above EXHAUSTIVE_VERTEX_CAP vertices a greedy smallest-id reducer
+answers instead and warns that it may give a false negative.
+
+For a Wahl chain of weight 7 or 10 the flanking dual Wahl subchains each
+admit exactly one vertex where an extra -1 sphere makes them degenerate,
+which pins the predicted rulings.  Their entries are >= 2, so the hung -1
+is the only contractible vertex; contracting it leaves the flank with b_k - 1
+at the site k, and attach_position tests that chain as a zero continued
+fraction without building a graph.
 """
 
 from __future__ import annotations
@@ -18,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .exact_core import DomainError
-from .hirzebruch_jung import recognize_dual_wahl
+from .hirzebruch_jung import is_zero_continued_fraction, recognize_dual_wahl
 from .intersection_theory import culet_report
 from .markov import companions
 
@@ -212,7 +226,14 @@ def _search(labels: dict, adj: dict, memo: dict) -> bool:
     return out
 
 
-_RULING_MEMO: dict = {}
+def _path_entries(labels: dict, adj: dict) -> list[int]:
+    """Negated labels of a path, read from one end to the other."""
+    prev, v = None, next(v for v, us in adj.items() if len(us) == 1)
+    out = []
+    while v is not None:
+        out.append(-labels[v])
+        prev, v = v, next((u for u in adj[v] if u != prev), None)
+    return out
 
 
 def is_ruling_degeneration(g: DualGraph) -> bool:
@@ -221,14 +242,26 @@ def is_ruling_degeneration(g: DualGraph) -> bool:
         raise DomainError("empty graph")
     if any(s > 0 for _, s in g.vertices):
         raise DomainError("positive self-intersection in candidate graph")
-    if len(g.vertices) > EXHAUSTIVE_VERTEX_CAP:
+    labels, adj = g.labels(), g.adjacency()
+    while len(labels) > 1:
+        moves = _down_moves(labels, adj)
+        if len(moves) != 1:
+            break
+        labels, adj = _apply_down(labels, adj, moves[0])
+    if len(labels) == 1:
+        return next(iter(labels.values())) == 0
+    if any(s >= 0 for s in labels.values()):
+        return False
+    if all(len(us) <= 2 for us in adj.values()):
+        return is_zero_continued_fraction(_path_entries(labels, adj))
+    if len(labels) > EXHAUSTIVE_VERTEX_CAP:
         warnings.warn(
-            f"graph larger than {EXHAUSTIVE_VERTEX_CAP} vertices: "
+            f"tree larger than {EXHAUSTIVE_VERTEX_CAP} vertices that is not a path: "
             "greedy reduction only, result may be a false negative"
         )
-        final, _ = blow_down_all(g)
+        final, _ = blow_down_all(_graph_from(labels, adj))
         return len(final.vertices) == 1 and final.vertices[0][1] == 0
-    return _search(g.labels(), g.adjacency(), _RULING_MEMO)
+    return _search(labels, adj, {})
 
 
 def attach_position(chain) -> int:
@@ -237,15 +270,17 @@ def attach_position(chain) -> int:
     chain = list(chain)
     if not chain or any(not isinstance(b, int) or b < 1 for b in chain):
         raise DomainError(f"bad chain {chain}")
-    recognized = recognize_dual_wahl(chain) if all(b >= 2 for b in chain) else None
-    hits = []
-    for k in range(1, len(chain) + 1):
+    sites = range(1, len(chain) + 1)
+    if all(b >= 2 for b in chain):
+        # the hung -1 comes down first and leaves b_k - 1 at the site
+        hits = [k for k in sites
+                if is_zero_continued_fraction(chain[:k - 1] + [chain[k - 1] - 1] + chain[k:])]
+    else:
         g = chain_graph(chain)
-        labels = g.vertices + ((0, -1),)
-        if is_ruling_degeneration(DualGraph(labels, g.edges + ((0, k),))):
-            hits.append(k)
+        hits = [k for k in sites
+                if is_ruling_degeneration(DualGraph(g.vertices + ((0, -1),), g.edges + ((0, k),)))]
     if not hits:
-        note = "" if recognized else " (not a dual Wahl chain)"
+        note = "" if recognize_dual_wahl(chain) else " (not a dual Wahl chain)"
         raise NoPosition(f"no attach position for {chain}{note}")
     if len(hits) > 1:
         raise MultiplePositions(f"attach positions {hits} for {chain}")

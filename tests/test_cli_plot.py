@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import pinstairs.cli_plot as cli
 from pinstairs.cli_plot import RenderSpec, main, render_base_diagram, render_staircase, run
 from pinstairs.atf_geometry import delta_triangle, pavilion_polygon, vianna_triangle
 from pinstairs.exact_core import DomainError
@@ -83,6 +84,17 @@ def test_markov_branch_window(capsys):
     code, out, _ = invoke(capsys, "markov", "branch", "2", "1", "--lo", "-1", "--hi", "1")
     assert code == 0
     assert out.splitlines() == ["m[-1] = 5", "m[0] = 1", "m[1] = 1"]
+
+
+def test_failed_self_check_exits_three_without_traceback(capsys, monkeypatch):
+    def broken(args):
+        raise AssertionError("contracted-curve count is not m - 1")
+
+    monkeypatch.setattr(cli, "cmd_regulation", broken)
+    code, out, err = invoke(capsys, "regulation", "29", "7")
+    assert code == 3 and out == ""
+    assert err == "internal error: contracted-curve count is not m - 1 (argv: regulation 29 7)\n"
+    assert "Traceback" not in err
 
 
 def test_main_refuses_branch_terms_beyond_the_int_str_digit_limit(capsys, monkeypatch):

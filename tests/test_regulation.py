@@ -1,15 +1,19 @@
 """Dual graphs, combinatorial blow-ups/downs, ruling degenerations."""
 
 import itertools
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinstairs.exact_core import DomainError
-from pinstairs.hirzebruch_jung import is_zero_continued_fraction
+from pinstairs.hirzebruch_jung import hj_expand, is_zero_continued_fraction
+from pinstairs.markov import companions, enumerate_tree
 from pinstairs.regulation import (
+    EXHAUSTIVE_VERTEX_CAP,
     DualGraph,
+    MultiplePositions,
     NoPosition,
     attach_position,
     blow_down,
@@ -215,6 +219,28 @@ def test_memoized_search_matches_plain_recursion_on_chains(entries):
     assert is_ruling_degeneration(g) == exhaustive_is_degeneration(g)
 
 
+def test_ruling_check_matches_exhaustive_search_on_every_short_chain():
+    # paths are decided by the zero continued fraction criterion; this keeps
+    # a search over all blow-down orders as the independent reference
+    for k in range(1, 8):
+        for entries in itertools.product((1, 2, 3, 4), repeat=k):
+            g = chain_graph(entries)
+            assert is_ruling_degeneration(g) == exhaustive_is_degeneration(g), entries
+
+
+def test_attach_position_matches_exhaustive_search_on_every_short_chain():
+    for k in range(1, 7):
+        for chain in itertools.product((2, 3, 4, 5), repeat=k):
+            g = chain_graph(chain)
+            hits = [s for s in range(1, k + 1) if exhaustive_is_degeneration(
+                DualGraph(g.vertices + ((0, -1),), g.edges + ((0, s),)))]
+            if len(hits) == 1:
+                assert attach_position(chain) == hits[0]
+            else:
+                with pytest.raises(MultiplePositions if hits else NoPosition):
+                    attach_position(chain)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_memoized_search_matches_plain_recursion_on_random_trees(data):
@@ -226,3 +252,66 @@ def test_memoized_search_matches_plain_recursion_on_random_trees(data):
         edges.append((parent, v))
     g = DualGraph(tuple((i + 1, labels[i]) for i in range(n)), tuple(edges))
     assert is_ruling_degeneration(g) == exhaustive_is_degeneration(g)
+
+
+def _dual_wahl_flank(s, q):
+    # hj_expand(s^2, s^2 - sq + 1): the dual of the Wahl chain of (s, q)
+    return hj_expand(s * s, s * s - s * q + 1)
+
+
+_SHORT_DUAL_WAHL = [c for s in range(2, 30) for q in range(1, s)
+                    if len(c := _dual_wahl_flank(s, q)) <= 15]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.lists(st.integers(min_value=2, max_value=6), min_size=1, max_size=15),
+                 st.sampled_from(_SHORT_DUAL_WAHL)))
+def test_attach_position_matches_exhaustive_search(chain):
+    g = chain_graph(chain)
+    hits = [k for k in range(1, len(chain) + 1)
+            if exhaustive_is_degeneration(DualGraph(g.vertices + ((0, -1),), g.edges + ((0, k),)))]
+    if len(hits) == 1:
+        assert attach_position(chain) == hits[0]
+    elif not hits:
+        with pytest.raises(NoPosition):
+            attach_position(chain)
+    else:
+        with pytest.raises(MultiplePositions):
+            attach_position(chain)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ruling_check_matches_exhaustive_search_after_blow_ups(data):
+    # labels 0 and +1 appear; a blow-up at each +1 vertex makes it 0 with a
+    # -1 leaf, so forced moves, labels >= 0 and leftover paths all occur
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    labels = [data.draw(st.integers(min_value=-3, max_value=1)) for _ in range(n)]
+    edges = [(data.draw(st.integers(min_value=1, max_value=v - 1)), v) for v in range(2, n + 1)]
+    g = DualGraph(tuple((i + 1, labels[i]) for i in range(n)), tuple(edges))
+    for v in range(1, n + 1):
+        if labels[v - 1] == 1:
+            g = blow_up(g, v)
+    sites = list(range(1, n + 1)) + list(g.edges)
+    g = blow_up(g, data.draw(st.sampled_from(sites)))
+    assert is_ruling_degeneration(g) == exhaustive_is_degeneration(g)
+
+
+def test_predictions_to_depth_eight_raise_no_warning():
+    numbers = sorted({x for e in enumerate_tree(8) for x in e.triple if x >= 2})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in numbers:
+            for q in set(companions(p).pair):
+                pred = predict_regulation(p, q)
+                assert sum(pred.contracted_counts()) == len(pred.chain) - 1
+
+
+def test_greedy_reducer_still_warns_on_large_trees_that_are_not_paths():
+    # a -1 of degree 3 with three arms of -2 curves: no vertex can come down
+    n = EXHAUSTIVE_VERTEX_CAP + 2
+    verts = ((1, -1),) + tuple((v, -2) for v in range(2, n + 1))
+    edges = [(1, 2), (1, 3), (1, 4)] + [(v - 3, v) for v in range(5, n + 1)]
+    star = DualGraph(verts, tuple(edges))
+    with pytest.warns(UserWarning, match="false negative"):
+        assert not is_ruling_degeneration(star)
