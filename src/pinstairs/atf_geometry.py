@@ -312,18 +312,21 @@ def _validate_vianna(t: ViannaTriangle) -> ViannaTriangle:
         raise DomainError(f"{t.triple} is not a Markov triple")
     if t.area() != Fraction(1, 2):
         raise AssertionError("mutation failed to preserve area")
+    # edge k runs from vertex k to vertex k+1, so vertex k sees edges k and k+2;
+    # the area check above already rules out a zero-length edge
+    edges = [_primitive_direction(t.points[k], t.points[(k + 1) % 3]) for k in range(3)]
     for k in range(3):
         pk = t.triple[k]
-        if t.vertex_determinant(k) != pk * pk:
+        d1 = edges[k][0]
+        d2 = -edges[(k + 2) % 3][0]
+        if abs(wedge(d1, d2)) != pk * pk:
             raise AssertionError(f"vertex {k} determinant is not {pk}^2")
         want = Fraction(pk, t.triple[(k + 1) % 3] * t.triple[(k + 2) % 3])
-        if t.edge_length(k) != want:
+        if edges[(k + 1) % 3][1] != want:
             raise AssertionError(f"edge opposite vertex {k} has wrong length")
         u = t.cuts[k]
         if not u.is_primitive():
             raise AssertionError(f"cut at vertex {k} not primitive")
-        d1 = _direction(t.points[k], t.points[(k + 1) % 3])
-        d2 = _direction(t.points[k], t.points[(k + 2) % 3])
         s = 1 if wedge(d1, d2) > 0 else -1
         if not (s * wedge(d1, u) > 0 and s * wedge(u, d2) > 0):
             raise AssertionError(f"cut at vertex {k} does not point inward")

@@ -46,6 +46,16 @@ from .staircase_oracle import (
 
 __all__ = ["run", "main", "RenderSpec", "render_staircase", "render_base_diagram"]
 
+# `wahl` prints two m×m tables, whose size grows as m² times the digits of p².
+# With Python 3.11 on 2 vCPUs, (601, 1) prints 6.7 MB in 0.8 s, a 78-digit
+# Markov pair with a chain of 604 entries 97 MB in 2.8 s (`--json` peaks at
+# 370 MB), and a 130-digit one with 1 000 entries 436 MB in 11 s.  Chains of
+# Markov pairs grow by about 7.5 entries per digit; on the six branches checked
+# they stay within this limit up to 77 digits, and the Pell branch (2, p, p')
+# leaves it at 78.  A pair such as (p, 1), whose chain has p - 1 entries, is
+# refused for p > 601.
+MAX_TABLE_CHAIN = 600
+
 
 def _rational(text: str) -> Fraction:
     try:
@@ -276,6 +286,9 @@ def cmd_markov_branch(args) -> int:
 
 def cmd_wahl(args) -> int:
     w = wahl_data(args.p, args.q)
+    if w.m > MAX_TABLE_CHAIN:
+        raise DomainError(f"the chain of ({w.p},{w.q}) has {w.m} entries; the matrix and "
+                          f"its inverse are printed for at most {MAX_TABLE_CHAIN}")
     matrix = intersection_matrix(w)
     inverse = inverse_closed_form(w)
     disc = discrepancies(w) if w.m else []

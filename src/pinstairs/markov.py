@@ -45,6 +45,7 @@ MarkovTriple = tuple[int, int, int]
 
 MAX_TREE_DEPTH = 30
 FAMILY_CACHE_SIZE = 64  # staircase families kept, each with the branch terms it has grown
+SEARCH_CACHE_SIZE = 256  # (number, depth limit) searches whose result is kept
 
 
 class NotFound(DomainError):
@@ -128,26 +129,40 @@ def tree_to_json(entries: list[TreeEntry]) -> list[dict]:
     ]
 
 
-def _search_triple_with(p: int, max_depth: Optional[int]) -> Optional[MarkovTriple]:
-    """A triple containing p, found by BFS over triples with max entry < p.
+@lru_cache(maxsize=SEARCH_CACHE_SIZE)
+def _tree_search(p: int, max_depth: Optional[int]) -> tuple[Optional[MarkovTriple], bool]:
+    """The first triple containing p met by BFS over triples with max entry < p
+    (None if there is none), and whether max_depth cut the search short.
 
     The parent chain of any triple containing p only passes through triples
     whose maximum is smaller than p, so the pruned search is exhaustive; with
     max_depth=None it terminates because there are finitely many such triples.
-    A max_depth that stops it before the frontier runs dry raises NotFound.
     """
-    if p == 1:
-        return (1, 1, 1)
     for depth, level in enumerate(_tree_levels(lambda t: t[2] < p)):
         if max_depth is not None and depth >= max_depth:
-            raise NotFound(
-                f"{p} not encountered within {max_depth} tree levels "
-                "(search exhausted; this does not prove p is not a Markov number)"
-            )
+            return None, True
         for child, _, _ in level:
             if p in child:
-                return child
-    return None
+                return child, False
+    return None, False
+
+
+def _search_triple_with(p: int, max_depth: Optional[int]) -> Optional[MarkovTriple]:
+    """A triple containing p, or None when the exhaustive search proves there is
+    none.  A max_depth that stops the search before it finds p or runs dry
+    raises NotFound.
+    """
+    if max_depth is not None and max_depth < 0:
+        raise DomainError(f"search depth must be >= 0: {max_depth}")
+    if p == 1:
+        return (1, 1, 1)
+    t, cut = _tree_search(p, max_depth)
+    if cut:
+        raise NotFound(
+            f"{p} not encountered within {max_depth} tree levels (the depth limit "
+            f"cut the search short; this does not prove {p} is not a Markov number)"
+        )
+    return t
 
 
 def is_markov_number(p: int) -> bool:

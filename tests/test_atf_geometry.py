@@ -1,11 +1,14 @@
 """Moment triangles, fans, pavilions, Vianna triangles, girdle data."""
 
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from pinstairs.atf_geometry import (
     GirdleViolated,
+    _validate_vianna,
     NotDelzant,
     cut_segment,
     delta_triangle,
@@ -176,6 +179,22 @@ def test_vianna_triangle_signature_is_order_insensitive():
     s2 = triangle_signature(vianna_triangle(1, 5, 2))
     assert s1 == s2
     assert s1[0] == (1, 4, 25)
+
+
+def test_vianna_self_checks_fire_on_corrupted_triangles():
+    t = vianna_triangle(5, 2, 1)
+    assert _validate_vianna(t) is t
+    u0, u1, u2 = t.cuts
+    corrupted = [
+        (replace(t, cuts=(u0 * 2, u1, u2)), "cut at vertex 0 not primitive"),
+        (replace(t, cuts=(-u0, u1, u2)), "cut at vertex 0 does not point inward"),
+        (replace(t, triple=(2, 5, 1)), "vertex 0 determinant is not 2^2"),
+        (replace(t, points=tuple(v.scale(2) for v in t.points)),
+         "mutation failed to preserve area"),
+    ]
+    for bad, message in corrupted:
+        with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+            _validate_vianna(bad)
 
 
 def test_vianna_rejects_non_markov():

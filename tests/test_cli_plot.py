@@ -1,15 +1,23 @@
 """End-to-end CLI behaviour: exit codes, exact text, JSON, SVG determinism."""
 
+import contextlib
+import io
+import itertools
 import json
 import sys
+import tempfile
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pinstairs.cli_plot as cli
 from pinstairs.cli_plot import RenderSpec, main, render_base_diagram, render_staircase, run
 from pinstairs.atf_geometry import delta_triangle, pavilion_polygon, vianna_triangle
 from pinstairs.exact_core import DomainError
+from pinstairs.markov import companions, enumerate_tree
 
 F = Fraction
 
@@ -122,6 +130,45 @@ def test_companions_of_a_fourteen_digit_markov_number(capsys):
     assert code == 0 and out.startswith("q ∈ {")
     code, _, err = invoke(capsys, "markov", "companions", "433", "--depth", "2")
     assert code == 1 and "does not prove" in err
+
+
+def test_negative_search_depth_exits_one(capsys):
+    code, out, err = invoke(capsys, "markov", "companions", "29", "--depth", "-2")
+    assert code == 1 and out == ""
+    assert err == "error: search depth must be >= 0: -2\n"
+
+
+def test_depth_cut_names_the_depth_limit(capsys):
+    code, _, err = invoke(capsys, "markov", "companions", "433", "--depth", "2")
+    assert code == 1 and len(err.splitlines()) == 1
+    assert "depth limit" in err and "exhausted" not in err
+
+
+def test_wahl_refuses_tables_of_overlong_chains(capsys, monkeypatch):
+    # the chain of (p, 1) has p - 1 entries: the two tables would need 2 (p-1)^2
+    code, out, err = invoke(capsys, "wahl", "9973", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: the chain of (9973,1) has 9972 entries")
+    code, out, _ = invoke(capsys, "wahl", str(cli.MAX_TABLE_CHAIN + 2), "1")
+    assert code == 1 and out == ""
+    monkeypatch.setattr(cli, "MAX_TABLE_CHAIN", 5)
+    code, out, _ = invoke(capsys, "wahl", "6", "1", "--json")
+    assert code == 0 and len(json.loads(out)["chain"]) == 5
+    code, out, _ = invoke(capsys, "wahl", "7", "1", "--json")
+    assert code == 1 and out == ""
+
+
+def test_wahl_prints_a_forty_digit_markov_pair(capsys):
+    # the first Markov number of the Pell branch (2, p, p') with 40 digits
+    a, b = 5, 29
+    while len(str(b)) < 40:
+        a, b = b, 6 * b - a
+    q = min(companions(b).pair)
+    code, out, _ = invoke(capsys, "wahl", str(b), str(q))
+    assert code == 0
+    m = sum(line.startswith("M[") for line in out.splitlines())
+    assert 300 < m <= cli.MAX_TABLE_CHAIN
+    assert "culet: index" in out
 
 
 def test_wahl_table_lines(capsys):
@@ -294,3 +341,93 @@ def test_render_staircase_window_obeys_steps():
     spec = RenderSpec("staircase", (F(0), F(3), F(0), F(3)), steps=6)
     svg = render_staircase(5, 1, spec)
     assert "(2/5, 1/10)" in svg and "(433/145, 29/2165)" in svg
+
+
+# ---------------------------------------------------------------- fuzzing
+
+_TRIPLES = sorted({t for e in enumerate_tree(8) if max(e.triple) <= 10**4
+                   for t in itertools.permutations(e.triple)})
+_MARKOV = sorted({x for t in _TRIPLES for x in t})
+_PAIRS = sorted({(p, q) for p in _MARKOV for q in companions(p).pair})
+_SVG = "<svg path>"
+
+_number = st.one_of(st.sampled_from(_MARKOV), st.sampled_from([q for _, q in _PAIRS]),
+                    st.integers(min_value=-3, max_value=10**4)).map(str)
+_pair = st.one_of(st.sampled_from(_PAIRS).map(lambda pq: [str(x) for x in pq]),
+                  st.tuples(_number, _number).map(list))
+_triple = st.one_of(st.sampled_from(_TRIPLES).map(lambda t: [str(x) for x in t]),
+                    st.tuples(_number, _number, _number).map(list))
+_small = st.integers(min_value=-2, max_value=6).map(str)
+_rational = st.one_of(
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(-3, 60), st.integers(0, 60)),
+    st.integers(-3, 5).map(str),
+    st.sampled_from(["0.5", "1/2/3", "x", ""]),
+)
+
+
+def _opt(*flags):
+    return st.one_of(st.just([]), st.just(list(flags)))
+
+
+def _cat(*parts):
+    """One argv from strategies of single words and of word lists, in order."""
+    def flatten(xs):
+        return [a for x in xs for a in (x if isinstance(x, list) else [x])]
+    return st.tuples(*parts).map(flatten)
+
+
+@st.composite
+def _window(draw):
+    lo = draw(st.integers(min_value=-20, max_value=20))
+    return ["--lo", str(lo), "--hi", str(lo + draw(st.integers(min_value=-2, max_value=39)))]
+
+
+@st.composite
+def _balls(draw):
+    """p1 q1 a1 p2 q2 a2 p3 q3 a3, often around a Markov triple."""
+    out = []
+    for p in draw(_triple):
+        mine = [str(q) for p2, q in _PAIRS if str(p2) == p]  # its companions, if Markov
+        q = draw(st.sampled_from(mine) if mine and draw(st.booleans()) else _number)
+        out += [p, q, draw(_rational)]
+    return out
+
+
+_argv = st.one_of(
+    _cat(st.just(["markov", "tree", "--depth"]), _small, _opt("--json")),
+    _cat(st.just(["markov", "companions"]), _number,
+         st.one_of(st.just([]), _small.map(lambda d: ["--depth", d]))),
+    _cat(st.just(["markov", "branch"]), _pair, _window()),
+    _cat(st.just(["wahl"]), _pair, _opt("--json")),
+    _cat(st.just(["stair"]), _pair, st.just("--alpha"), _rational,
+         st.just("--beta"), _rational, _opt("--json")),
+    _cat(st.just(["stair"]), _pair, st.just(["--svg", _SVG, "--steps"]), _small),
+    _cat(st.just(["capacity"]), _pair),
+    _cat(st.just(["pack", "two"]), _pair, _rational, _pair, _rational),
+    _cat(st.just(["pack", "three"]), _balls()),
+    _cat(st.just(["atf", "delta"]), _pair, _rational, _rational,
+         st.one_of(st.just([]), st.lists(_rational, max_size=6).map(
+             lambda xs: ["--pavilion", ",".join(xs)])),
+         _opt("--svg", _SVG)),
+    _cat(st.just(["atf", "vianna"]), _triple, _opt("--svg", _SVG)),
+    _cat(st.just(["regulation"]), _pair, st.sampled_from([[], ["--json"], ["--dot"]])),
+    st.lists(st.sampled_from(["markov", "tree", "stair", "--json", "29", "-1", "x"]),
+             max_size=4),
+)
+
+FUZZ_SECONDS = 10.0  # per run; the slowest runs seen take about 0.2 s
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv)
+def test_fuzzed_argv_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [f"{tmp}/out.svg" if a == _SVG else a for a in argv]
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        elapsed = time.perf_counter() - start
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert elapsed < FUZZ_SECONDS, (argv, elapsed)

@@ -1,11 +1,13 @@
 """Markov trees, companions, branch sequences, and the sigma constants."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pinstairs import markov
 from pinstairs.exact_core import DomainError
 from pinstairs.markov import (
     BranchSequence,
@@ -112,6 +114,131 @@ def test_exhaustive_search_proves_non_markov_numbers():
         companions(433, search_depth=2)
     assert not isinstance(exc.value, NotMarkov)
     assert companions(433, search_depth=6).pair == companions(433).pair
+
+
+def test_negative_search_depth_is_rejected():
+    for p in (1, 29, 6):
+        with pytest.raises(DomainError, match=r"^search depth must be >= 0: -2$") as exc:
+            companions(p, search_depth=-2)
+        assert not isinstance(exc.value, NotFound)
+    with pytest.raises(DomainError, match="search depth"):
+        canonical_triple(29, 7, search_depth=-1)
+
+
+def test_a_depth_cut_search_names_the_depth_limit():
+    with pytest.raises(NotFound) as exc:
+        companions(433, search_depth=2)
+    message = str(exc.value)
+    assert "depth limit" in message and "does not prove 433" in message
+    assert "exhausted" not in message
+
+
+def _outcome(call, *args):
+    try:
+        return "ok", call(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def test_kept_search_answers_as_a_cold_search_would():
+    markov._tree_search.cache_clear()
+    assert companions(433).pair == {104, 329}
+    with pytest.raises(NotFound) as exc:
+        companions(433, 2)
+    assert not isinstance(exc.value, NotMarkov)
+    numbers = list(range(-3, 2001)) + [fibonacci_markov_pair(k)[0] for k in (31, 41, 65)]
+    depths = [None, *range(10)]
+    rng = random.Random(4)
+    calls = [("companions", p, d) for p in numbers for d in depths]
+    calls += [("is_markov_number", p, None) for p in numbers]
+    # the other two read the same search through `_companions_from`: a sample
+    calls += rng.sample([(fn, p, d) for p in numbers for d in depths
+                         for fn in ("is_companion", "canonical_triple")], 3000)
+    rng.shuffle(calls)
+    markov._tree_search.cache_clear()
+    warm = []
+    for fn, p, d in calls:
+        args = (p,) if fn in ("companions", "is_markov_number") else (p, 7)
+        args += () if fn == "is_markov_number" else (d,)
+        warm.append((fn, args, _outcome(getattr(markov, fn), *args)))
+    assert markov._tree_search.cache_info().currsize == markov.SEARCH_CACHE_SIZE
+    # warm and cold calls take the same path, so a sample of the cold replay suffices
+    for fn, args, got in rng.sample(warm, 1000):
+        markov._tree_search.cache_clear()
+        assert _outcome(getattr(markov, fn), *args) == got, (fn, args)
+    brute = set(brute_markov_numbers(2000))
+    for fn, args, got in warm:
+        p = args[0]
+        if not 1 <= p <= 2000:
+            continue
+        if fn == "is_markov_number":
+            assert got == ("ok", p in brute)
+        elif fn == "companions" and args[1] is None:
+            assert got[0] == ("ok" if p in brute else NotMarkov)
+
+
+def test_a_depth_limit_bounds_the_search_of_a_huge_number(monkeypatch):
+    # the exhaustive search of a 301-digit non-Markov number would visit
+    # millions of triples; a depth limit of 3 stops it after three levels
+    starts = []
+    levels = markov._tree_levels
+
+    def counted(*args):
+        for level in levels(*args):
+            starts.append(len(level))
+            yield level
+
+    monkeypatch.setattr(markov, "_tree_levels", counted)
+    markov._tree_search.cache_clear()
+    with pytest.raises(NotFound, match="within 3 tree levels") as exc:
+        companions(10**300 + 1, search_depth=3)
+    assert not isinstance(exc.value, NotMarkov)
+    assert len(starts) == 4 and sum(starts) < 3**4
+
+
+def test_one_tree_search_per_number_across_a_unit_of_work(monkeypatch):
+    from pinstairs.atf_geometry import fan_rays, vianna_triangle
+    from pinstairs.hirzebruch_jung import wahl_data
+    from pinstairs.intersection_theory import (
+        culet_report, discrepancies, intersection_matrix, inverse_closed_form,
+        square_zero_class_search,
+    )
+    from pinstairs.regulation import predict_regulation
+    from pinstairs.staircase_oracle import embeds, obstruction_certificate, pin_ball_capacity
+
+    starts, searched, calls = [], set(), [0]
+    levels, search = markov._tree_levels, markov._search_triple_with
+
+    def counted_levels(*args):
+        starts.append(1)
+        return levels(*args)
+
+    def recorded_search(p, max_depth):
+        calls[0] += 1
+        if p != 1:
+            searched.add(p)
+        return search(p, max_depth)
+
+    monkeypatch.setattr(markov, "_tree_levels", counted_levels)
+    monkeypatch.setattr(markov, "_search_triple_with", recorded_search)
+    markov._tree_search.cache_clear()
+    markov._family.cache_clear()
+    for p, q in ((29, 7), (433, 104)):
+        companions(p)
+        w = wahl_data(p, q)
+        intersection_matrix(w)
+        inverse_closed_form(w)
+        discrepancies(w)
+        culet = culet_report(p, q)
+        square_zero_class_search(p, q)
+        predict_regulation(p, q)
+        fan_rays(p, q)
+        vianna_triangle(*culet.triple)
+        pin_ball_capacity(p, q)
+        obstruction_certificate(p, q, 2)
+        embeds(p, q, Fraction(1, 3), Fraction(1, 5))
+    assert len(starts) == len(searched)
+    assert calls[0] > 2 * len(searched)
 
 
 def test_companions_of_a_fourteen_digit_markov_number():
