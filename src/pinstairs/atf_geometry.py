@@ -7,13 +7,16 @@ subdivision rays follow the same three-term recursion as the e-sequence, a
 pavilion is the exact clip of the triangle by ray half-planes below the
 girdle, and Vianna triangles are realized concretely by iterated cut-and-
 shear mutations from the standard simplex, with the vertex-determinant and
-edge-length laws re-validated after every move.
+edge-length laws re-validated after every move.  A bounded cache keeps the
+validated triangle of each ordered Markov triple, so the ancestors that the
+triangles of one process share are mutated and validated once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Optional
 
@@ -50,6 +53,9 @@ __all__ = [
     "girdle_data",
     "visible_ellipsoid_bounds",
 ]
+
+
+_VIANNA_CACHE_SIZE = 1024  # validated Vianna triangles kept, keyed on the ordered triple
 
 
 class GirdleViolated(DomainError):
@@ -417,6 +423,16 @@ def vianna_triangle(p1: int, p2: int, p3: int) -> ViannaTriangle:
     triple = (p1, p2, p3)
     if not is_markov_triple(*triple):
         raise DomainError(f"{triple} is not a Markov triple")
+    return _vianna(*triple)
+
+
+@lru_cache(maxsize=_VIANNA_CACHE_SIZE)
+def _vianna(p1: int, p2: int, p3: int) -> ViannaTriangle:
+    """vianna_triangle for a Markov triple: the triangle of its parent,
+    mutated at the largest number.  Each ancestor comes from the cache, so
+    each ordered triple is mutated and validated once while it stays cached;
+    the triangles are frozen, so every caller can share them."""
+    triple = (p1, p2, p3)
     if triple == (1, 1, 1):
         return standard_triangle()
     k = triple.index(max(triple))
@@ -425,7 +441,7 @@ def vianna_triangle(p1: int, p2: int, p3: int) -> ViannaTriangle:
         raise AssertionError(f"no descent from {triple}")
     parent = list(triple)
     parent[k] = down
-    return mutate_triangle(vianna_triangle(*parent), k + 1)
+    return mutate_triangle(_vianna(*parent), k + 1)
 
 
 def triangle_signature(t: ViannaTriangle) -> tuple:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,6 +56,14 @@ __all__ = ["run", "main", "RenderSpec", "render_staircase", "render_base_diagram
 # leaves it at 78.  A pair such as (p, 1), whose chain has p - 1 entries, is
 # refused for p > 601.
 MAX_TABLE_CHAIN = 600
+
+# `markov tree` output roughly triples with each level: the entries double and
+# the lines grow by about 1.5 times, as the numbers gain digits.  Measured with
+# Python 3.11 on 2 vCPUs (text, then `--json` peak memory): depth 16 prints
+# 17 MB in 0.9 s (77 MB), depth 17 51 MB in 2.1 s (174 MB), depth 18 154 MB in
+# 6.7 s (463 MB), and from depth 20 on the largest number exceeds Python's
+# int/str digit limit.  Deeper trees are refused.
+MAX_PRINTED_TREE_DEPTH = 17
 
 
 def _rational(text: str) -> Fraction:
@@ -254,7 +263,7 @@ def _json_print(obj) -> None:
 
 
 def cmd_markov_tree(args) -> int:
-    entries = enumerate_tree(args.depth)
+    entries = enumerate_tree(args.depth, MAX_PRINTED_TREE_DEPTH)
     if args.json:
         _json_print(tree_to_json(entries))
         return 0
@@ -465,8 +474,21 @@ def cmd_regulation(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads '-a/b' as a negative rational argument, not as an option.
+
+    argparse takes only '-n' and '-n.m' for negative numbers, so a value such
+    as '-1/100' would end in a usage error (exit 2) instead of the domain
+    error it deserves.  Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="pinstairs",
         description="Exact Markov staircases, Wahl chains, and almost toric "
                     "diagrams.",

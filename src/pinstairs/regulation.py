@@ -6,23 +6,27 @@ it and drops its label; at an edge it splits the edge with a -1 vertex and
 drops both endpoint labels.  A graph is a ruling degeneration when some
 blow-down order reaches the single 0-vertex.
 
-That is decided exactly, mostly without a search.  While exactly one vertex
-is contractible, every successful order must start with it, so it is
-contracted.  Labels only rise, and a surviving vertex sees at least one
-neighbour contracted, so a label >= 0 among two or more vertices rules the
-graph out.  Blow-downs keep a path a path, and a path degenerates exactly
-when its negated labels, read end to end, form a zero continued fraction
-(Christophersen; Stevens).  Only a tree that is not a path is left to an
-exhaustive memoized search over contraction orders, with a memo local to
-the call; above EXHAUSTIVE_VERTEX_CAP vertices a greedy smallest-id reducer
-answers instead and warns that it may give a false negative.
+That is decided exactly, mostly without a search.  Labels only rise, and a
+surviving vertex sees at least one neighbour contracted, so a label >= 0
+among two or more vertices rules the graph out.  Blow-downs keep a path a
+path, and a path degenerates exactly when its negated labels, read end to
+end, form a zero continued fraction (Christophersen; Stevens); a path is
+decided so at once, before any contraction.  Otherwise, while exactly one
+vertex is contractible, every successful order must start with it, so it is
+contracted and the tests above are made again.  Only a tree that is not a
+path and has no forced move is left to an exhaustive memoized search over
+contraction orders, with a memo local to the call; above
+EXHAUSTIVE_VERTEX_CAP vertices a greedy smallest-id reducer answers instead
+and warns that it may give a false negative.
 
 For a Wahl chain of weight 7 or 10 the flanking dual Wahl subchains each
 admit exactly one vertex where an extra -1 sphere makes them degenerate,
 which pins the predicted rulings.  Their entries are >= 2, so the hung -1
 is the only contractible vertex; contracting it leaves the flank with b_k - 1
-at the site k, and attach_position tests that chain as a zero continued
-fraction without building a graph.
+at the site k.  attach_position decides every site of such a chain as a
+zero continued fraction in one linear pass of continuants, without building
+a graph (see _zero_sites), and the self-check on each predicted ruling costs
+one contraction and one path test.
 """
 
 from __future__ import annotations
@@ -243,17 +247,17 @@ def is_ruling_degeneration(g: DualGraph) -> bool:
     if any(s > 0 for _, s in g.vertices):
         raise DomainError("positive self-intersection in candidate graph")
     labels, adj = g.labels(), g.adjacency()
-    while len(labels) > 1:
+    while True:
+        if len(labels) == 1:
+            return next(iter(labels.values())) == 0
+        if any(s >= 0 for s in labels.values()):
+            return False
+        if all(len(us) <= 2 for us in adj.values()):
+            return is_zero_continued_fraction(_path_entries(labels, adj))
         moves = _down_moves(labels, adj)
         if len(moves) != 1:
             break
         labels, adj = _apply_down(labels, adj, moves[0])
-    if len(labels) == 1:
-        return next(iter(labels.values())) == 0
-    if any(s >= 0 for s in labels.values()):
-        return False
-    if all(len(us) <= 2 for us in adj.values()):
-        return is_zero_continued_fraction(_path_entries(labels, adj))
     if len(labels) > EXHAUSTIVE_VERTEX_CAP:
         warnings.warn(
             f"tree larger than {EXHAUSTIVE_VERTEX_CAP} vertices that is not a path: "
@@ -264,20 +268,49 @@ def is_ruling_degeneration(g: DualGraph) -> bool:
     return _search(labels, adj, {})
 
 
+def _zero_sites(chain: list[int]) -> list[int]:
+    """The 1-based sites k of a chain with every entry >= 2 at which
+    chain[:k-1] + [b_k - 1] + chain[k:] is a zero continued fraction, found
+    in one right-to-left and one left-to-right pass.
+
+    Hanging a -1 at site k and contracting it, the only contractible vertex,
+    leaves exactly that chain.  With c_j the continuant of chain[j:] (c_m = 1,
+    c_{m+1} = 0), the suffix chain[k-1:] has value c_{k-1}/c_k > 1, so the
+    changed suffix has the positive value (c_{k-1} - c_k)/c_k.  The chain
+    evaluates to the prefix matrix of chain[:k-1] (the product of the maps
+    x -> b - 1/x) applied to that pair; its top row (x, y) gives the
+    numerator, and site k is a hit iff x (c_{k-1} - c_k) + y c_k = 0.  The
+    matrix has determinant 1, so the denominator is then nonzero.  No
+    positivity check of is_zero_continued_fraction can fail on a hit: run
+    backwards from the value 0, each earlier partial value is 1/(b - x) with
+    b >= 2 and 0 <= x < 1, so it lies in (0, 1), and the values after the
+    site are those of suffixes of the chain, all > 1.
+    """
+    m = len(chain)
+    c = [0] * (m + 2)
+    c[m] = 1
+    for j in range(m - 1, -1, -1):
+        c[j] = chain[j] * c[j + 1] - c[j + 2]
+    hits = []
+    x, y = 1, 0  # top row of the prefix matrix of chain[:k-1]
+    for k in range(1, m + 1):
+        if x * (c[k - 1] - c[k]) + y * c[k] == 0:
+            hits.append(k)
+        x, y = chain[k - 1] * x + y, -x
+    return hits
+
+
 def attach_position(chain) -> int:
     """The unique 1-based chain position where hanging a -1 vertex makes the
     chain a ruling degeneration."""
     chain = list(chain)
     if not chain or any(not isinstance(b, int) or b < 1 for b in chain):
         raise DomainError(f"bad chain {chain}")
-    sites = range(1, len(chain) + 1)
     if all(b >= 2 for b in chain):
-        # the hung -1 comes down first and leaves b_k - 1 at the site
-        hits = [k for k in sites
-                if is_zero_continued_fraction(chain[:k - 1] + [chain[k - 1] - 1] + chain[k:])]
+        hits = _zero_sites(chain)
     else:
         g = chain_graph(chain)
-        hits = [k for k in sites
+        hits = [k for k in range(1, len(chain) + 1)
                 if is_ruling_degeneration(DualGraph(g.vertices + ((0, -1),), g.edges + ((0, k),)))]
     if not hits:
         note = "" if recognize_dual_wahl(chain) else " (not a dual Wahl chain)"

@@ -197,6 +197,18 @@ ZCF_FALSE = [[4], [2, 2], [3, 1, 1], [2, 2, 2], [1, 2, 2, 2]]
 
 ATTACH_POSITIONS = {(2, 2, 2): 2, (5, 2, 2, 2, 2, 2): 2}
 
+# --- pinned output digests ---
+# Unlike the hand-derived values above, these are SHA-256 digests of package
+# output, recorded from the implementation that tested each attach site on a
+# chain of its own and rebuilt every Vianna triangle from (1, 1, 1) on each
+# call.  They pin the one-pass attach test and the Vianna cache to the same
+# output.  Rows are [p, q, obj.to_json()] over every pair (p, q) with p >= 2 a
+# Markov number of the tree to depth 8 (255 pairs), serialized by
+# json.dumps(rows, sort_keys=True, separators=(",", ":")).
+
+REGULATION_DIGEST_DEPTH_8 = "e25d9c4914ffa2a4c04b8d825eb6e8e66e37e28d8b6e3c85d3e2a151e2dc11e3"
+VIANNA_CULET_DIGEST_DEPTH_8 = "d597d5f442c11b96b7459fda97c7aa437c25147699c5d6e2a4e65190140b6b8a"
+
 # --- markov numbers up to 1000 ---
 
 MARKOV_NUMBERS_1000 = [1, 2, 5, 13, 29, 34, 89, 169, 194, 233, 433, 610, 985]

@@ -41,6 +41,27 @@ def chain_of(n, a):
     return out
 
 
+def is_zero_chain(entries):
+    """Whether [b1,...,bk] evaluates to 0 with every proper suffix value
+    positive and finite, evaluated right to left as integer pairs num/den."""
+    if not entries:
+        return False
+    num, den = entries[-1], 1
+    for b in reversed(entries[:-1]):
+        if num * den <= 0:  # a value <= 0 or infinite (den = 0)
+            return False
+        num, den = b * num - den, num
+    return num == 0
+
+
+def attach_sites(chain):
+    """The 1-based sites k at which chain[:k-1] + [b_k - 1] + chain[k:] is a
+    zero continued fraction, each tested on a chain of its own: the chain
+    left when a -1 hung at site k of a chain with entries >= 2 comes down."""
+    return [k for k in range(1, len(chain) + 1)
+            if is_zero_chain(chain[:k - 1] + [chain[k - 1] - 1] + chain[k:])]
+
+
 # ---------------------------------------------------------------------------
 # exact matrix inverses
 

@@ -5,9 +5,12 @@ pass/fail line per guarantee.  Tolerances are zero everywhere: every check is
 an equality or a strict inequality between integers or Fractions.
 """
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
+from pinstairs.atf_geometry import vianna_triangle
 from pinstairs.hirzebruch_jung import is_zero_continued_fraction, wahl_data
 from pinstairs.intersection_theory import (
     culet_report,
@@ -38,7 +41,14 @@ from pinstairs.staircase_oracle import (
     two_ball_feasible,
 )
 
-from .frozen import MARKOV_NUMBERS_1000, PACK_THREE_521, PACK_TWO_25, TREE_ROWS
+from .frozen import (
+    MARKOV_NUMBERS_1000,
+    PACK_THREE_521,
+    PACK_TWO_25,
+    REGULATION_DIGEST_DEPTH_8,
+    TREE_ROWS,
+    VIANNA_CULET_DIGEST_DEPTH_8,
+)
 from .oracles import box_union_verdict, montante_inverse
 
 F = Fraction
@@ -186,6 +196,21 @@ def test_regulation_predictions_for_named_pairs():
     assert (pred.weight, pred.attach_positions) == (10, (2, 9))
     assert all(is_ruling_degeneration(g) for g in pred.rulings)
     assert sum(pred.contracted_counts()) == len(pred.chain) - 1 == 9
+
+
+def test_predictions_and_culet_triangles_to_depth_8_match_pinned_digests():
+    numbers = sorted({x for e in enumerate_tree(8) for x in e.triple if x >= 2})
+    pairs = [(p, q) for p in numbers for q in sorted(set(companions(p).pair))]
+    assert len(pairs) == 255
+
+    def digest(rows):
+        text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert digest([[p, q, predict_regulation(p, q).to_json()]
+                   for p, q in pairs]) == REGULATION_DIGEST_DEPTH_8
+    assert digest([[p, q, vianna_triangle(*culet_report(p, q).triple).to_json()]
+                   for p, q in pairs]) == VIANNA_CULET_DIGEST_DEPTH_8
 
 
 def test_zero_chain_predicate_matches_blow_down_search():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import pinstairs.atf_geometry as atf
 from pinstairs.atf_geometry import (
     GirdleViolated,
     _validate_vianna,
@@ -22,7 +23,9 @@ from pinstairs.atf_geometry import (
     visible_ellipsoid_bounds,
 )
 from pinstairs.exact_core import DomainError, affine_length, wedge
+from pinstairs.intersection_theory import culet_report
 from pinstairs.markov import enumerate_tree
+from pinstairs.regulation import predict_regulation
 from pinstairs.staircase_oracle import CompanionMismatch
 
 from .frozen import FAN_RAYS, GIRDLES, VISIBLE_BOUNDS
@@ -202,6 +205,78 @@ def test_vianna_rejects_non_markov():
         vianna_triangle(3, 1, 1)
     with pytest.raises(DomainError):
         vianna_triangle(2, 2, 1)
+
+
+def _descent(triple):
+    """The ordered triples from triple down to (1, 1, 1), each the last one
+    with its largest number mutated: the ancestors a Vianna triangle needs."""
+    out = [tuple(triple)]
+    while out[-1] != (1, 1, 1):
+        t = list(out[-1])
+        k = t.index(max(t))
+        t[k] = 3 * t[(k + 1) % 3] * t[(k + 2) % 3] - t[k]
+        out.append(tuple(t))
+    return out
+
+
+def _cold_build(triple):
+    """The triangle mutated step by step from the standard one, no cache."""
+    path = _descent(triple)[::-1]
+    t = standard_triangle()
+    for parent, child in zip(path, path[1:]):
+        k = next(i for i in range(3) if parent[i] != child[i])
+        t = mutate_triangle(t, k + 1)
+    return t
+
+
+def test_vianna_cache_validates_each_ordered_triple_once(monkeypatch):
+    atf._vianna.cache_clear()
+    seen = []
+
+    def counting(t):
+        seen.append(t.triple)
+        return _validate_vianna(t)
+
+    monkeypatch.setattr(atf, "_validate_vianna", counting)
+    wanted = set()
+    for _ in range(2):
+        for p, q in [(29, 7), (433, 104)]:
+            triple = culet_report(p, q).triple  # the geometry of a families unit
+            predict_regulation(p, q)
+            vianna_triangle(*triple)
+            wanted.update(_descent(triple))
+    assert sorted(seen) == sorted(wanted)
+
+
+def test_vianna_cache_matches_a_cold_build():
+    triples = [r for e in enumerate_tree(5) for r in
+               (e.triple, e.triple[1:] + e.triple[:1], e.triple[2:] + e.triple[:2])]
+    warm = [vianna_triangle(*t) for t in triples]
+    atf._vianna.cache_clear()
+    assert [vianna_triangle(*t) for t in triples] == warm
+    assert [_cold_build(t) for t in triples] == warm
+
+
+def test_vianna_cache_keeps_no_failed_input():
+    vianna_triangle(5, 2, 1)
+    before = atf._vianna.cache_info().currsize
+    for _ in range(3):
+        for bad in [(3, 1, 1), (2, 2, 1), (0, 1, 1), (29, 5, 3)]:
+            with pytest.raises(DomainError, match="is not a Markov triple"):
+                vianna_triangle(*bad)
+    assert atf._vianna.cache_info().currsize == before
+
+
+def test_vianna_cache_stays_within_its_bound():
+    bound = atf._VIANNA_CACHE_SIZE
+    assert atf._vianna.cache_info().maxsize == bound
+    entries = enumerate_tree(10)
+    ordered = {r for e in entries for r in
+               (e.triple, e.triple[1:] + e.triple[:1], e.triple[2:] + e.triple[:2])}
+    assert len(ordered) > bound
+    for t in ordered:
+        assert vianna_triangle(*t).triple == t
+    assert atf._vianna.cache_info().currsize == bound
 
 
 def test_cut_segments_stay_inside_the_triangle():

@@ -158,6 +158,35 @@ def test_wahl_refuses_tables_of_overlong_chains(capsys, monkeypatch):
     assert code == 1 and out == ""
 
 
+def test_markov_tree_refuses_depths_beyond_the_printed_limit(capsys, monkeypatch):
+    # refused before any level is built, whatever the depth asked for
+    for depth in (cli.MAX_PRINTED_TREE_DEPTH + 1, 30, 10**9):
+        code, out, err = invoke(capsys, "markov", "tree", "--depth", str(depth))
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        assert f"depth {depth} outside [0, {cli.MAX_PRINTED_TREE_DEPTH}]" in err
+    monkeypatch.setattr(cli, "MAX_PRINTED_TREE_DEPTH", 3)
+    code, out, _ = invoke(capsys, "markov", "tree", "--depth", "3")
+    assert code == 0 and len(out.splitlines()) == 5  # 2^(depth-1) + 1 entries
+    for fmt in ((), ("--json",)):
+        code, out, err = invoke(capsys, "markov", "tree", "--depth", "4", *fmt)
+        assert code == 1 and out == "" and "outside [0, 3]" in err
+
+
+def test_pack_two_negative_width_is_a_domain_error(capsys):
+    code, out, err = invoke(capsys, "pack", "two", "2", "1", "-1/100", "5", "1", "1/100")
+    assert (code, out) == (1, "")
+    assert err == "error: ball widths must be positive\n"
+
+
+def test_stair_negative_alpha_is_a_domain_error(capsys):
+    code, out, err = invoke(capsys, "stair", "2", "1", "--alpha", "-1/2", "--beta", "1/2")
+    assert (code, out) == (1, "")
+    assert err == "error: alpha and beta must be positive\n"
+    # a negative decimal is still a usage error, as a positive one is
+    code, _, err = invoke(capsys, "stair", "2", "1", "--alpha", "-0.5", "--beta", "1/2")
+    assert code == 2 and "not a rational" in err
+
+
 def test_wahl_prints_a_forty_digit_markov_pair(capsys):
     # the first Markov number of the Pell branch (2, p, p') with 40 digits
     a, b = 5, 29

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pinstairs.regulation as regulation
 from pinstairs.exact_core import DomainError
 from pinstairs.hirzebruch_jung import hj_expand, is_zero_continued_fraction
+from pinstairs.intersection_theory import culet_report
 from pinstairs.markov import companions, enumerate_tree
 from pinstairs.regulation import (
     EXHAUSTIVE_VERTEX_CAP,
@@ -26,6 +28,7 @@ from pinstairs.regulation import (
 )
 
 from .frozen import ATTACH_POSITIONS, ZCF_FALSE, ZCF_TRUE
+from .oracles import attach_sites
 
 
 def test_zero_sphere_and_chain_graph():
@@ -315,3 +318,75 @@ def test_greedy_reducer_still_warns_on_large_trees_that_are_not_paths():
     star = DualGraph(verts, tuple(edges))
     with pytest.warns(UserWarning, match="false negative"):
         assert not is_ruling_degeneration(star)
+
+
+def assert_attach_matches_per_site_reference(chain):
+    hits = attach_sites(list(chain))
+    if len(hits) == 1:
+        assert attach_position(chain) == hits[0]
+    else:
+        with pytest.raises(MultiplePositions if hits else NoPosition):
+            attach_position(chain)
+
+
+def _flanks_to_depth(depth):
+    numbers = sorted({x for e in enumerate_tree(depth) for x in e.triple if x >= 2})
+    reports = [culet_report(p, q) for p in numbers for q in set(companions(p).pair)]
+    return sorted({tuple(f) for r in reports for f in (r.left_flank, r.right_flank) if f})
+
+
+def test_one_pass_attach_position_matches_per_site_reference_on_every_flank():
+    flanks = _flanks_to_depth(9)
+    assert len(flanks) == 255 and max(map(len, flanks)) > 150
+    for flank in flanks:
+        assert len(attach_sites(list(flank))) == 1
+        assert_attach_matches_per_site_reference(flank)
+
+
+@st.composite
+def _chains_with_a_site(draw):
+    """A chain with entries >= 2 and an attach site: blow up [2, 1, 2] next to
+    its only 1 (at an end, or on an edge beside it), then raise that 1 to 2."""
+    chain, k = [2, 1, 2], 1
+    for _ in range(draw(st.integers(min_value=0, max_value=77))):
+        if draw(st.booleans()):  # left of the 1
+            if k == 0:
+                chain = [1, chain[0] + 1] + chain[1:]
+            else:
+                chain = chain[:k - 1] + [chain[k - 1] + 1, 1, chain[k] + 1] + chain[k + 1:]
+        else:
+            if k == len(chain) - 1:
+                chain = chain[:-1] + [chain[-1] + 1, 1]
+            else:
+                chain = chain[:k] + [chain[k] + 1, 1, chain[k + 1] + 1] + chain[k + 2:]
+            k += 1
+    chain[k] += 1
+    return chain
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.lists(st.integers(min_value=2, max_value=6), min_size=1, max_size=80),
+                 _chains_with_a_site()))
+def test_one_pass_attach_position_matches_per_site_reference_on_long_chains(chain):
+    assert len(chain) <= 80
+    assert_attach_matches_per_site_reference(chain)
+
+
+def test_flank_self_check_contracts_only_the_hung_vertex(monkeypatch):
+    # the hung -1 is the only contractible vertex; once it is down the flank
+    # is a path, decided in one pass with no further contraction
+    contracted = []
+    apply_down = regulation._apply_down
+
+    def counting(labels, adj, vid):
+        contracted.append(vid)
+        return apply_down(labels, adj, vid)
+
+    monkeypatch.setattr(regulation, "_apply_down", counting)
+    for p, q in [(5, 1), (29, 7), (433, 104), (37666, 9047)]:
+        contracted.clear()
+        pred = predict_regulation(p, q)
+        # a -1 hung at an end of its flank leaves a path: nothing to contract
+        flanks = [sorted(v for v, _ in g.vertices if v) for g in pred.rulings]
+        interior = sum(f[0] < at < f[-1] for f, at in zip(flanks, pred.attach_positions))
+        assert pred.rulings and contracted == [0] * interior
