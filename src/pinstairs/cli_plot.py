@@ -282,13 +282,46 @@ def cmd_markov_companions(args) -> int:
     return 0
 
 
+_DIGIT_LIMIT_ERROR = ("a branch term exceeds Python's int/str digit limit; "
+                      "PYTHONINTMAXSTRDIGITS=0 lifts it")
+
+
+def _branch_reach(p: int, digits: int) -> int:
+    """A bound n such that every term m_i of a branch of p with |i| >= n has
+    more than `digits` digits, from integer bit lengths alone.
+
+    The terms are >= 1 and smallest at the valley, two consecutive indices
+    within -1..1, and they increase away from it.  Where m_k >= r m_{k-1},
+    the recursion m_{k+1} = 3p m_k - m_{k-1} gives m_{k+1} >= (3p - 1/r) m_k,
+    so the ratio bounds r_0 = 1, r_{j+1} = 3p - 1/r_j hold j steps past the
+    valley and rise to the branch ratio (3p + sqrt(9p^2 - 4))/2.  Hence
+    m_i >= r^(|i| - 9) for r = r_8 = num/den, and for any smaller r.  With
+    2^a <= r^1024, read off the bit lengths of num^1024 and den^1024, and
+    10^digits < 2^B, a term with a(|i| - 9) >= 1024 B exceeds 10^digits.
+    """
+    num, den = 1, 1  # r_0
+    for _ in range(8):
+        num, den = 3 * p * num - den, num
+    shift = den.bit_length() - 64
+    if shift > 0:  # r rounded down to about 64 bits
+        num, den = num >> shift, (den >> shift) + 1
+    a = (num ** 1024).bit_length() - (den ** 1024).bit_length() - 1
+    need = 1024 * (10 ** digits).bit_length()  # 1024 B
+    return 9 + -(-need // a)
+
+
 def cmd_markov_branch(args) -> int:
+    companions(args.p)  # a number that is not Markov is refused as such
+    # terms past Python's int/str digit limit (3.11+; 0 when lifted) cannot be
+    # printed: refuse a window that reaches them before computing any term
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and max(-args.lo, args.hi) >= _branch_reach(args.p, limit):
+        raise DomainError(_DIGIT_LIMIT_ERROR)
     seq = branch_sequence(args.p, args.q, args.lo, args.hi)
     try:
         lines = [f"m[{i}] = {v}" for i, v in seq.items()]
-    except ValueError as exc:  # only a term over the int/str digit limit of Python >= 3.11
-        raise DomainError("a branch term exceeds Python's int/str digit limit; "
-                          "PYTHONINTMAXSTRDIGITS=0 lifts it") from exc
+    except ValueError as exc:  # a term over the limit that the reach bound let through
+        raise DomainError(_DIGIT_LIMIT_ERROR) from exc
     print("\n".join(lines))
     return 0
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .exact_core import DomainError
@@ -28,6 +29,8 @@ __all__ = [
 ]
 
 HJChain = list[int]
+
+WAHL_CACHE_SIZE = 256  # derived and self-checked Wahl chains kept, keyed on (p, q)
 
 
 class _Infinity:
@@ -134,6 +137,13 @@ class WahlData:
 def wahl_data(p: int, q: int) -> WahlData:
     if p < 1 or not (1 <= q <= p) or gcd(p, q) != 1:
         raise DomainError(f"need 1 <= q <= p coprime: got p={p}, q={q}")
+    return _wahl(p, q)
+
+
+@lru_cache(maxsize=WAHL_CACHE_SIZE)
+def _wahl(p: int, q: int) -> WahlData:
+    """wahl_data for a valid pair.  Each chain is expanded and self-checked
+    once while it stays cached; WahlData is frozen, so callers share it."""
     if p == 1:
         return WahlData(1, 1, (), (0, 1), (1, 0))
     chain = hj_expand(p * p, p * q - 1)

@@ -2,10 +2,16 @@
 
 The chain curves C_1..C_m of the resolution of p^2/(pq-1) pair by the
 tridiagonal matrix M with diagonal -b_i and off-diagonal 1.  Its inverse has
-the closed form M^{-1}_{ij} = -e_i f_j / p^2 (i <= j), the discrepancies are
-k_i = -1 + (e_i + f_i)/p^2, and scanning e_i, f_i for simultaneous perfect
-squares locates the culet index, whose weight b_i is 4, 7 or 10.  The
-square-zero class search solves the adjunction identity
+the closed form M^{-1}_{ij} = -e_i f_j / p^2 (i <= j): an integer table over
+the one shared denominator p^2, kept as the e and f sequences themselves,
+with a row's Fractions built only when the row is read.  Solving M x = chi
+therefore needs no table: x_i = -(f_i sum_{j<=i} e_j chi_j + e_i
+sum_{j>i} f_j chi_j)/p^2 takes one prefix and one suffix sum, O(m) in all.
+The discrepancies are k_i = -1 + (e_i + f_i)/p^2, and scanning e_i, f_i for
+simultaneous perfect squares locates the culet index, whose weight b_i is 4,
+7 or 10; each pair's culet is scanned and self-checked once while it stays
+in a bounded cache.  The square-zero class search solves the adjunction
+identity
 
     2p^2 = 3p c0 - c0^2 + T(chi) + sum_i chi_i (p^2 - e_i - f_i),
     c0^2 = T(chi) := sum_{i,j} chi_i chi_j e_min(i,j) f_max(i,j)
@@ -15,8 +21,10 @@ over 0/1 vectors chi exactly, which forces the Markov relation.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, prod
 
 from .exact_core import DomainError, Rational
@@ -45,6 +53,8 @@ __all__ = [
     "two_ball_degree",
 ]
 
+CULET_CACHE_SIZE = 256  # culet scans kept, keyed on (p, q)
+
 
 class NoCulet(DomainError):
     """(p, q) is not a Markov number / companion pair with p >= 2."""
@@ -69,15 +79,55 @@ def intersection_matrix(w: WahlData) -> list[list[int]]:
     return rows
 
 
-def inverse_closed_form(w: WahlData) -> list[list[Rational]]:
-    m = w.m
-    p2 = w.p * w.p
-    inv: list[list[Rational]] = [[0] * m for _ in range(m)]
-    for i in range(m):
-        e = w.e[i + 1]
-        for j in range(i, m):  # symmetric: build each entry once
-            inv[i][j] = inv[j][i] = Fraction(-(e * w.f[j + 1]), p2)
-    return inv
+class _InverseRows(Sequence):
+    """M^{-1} of a Wahl chain as read-only rows: row i holds -e_i f_j / p^2.
+
+    Only e, f and p^2 are stored.  A row's Fractions are built when the row
+    is first read and kept, so reading the whole table builds each of its
+    m(m+1)/2 distinct entries once: a row reuses the mirrored entries of the
+    rows already built.  Rows are lists and the table compares equal to the
+    list of those lists.
+    """
+
+    __slots__ = ("_e", "_f", "_p2", "_rows")
+
+    def __init__(self, w: WahlData):
+        self._e = w.e
+        self._f = w.f
+        self._p2 = w.p * w.p
+        self._rows: list = [None] * w.m
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        rows = self._rows
+        row = rows[i]
+        if row is None:
+            i %= len(rows)
+            e, f, p2 = self._e, self._f, self._p2
+            ei, fi = e[i + 1], f[i + 1]
+            row = rows[i] = [
+                rows[j][i] if rows[j] is not None else Fraction(-(e[j + 1] * fi), p2)
+                for j in range(i)
+            ] + [Fraction(-(ei * f[j + 1]), p2) for j in range(i, len(rows))]
+        return row
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, _InverseRows)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+def inverse_closed_form(w: WahlData) -> Sequence[list[Rational]]:
+    """M^{-1} as read-only rows of Fractions, built row by row on first read;
+    it compares equal to the list of its rows."""
+    return _InverseRows(w)
 
 
 def is_negative_definite(matrix: list[list[int]]) -> bool:
@@ -167,10 +217,22 @@ def canonical_class(lattice: IntersectionLattice) -> HomologyClass:
 
 
 def coefficients_from_intersections(w: WahlData, chi) -> list[Rational]:
+    """The x with M x = chi, by x_i = sum_j M^{-1}_{ij} chi_j in O(m): a prefix
+    sum of e_j chi_j and a suffix sum of f_j chi_j, one division per entry."""
     if len(chi) != w.m:
         raise DomainError(f"chi has length {len(chi)}, chain has {w.m}")
-    inv = inverse_closed_form(w)
-    return [sum((row[j] * chi[j] for j in range(w.m)), Fraction(0)) for row in inv]
+    e, f = w.e[1:-1], w.f[1:-1]
+    p2 = w.p * w.p
+    suffix = [0] * (w.m + 1)
+    for j in range(w.m - 1, -1, -1):
+        suffix[j] = suffix[j + 1] + f[j] * chi[j]
+    out = []
+    prefix = 0
+    for i in range(w.m):
+        prefix += e[i] * chi[i]
+        total = f[i] * prefix + e[i] * suffix[i + 1]
+        out.append(Fraction(-total, p2) if isinstance(total, int) else -total / p2)
+    return out
 
 
 @dataclass(frozen=True)
@@ -226,6 +288,16 @@ def culet_report(p: int, q: int) -> CuletReport:
             raise NoCulet(f"{q} is not a companion of {p}")
     except DomainError as exc:
         raise NoCulet(str(exc)) from exc
+    return _culet(p, q)
+
+
+# typed: a q such as 7.0 passes the companion test but must not find the
+# report of (29, 7); it reaches wahl_data, which refuses it
+@lru_cache(maxsize=CULET_CACHE_SIZE, typed=True)
+def _culet(p: int, q: int) -> CuletReport:
+    """culet_report for a Markov number p >= 2 and a companion q.  Each pair
+    is scanned and self-checked once while it stays cached; CuletReport is
+    frozen, so callers share it."""
     w = wahl_data(p, q)
     hits = []
     for i in range(1, w.m + 1):
@@ -297,13 +369,18 @@ def enumerate_adjunction_solutions(w: WahlData, chi_max: int = 1) -> list[tuple[
 def square_zero_class_search(p: int, q: int) -> tuple[int, tuple[int, ...]]:
     """The unique (c0, chi) solving square-zero + adjunction, chi in {0,1}^m.
 
-    The search is exhaustive but avoids walking all 2^m subsets: every
-    support index i contributes at least (e_i-1)(f_i-1) + p^2 - 1 >= p^2 - 1
-    to the right-hand side while 3p*c0 - c0^2 <= 2p^2, and all cross terms
-    e_i*f_j are nonnegative, so supports of size >= 2 are ruled out by an
-    exact integer comparison computed from the two smallest single-index
-    contributions (nothing is taken on faith; the bound is re-checked per
-    input and the literal enumeration is used as fallback if it fails).
+    Only supports of size 1 can solve it, so the search tries those m
+    alone.  With T(chi) + sum_i chi_i (p^2 - e_i - f_i) moved to the right,
+    a solution needs that sum to equal 2p^2 - c0(3p - c0), which is at most
+    the budget 2p^2 - 3p + 1 over c0 in [1, p].  Every cross term e_i f_j is
+    nonnegative, and index i alone contributes e_i f_i + p^2 - e_i - f_i =
+    (e_i - 1)(f_i - 1) + p^2 - 1 >= p^2 - 1, since e_i, f_i >= 1.  A support
+    of size >= 2 (or an entry chi_i >= 2, which counts index i at least
+    twice) therefore costs at least 2p^2 - 2, which exceeds the budget
+    exactly when 3p > 3, that is for every p >= 2.  The argument is checked
+    on each input: the two smallest single contributions must already
+    exceed the budget, or the search raises AssertionError.
+    enumerate_adjunction_solutions is the brute oracle for the tests.
     """
     if p < 2:
         raise DomainError(f"search needs p >= 2: got p={p}")
@@ -323,11 +400,11 @@ def square_zero_class_search(p: int, q: int) -> tuple[int, tuple[int, ...]]:
         if 2 * p * p == 3 * p * c0 - c0 * c0 + t + lin[i]:
             chi = tuple(int(j == i) for j in range(w.m))
             solutions.append((c0, chi))
-    # supports of size >= 2 (or a doubled entry): certified impossible, or fall
-    # back to the literal search if the certificate ever failed to apply
+    # supports of size >= 2 (or a doubled entry) are over budget, as argued above
     pair_floor = singles[0] + singles[1] if w.m >= 2 else None
     if pair_floor is not None and pair_floor <= budget:
-        solutions = enumerate_adjunction_solutions(w, chi_max=1)
+        raise AssertionError(f"two-index adjunction floor {pair_floor} within budget "
+                             f"{budget} for ({p},{q})")
     if not solutions:
         raise AssertionError(f"no square-zero class found for ({p},{q})")
     if len(solutions) > 1:

@@ -125,6 +125,39 @@ def test_main_refuses_branch_terms_beyond_the_int_str_digit_limit(capsys, monkey
     assert err.startswith("error:") and "PYTHONINTMAXSTRDIGITS=0" in err
 
 
+def test_branch_windows_past_the_digit_limit_are_refused_before_the_walk(capsys):
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        pytest.skip("this Python has no int/str digit limit")
+    limit = get_limit()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for lo, hi in ((0, 6000), (0, 12000), (-12000, -11990), (-10**30, 0), (3990, 4000)):
+            start = time.perf_counter()
+            code, out, err = invoke(capsys, "markov", "branch", "5", "1",
+                                    "--lo", str(lo), "--hi", str(hi))
+            assert time.perf_counter() - start < 0.5, (lo, hi)
+            assert code == 1 and out == ""
+            assert err == ("error: a branch term exceeds Python's int/str digit limit; "
+                           "PYTHONINTMAXSTRDIGITS=0 lifts it\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("digits", [1, 40, 300])
+def test_branch_reach_bounds_every_term_beyond_it(digits):
+    from pinstairs.markov import branch_sequence
+
+    for p, q in ((1, 1), (2, 1), (5, 1), (5, 4), (13, 11), (29, 7), (433, 104)):
+        n = cli._branch_reach(p, digits)
+        seq = branch_sequence(p, q, -n, n)
+        # the terms grow away from the valley, so the two ends are the smallest beyond it
+        assert len(str(seq.value(-n))) > digits and len(str(seq.value(n))) > digits
+        # and the bound is close: a dozen indices in, the terms still fit
+        inner = [v for i, v in seq.items() if abs(i) <= n - 12]
+        assert all(len(str(v)) <= digits for v in inner)
+
+
 def test_companions_of_a_fourteen_digit_markov_number(capsys):
     code, out, _ = invoke(capsys, "markov", "companions", "17167680177565")
     assert code == 0 and out.startswith("q ∈ {")
@@ -411,6 +444,24 @@ def _window(draw):
     return ["--lo", str(lo), "--hi", str(lo + draw(st.integers(min_value=-2, max_value=39)))]
 
 
+# windows out to 10^40 exist only where Python limits int/str digits: without
+# the limit each would ask for that many terms
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@st.composite
+def _far_window(draw):
+    """A window reaching 10^3 to 10^40 terms out.  Under the default limit of
+    4300 digits it lies past the limit for every p from about 10^4 terms
+    out, where it is refused before any term is computed; a wide one always
+    does."""
+    if draw(st.booleans()):
+        lo = draw(st.integers(min_value=10**3, max_value=10**40)) * draw(st.sampled_from([1, -1]))
+        return ["--lo", str(lo), "--hi", str(lo + draw(st.integers(min_value=-2, max_value=39)))]
+    far = draw(st.integers(min_value=2 * 10**4, max_value=10**40))
+    return ["--lo", str(-far), "--hi", str(far)]
+
+
 @st.composite
 def _balls(draw):
     """p1 q1 a1 p2 q2 a2 p3 q3 a3, often around a Markov triple."""
@@ -427,6 +478,7 @@ _argv = st.one_of(
     _cat(st.just(["markov", "companions"]), _number,
          st.one_of(st.just([]), _small.map(lambda d: ["--depth", d]))),
     _cat(st.just(["markov", "branch"]), _pair, _window()),
+    *([_cat(st.just(["markov", "branch"]), _pair, _far_window())] if _DIGIT_LIMIT else []),
     _cat(st.just(["wahl"]), _pair, _opt("--json")),
     _cat(st.just(["stair"]), _pair, st.just("--alpha"), _rational,
          st.just("--beta"), _rational, _opt("--json")),

@@ -3,9 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pinstairs.hirzebruch_jung import wahl_data
+from pinstairs import cli_plot, hirzebruch_jung, intersection_theory
+from pinstairs.exact_core import DomainError
+from pinstairs.hirzebruch_jung import WAHL_CACHE_SIZE, wahl_data
 from pinstairs.intersection_theory import (
+    CULET_CACHE_SIZE,
     HomologyClass,
     IntersectionLattice,
     NoCommonTriple,
@@ -24,10 +29,11 @@ from pinstairs.intersection_theory import (
     square_zero_class_search,
     two_ball_degree,
 )
-from pinstairs.markov import companions, is_markov_triple
+from pinstairs.markov import companions, enumerate_tree, is_markov_triple
 
 from .frozen import CULETS, DISCREPANCIES, MARKOV_NUMBERS_1000, SQUARE_ZERO, TWO_BALL_DEGREES
 from .oracles import (
+    eager_inverse,
     gauss_jordan_inverse,
     montante_inverse,
     tridiagonal_elimination_inverse,
@@ -40,6 +46,11 @@ def reachable_pairs(p_max=1000):
             continue
         for q in sorted(companions(p).pair):
             yield p, q
+
+
+def pairs_to_depth(depth):
+    numbers = sorted({x for e in enumerate_tree(depth) for x in e.triple if x >= 2})
+    return [(p, q) for p in numbers for q in sorted(set(companions(p).pair))]
 
 
 def mat_mul(a, b):
@@ -94,6 +105,58 @@ def test_inverse_entries_are_minus_e_f_over_p2():
         for j in range(w.m):
             lo, hi = min(i, j), max(i, j)
             assert inv[i][j] == Fraction(-w.e[lo + 1] * w.f[hi + 1], 29 * 29)
+
+
+def test_inverse_rows_equal_the_eager_table_to_depth_8():
+    for p, q in [(1, 1)] + pairs_to_depth(8):
+        w = wahl_data(p, q)
+        ref = eager_inverse(w)
+        inv = inverse_closed_form(w)
+        assert inv == ref and ref == inv
+        assert len(inv) == len(ref) == w.m
+        if w.m:
+            assert inverse_closed_form(w)[-1][-1] == ref[w.m - 1][w.m - 1]
+            ref[0][0] += 1
+            assert inv != ref and ref != inv
+
+
+def test_inverse_rows_are_read_only_and_index_like_a_list():
+    w = wahl_data(29, 7)
+    ref = eager_inverse(w)
+    inv = inverse_closed_form(w)
+    assert inv[-1] == ref[-1] and inv[-3][2] == ref[-3][2] and inv[2][-3] == ref[2][-3]
+    assert inv[1:4] == ref[1:4]
+    assert inv[3] is inv[3]  # a read row is kept
+    with pytest.raises(IndexError):
+        inv[w.m]
+    with pytest.raises(TypeError):
+        inv[0] = ref[0]
+    assert inv != tuple(map(tuple, ref))  # like a list, unequal to tuples
+
+
+def test_wahl_output_is_the_output_of_the_eager_table(capsys, monkeypatch):
+    for argv in (["wahl", "29", "7"], ["wahl", "29", "7", "--json"]):
+        assert cli_plot.run(argv) == 0
+        got = capsys.readouterr().out
+        with monkeypatch.context() as patch:
+            patch.setattr(cli_plot, "inverse_closed_form", eager_inverse)
+            assert cli_plot.run(argv) == 0
+        assert got == capsys.readouterr().out
+
+
+_SMALL_TABLES = [(w, eager_inverse(w)) for w in (wahl_data(p, q) for p, q in pairs_to_depth(5))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_SMALL_TABLES), st.data())
+def test_linear_coefficients_equal_the_table_product(table, data):
+    w, inv = table
+    entry = st.one_of(st.integers(-10**6, 10**6),
+                      st.fractions(max_denominator=10**4, min_value=-100, max_value=100))
+    chi = data.draw(st.lists(entry, min_size=w.m, max_size=w.m))
+    want = [sum((inv[i][j] * chi[j] for j in range(w.m)), Fraction(0)) for i in range(w.m)]
+    got = coefficients_from_intersections(w, chi)
+    assert got == want and all(type(x) is Fraction for x in got)
 
 
 def test_negative_definiteness():
@@ -298,3 +361,75 @@ def test_two_ball_degree_symmetry():
 def test_chain_length_small_iff_small_markov():
     short = {p for p, q in reachable_pairs() if wahl_data(p, q).m <= 12}
     assert short == {1, 2, 5, 13, 29, 34}
+
+
+def test_square_zero_certificate_holds_to_depth_9():
+    # a support of two or more indices costs at least 2p^2 - 2, over the
+    # budget 2p^2 - 3p + 1; the search raises if this ever failed
+    for p, q in pairs_to_depth(9):
+        w = wahl_data(p, q)
+        singles = sorted(w.e[i] * w.f[i] + p * p - w.e[i] - w.f[i] for i in range(1, w.m + 1))
+        assert min(singles) >= p * p - 1
+        if w.m >= 2:
+            assert singles[0] + singles[1] > 2 * p * p - 3 * p + 1
+
+
+def test_one_chain_and_one_culet_scan_per_pair_across_a_unit_of_work(monkeypatch):
+    from pinstairs.atf_geometry import fan_rays, vianna_triangle
+    from pinstairs.regulation import predict_regulation
+    from pinstairs.staircase_oracle import embeds, obstruction_certificate, pin_ball_capacity
+
+    pairs = ((29, 7), (433, 104))
+    expansions, scans = [], []
+    expand, match = hirzebruch_jung.hj_expand, intersection_theory._match_flank
+
+    def counted_expand(n, a):
+        if (n, a) in {(p * p, p * q - 1) for p, q in pairs}:
+            expansions.append((n, a))
+        return expand(n, a)
+
+    def counted_match(flank, s):
+        scans.append(1)
+        return match(flank, s)
+
+    monkeypatch.setattr(hirzebruch_jung, "hj_expand", counted_expand)
+    monkeypatch.setattr(intersection_theory, "_match_flank", counted_match)
+    hirzebruch_jung._wahl.cache_clear()
+    intersection_theory._culet.cache_clear()
+    for p, q in pairs:
+        companions(p)
+        w = wahl_data(p, q)
+        intersection_matrix(w)
+        inverse_closed_form(w)
+        discrepancies(w)
+        culet = culet_report(p, q)
+        square_zero_class_search(p, q)
+        predict_regulation(p, q)
+        fan_rays(p, q)
+        vianna_triangle(*culet.triple)
+        pin_ball_capacity(p, q)
+        obstruction_certificate(p, q, 2)
+        embeds(p, q, Fraction(1, 3), Fraction(1, 5))
+    assert len(expansions) == len(set(expansions)) == len(pairs)
+    assert len(scans) == 2 * len(pairs)  # each culet scan matches its two flanks
+
+
+def test_refused_inputs_leave_no_cache_entry_and_caches_stay_bounded():
+    wahl_cache, culet_cache = hirzebruch_jung._wahl, intersection_theory._culet
+    wahl_cache.cache_clear()
+    culet_cache.cache_clear()
+    with pytest.raises(DomainError):
+        wahl_data(4, 2)
+    with pytest.raises(NoCulet):
+        culet_report(7, 1)
+    with pytest.raises(NoCulet):
+        culet_report(29, 3)
+    assert wahl_cache.cache_info().currsize == culet_cache.cache_info().currsize == 0
+    assert wahl_cache.cache_info().maxsize == WAHL_CACHE_SIZE
+    assert culet_cache.cache_info().maxsize == CULET_CACHE_SIZE
+    for p in range(2, WAHL_CACHE_SIZE + 12):
+        wahl_data(p, 1)
+    for p, q in pairs_to_depth(9)[:CULET_CACHE_SIZE + 12]:
+        culet_report(p, q)
+    assert wahl_cache.cache_info().currsize == WAHL_CACHE_SIZE
+    assert culet_cache.cache_info().currsize == CULET_CACHE_SIZE
