@@ -35,7 +35,8 @@ from .intersection_theory import (
     intersection_matrix,
     inverse_closed_form,
 )
-from .markov import branch_sequence, companions, compare_to_sigma, enumerate_tree, sigma_p, tree_to_json
+from .markov import (branch_sequence, companions, compare_to_sigma, enumerate_tree, is_companion,
+                     sigma_p, tree_to_json)
 from .regulation import predict_regulation
 from .staircase_oracle import (
     embeds,
@@ -311,11 +312,14 @@ def _branch_reach(p: int, digits: int) -> int:
 
 
 def cmd_markov_branch(args) -> int:
-    companions(args.p)  # a number that is not Markov is refused as such
     # terms past Python's int/str digit limit (3.11+; 0 when lifted) cannot be
-    # printed: refuse a window that reaches them before computing any term
+    # printed: refuse a window that reaches them before computing any term.
+    # A p that is not Markov is refused as such by is_companion; an empty
+    # window or a q that is not a companion is left to branch_sequence,
+    # which names that fault.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and max(-args.lo, args.hi) >= _branch_reach(args.p, limit):
+    if (limit and args.lo <= args.hi and is_companion(args.p, args.q)
+            and max(-args.lo, args.hi) >= _branch_reach(args.p, limit)):
         raise DomainError(_DIGIT_LIMIT_ERROR)
     seq = branch_sequence(args.p, args.q, args.lo, args.hi)
     try:

@@ -2,11 +2,10 @@
 
 The chain curves C_1..C_m of the resolution of p^2/(pq-1) pair by the
 tridiagonal matrix M with diagonal -b_i and off-diagonal 1.  Its inverse has
-the closed form M^{-1}_{ij} = -e_i f_j / p^2 (i <= j): an integer table over
-the one shared denominator p^2, kept as the e and f sequences themselves,
-with a row's Fractions built only when the row is read.  Solving M x = chi
-therefore needs no table: x_i = -(f_i sum_{j<=i} e_j chi_j + e_i
-sum_{j>i} f_j chi_j)/p^2 takes one prefix and one suffix sum, O(m) in all.
+the closed form M^{-1}_{ij} = -e_i f_j / p^2 (i <= j): integer products over
+the one shared denominator p^2.  Solving M x = chi therefore needs no table:
+x_i = -(f_i sum_{j<=i} e_j chi_j + e_i sum_{j>i} f_j chi_j)/p^2 takes one
+prefix and one suffix sum, O(m) in all.
 The discrepancies are k_i = -1 + (e_i + f_i)/p^2, and scanning e_i, f_i for
 simultaneous perfect squares locates the culet index, whose weight b_i is 4,
 7 or 10; each pair's culet is scanned and self-checked once while it stays
@@ -21,7 +20,6 @@ over 0/1 vectors chi exactly, which forces the Markov relation.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -79,55 +77,15 @@ def intersection_matrix(w: WahlData) -> list[list[int]]:
     return rows
 
 
-class _InverseRows(Sequence):
-    """M^{-1} of a Wahl chain as read-only rows: row i holds -e_i f_j / p^2.
-
-    Only e, f and p^2 are stored.  A row's Fractions are built when the row
-    is first read and kept, so reading the whole table builds each of its
-    m(m+1)/2 distinct entries once: a row reuses the mirrored entries of the
-    rows already built.  Rows are lists and the table compares equal to the
-    list of those lists.
-    """
-
-    __slots__ = ("_e", "_f", "_p2", "_rows")
-
-    def __init__(self, w: WahlData):
-        self._e = w.e
-        self._f = w.f
-        self._p2 = w.p * w.p
-        self._rows: list = [None] * w.m
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        rows = self._rows
-        row = rows[i]
-        if row is None:
-            i %= len(rows)
-            e, f, p2 = self._e, self._f, self._p2
-            ei, fi = e[i + 1], f[i + 1]
-            row = rows[i] = [
-                rows[j][i] if rows[j] is not None else Fraction(-(e[j + 1] * fi), p2)
-                for j in range(i)
-            ] + [Fraction(-(ei * f[j + 1]), p2) for j in range(i, len(rows))]
-        return row
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, _InverseRows)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __repr__(self) -> str:
-        return repr(list(self))
-
-
-def inverse_closed_form(w: WahlData) -> Sequence[list[Rational]]:
-    """M^{-1} as read-only rows of Fractions, built row by row on first read;
-    it compares equal to the list of its rows."""
-    return _InverseRows(w)
+def inverse_closed_form(w: WahlData) -> list[list[Rational]]:
+    m = w.m
+    p2 = w.p * w.p
+    inv: list[list[Rational]] = [[0] * m for _ in range(m)]
+    for i in range(m):
+        e = w.e[i + 1]
+        for j in range(i, m):  # symmetric: build each entry once
+            inv[i][j] = inv[j][i] = Fraction(-(e * w.f[j + 1]), p2)
+    return inv
 
 
 def is_negative_definite(matrix: list[list[int]]) -> bool:
@@ -144,10 +102,12 @@ def is_negative_definite(matrix: list[list[int]]) -> bool:
 
 def discrepancies(w: WahlData) -> list[Rational]:
     p2 = w.p * w.p
-    out = [Fraction(-p2 + w.e[i] + w.f[i], p2) for i in range(1, w.m + 1)]
-    for k in out:
-        if not (-1 < k < 0):
+    out = []
+    for i in range(1, w.m + 1):
+        k = Fraction(-p2 + w.e[i] + w.f[i], p2)
+        if not 0 < w.e[i] + w.f[i] < p2:  # -1 < k < 0, in integers
             raise AssertionError(f"discrepancy {k} outside (-1,0) for ({w.p},{w.q})")
+        out.append(k)
     return out
 
 

@@ -109,21 +109,6 @@ def montante_inverse(rows):
     return [[Fraction(x, det) for x in row[n:]] for row in aug]
 
 
-def eager_inverse(w):
-    """The closed form -e_i f_j / p^2 (i <= j) built eagerly as a list of
-    lists, every entry a Fraction, mirrored entries shared: the table
-    inverse_closed_form returned while it was a list.  Takes any object
-    with the p, m, e and f of a Wahl chain."""
-    m = w.m
-    p2 = w.p * w.p
-    inv = [[0] * m for _ in range(m)]
-    for i in range(m):
-        e = w.e[i + 1]
-        for j in range(i, m):
-            inv[i][j] = inv[j][i] = Fraction(-(e * w.f[j + 1]), p2)
-    return inv
-
-
 def tridiagonal_elimination_inverse(diag):
     """Exact elimination inverse of tridiag(diag) with unit off-diagonals.
 

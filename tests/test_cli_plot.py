@@ -144,6 +144,20 @@ def test_branch_windows_past_the_digit_limit_are_refused_before_the_walk(capsys)
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize("argv, error", [
+    (("5", "1", "--lo", "12000", "--hi", "11990"), "empty window: lo=12000 > hi=11990"),
+    (("5", "3", "--lo", "0", "--hi", "12000"), "3 is not a companion of 5 (pair {1, 4})"),
+    (("7", "1", "--lo", "0", "--hi", "12000"), "7 is not a Markov number"),
+])
+def test_branch_window_faults_are_named_before_the_digit_limit(capsys, argv, error):
+    # a window past the limit that is also empty, or whose p or q is wrong,
+    # is refused for that fault, as it was before the window was bounded
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "markov", "branch", *argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out == "" and err.startswith(f"error: {error}")
+
+
 @pytest.mark.parametrize("digits", [1, 40, 300])
 def test_branch_reach_bounds_every_term_beyond_it(digits):
     from pinstairs.markov import branch_sequence
