@@ -25,6 +25,7 @@ from .exact_core import (
     LatticeVector,
     Rational,
     RationalPoint,
+    _clear_denominators,
     _primitive_direction,
     affine_length,
     format_rational,
@@ -118,8 +119,7 @@ class GirdledTriangle:
         a, b = self.alpha, self.beta
         gx = a * self.p * self.q - a - b
         gy = -a * self.p * self.p
-        n = gx.denominator * gy.denominator // gcd(gx.denominator, gy.denominator)
-        return LatticeVector(int(gx * n), int(gy * n))
+        return _clear_denominators(gx, gy)[0]
 
     @property
     def girdle_offset(self) -> Rational:

@@ -174,6 +174,7 @@ def _steps_window(steps: int) -> tuple[int, int]:
 
 def render_staircase(p: int, q: int, spec: RenderSpec) -> str:
     lo, hi = _steps_window(spec.steps)
+    _refuse_past_digit_limit(p, q, lo, hi + 1)  # box i reads m_i and m_{i+1}
     boxes = stair_boxes(p, q, lo, hi)
     sig = sigma_p(p)
     canvas = _Canvas(spec)
@@ -201,8 +202,11 @@ def render_staircase(p: int, q: int, spec: RenderSpec) -> str:
     for b in boxes:
         corner = (b.alpha_sup, b.beta_sup)
         canvas.dot(corner)
-        canvas.text(corner,
-                    f"({format_rational(b.alpha_sup)}, {format_rational(b.beta_sup)})")
+        try:
+            label = f"({format_rational(b.alpha_sup)}, {format_rational(b.beta_sup)})"
+        except ValueError as exc:  # a term over the limit that the reach bound let through
+            raise DomainError(_DIGIT_LIMIT_ERROR) from exc
+        canvas.text(corner, label)
     return canvas.finish()
 
 
@@ -311,16 +315,20 @@ def _branch_reach(p: int, digits: int) -> int:
     return 9 + -(-need // a)
 
 
-def cmd_markov_branch(args) -> int:
-    # terms past Python's int/str digit limit (3.11+; 0 when lifted) cannot be
-    # printed: refuse a window that reaches them before computing any term.
-    # A p that is not Markov is refused as such by is_companion; an empty
-    # window or a q that is not a companion is left to branch_sequence,
-    # which names that fault.
+def _refuse_past_digit_limit(p: int, q: int, lo: int, hi: int) -> None:
+    """Terms past Python's int/str digit limit (3.11+; 0 when lifted) cannot
+    be printed: refuse a window of branch indices lo..hi that reaches them
+    before computing any term.  A p that is not Markov is refused as such by
+    is_companion; an empty window or a q that is not a companion is left to
+    the caller, which names that fault."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if (limit and args.lo <= args.hi and is_companion(args.p, args.q)
-            and max(-args.lo, args.hi) >= _branch_reach(args.p, limit)):
+    if (limit and lo <= hi and is_companion(p, q)
+            and max(-lo, hi) >= _branch_reach(p, limit)):
         raise DomainError(_DIGIT_LIMIT_ERROR)
+
+
+def cmd_markov_branch(args) -> int:
+    _refuse_past_digit_limit(args.p, args.q, args.lo, args.hi)
     seq = branch_sequence(args.p, args.q, args.lo, args.hi)
     try:
         lines = [f"m[{i}] = {v}" for i, v in seq.items()]

@@ -115,12 +115,17 @@ def affine_length(a: RationalPoint, b: RationalPoint) -> Rational:
     return _primitive_direction(a, b)[1]
 
 
+def _clear_denominators(x: Rational, y: Rational) -> tuple[LatticeVector, int]:
+    """(n * (x, y), n) for n the least common denominator of x and y."""
+    n = x.denominator * y.denominator // gcd(x.denominator, y.denominator)
+    return LatticeVector(int(x * n), int(y * n)), n
+
+
 def _primitive_direction(a: RationalPoint, b: RationalPoint) -> tuple[LatticeVector, Rational]:
     """(u, lam) with b - a = lam * u, u primitive; lam = 0 for a zero segment."""
     d = b - a
-    # clear denominators, then divide out the integer gcd
-    n = d.x.denominator * d.y.denominator // gcd(d.x.denominator, d.y.denominator)
-    u, k = primitive_part(LatticeVector(int(d.x * n), int(d.y * n)))
+    v, n = _clear_denominators(d.x, d.y)
+    u, k = primitive_part(v)
     return u, Fraction(k, n)
 
 

@@ -6,18 +6,26 @@ it and drops its label; at an edge it splits the edge with a -1 vertex and
 drops both endpoint labels.  A graph is a ruling degeneration when some
 blow-down order reaches the single 0-vertex.
 
-That is decided exactly, mostly without a search.  Labels only rise, and a
-surviving vertex sees at least one neighbour contracted, so a label >= 0
-among two or more vertices rules the graph out.  Blow-downs keep a path a
+That is decided exactly, with no search, because the order of blow-downs
+does not matter.  Labels only rise, and a surviving vertex sees at least one
+neighbour contracted, so a label >= 0 among two or more vertices rules the
+graph out.  Call a -1 vertex of degree 1 or 2 a move, and T/b the tree T with
+the move b contracted.
+
+Lemma: if T degenerates, so does T/b for every move b.  By induction on the
+vertex count, take a move a that starts a successful order of T, so that T/a
+degenerates, and a move b != a.  If a and b are adjacent, b is labelled 0 in
+T/a, so by the remark above T/a is the single vertex b; then T is the two
+vertices a and b, and T/b is the 0-vertex.  Otherwise b is still a move of
+T/a, which has fewer vertices, so (T/a)/b degenerates.  Contractions of
+non-adjacent vertices commute, so (T/b)/a = (T/a)/b, and T/b degenerates.
+(Geometrically: contracting a (-1)-curve in a fibre of a ruling leaves a
+fibre of a ruling.)  Conversely T/b degenerating makes T degenerate, so
+is_ruling_degeneration contracts whichever move it finds first, and rules
+out a tree of two or more vertices with no move.  Blow-downs keep a path a
 path, and a path degenerates exactly when its negated labels, read end to
 end, form a zero continued fraction (Christophersen; Stevens); a path is
-decided so at once, before any contraction.  Otherwise, while exactly one
-vertex is contractible, every successful order must start with it, so it is
-contracted and the tests above are made again.  Only a tree that is not a
-path and has no forced move is left to an exhaustive memoized search over
-contraction orders, with a memo local to the call; above
-EXHAUSTIVE_VERTEX_CAP vertices a greedy smallest-id reducer answers instead
-and warns that it may give a false negative.
+decided so at once, with no contraction.
 
 For a Wahl chain of weight 7 or 10 the flanking dual Wahl subchains each
 admit exactly one vertex where an extra -1 sphere makes them degenerate,
@@ -31,7 +39,6 @@ one contraction and one path test.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -53,10 +60,7 @@ __all__ = [
     "is_ruling_degeneration",
     "attach_position",
     "predict_regulation",
-    "EXHAUSTIVE_VERTEX_CAP",
 ]
-
-EXHAUSTIVE_VERTEX_CAP = 16
 
 
 class NoPosition(DomainError):
@@ -196,7 +200,9 @@ def blow_down(g: DualGraph, vid: int) -> DualGraph:
 
 
 def blow_down_all(g: DualGraph) -> tuple[DualGraph, list[int]]:
-    """Greedy reduction: contract the smallest-id -1 vertex until stuck."""
+    """Contract the smallest-id move until none is left.  By the lemma in the
+    module docstring this order decides degeneration exactly: the result is
+    the single 0-vertex iff g is a ruling degeneration."""
     labels, adj = g.labels(), g.adjacency()
     log: list[int] = []
     while True:
@@ -206,28 +212,6 @@ def blow_down_all(g: DualGraph) -> tuple[DualGraph, list[int]]:
         vid = min(moves)
         labels, adj = _apply_down(labels, adj, vid)
         log.append(vid)
-
-
-def _canonical(labels: dict, adj: dict):
-    # minimum over all roots of the label-aware subtree encoding
-    def enc(v, parent):
-        kids = sorted(enc(u, v) for u in adj[v] if u != parent)
-        return (labels[v], tuple(kids))
-
-    return min(enc(r, None) for r in labels)
-
-
-def _search(labels: dict, adj: dict, memo: dict) -> bool:
-    if len(labels) == 1:
-        return next(iter(labels.values())) == 0
-    key = _canonical(labels, adj)
-    if key in memo:
-        return memo[key]
-    memo[key] = False  # cycle-safe default; contraction strictly shrinks
-    out = any(_search(*_apply_down(labels, adj, v), memo)
-              for v in _down_moves(labels, adj))
-    memo[key] = out
-    return out
 
 
 def _path_entries(labels: dict, adj: dict) -> list[int]:
@@ -241,7 +225,8 @@ def _path_entries(labels: dict, adj: dict) -> list[int]:
 
 
 def is_ruling_degeneration(g: DualGraph) -> bool:
-    """Whether some blow-down order reaches the single 0-vertex."""
+    """Whether some blow-down order reaches the single 0-vertex; by the lemma
+    in the module docstring, any order decides it."""
     if not g.vertices:
         raise DomainError("empty graph")
     if any(s > 0 for _, s in g.vertices):
@@ -255,17 +240,9 @@ def is_ruling_degeneration(g: DualGraph) -> bool:
         if all(len(us) <= 2 for us in adj.values()):
             return is_zero_continued_fraction(_path_entries(labels, adj))
         moves = _down_moves(labels, adj)
-        if len(moves) != 1:
-            break
+        if not moves:
+            return False
         labels, adj = _apply_down(labels, adj, moves[0])
-    if len(labels) > EXHAUSTIVE_VERTEX_CAP:
-        warnings.warn(
-            f"tree larger than {EXHAUSTIVE_VERTEX_CAP} vertices that is not a path: "
-            "greedy reduction only, result may be a false negative"
-        )
-        final, _ = blow_down_all(_graph_from(labels, adj))
-        return len(final.vertices) == 1 and final.vertices[0][1] == 0
-    return _search(labels, adj, {})
 
 
 def _zero_sites(chain: list[int]) -> list[int]:

@@ -1,16 +1,17 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written from first principles with no imports
-from ``pinstairs``: plain continued-fraction evaluation, textbook elimination
-for matrix inverses, direct quadratic scans for Markov triples, and finite
-box-union membership for staircase verdicts.  Tests compare package output
+from ``pinstairs``: plain continued-fraction evaluation, Zariski's multiplicity
+certificate for fibres of a ruling, textbook elimination for matrix inverses,
+direct quadratic scans for Markov triples, and finite box-union membership
+for staircase verdicts.  Tests compare package output
 against these.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +61,66 @@ def attach_sites(chain):
     left when a -1 hung at site k of a chain with entries >= 2 comes down."""
     return [k for k in range(1, len(chain) + 1)
             if is_zero_chain(chain[:k - 1] + [chain[k - 1] - 1] + chain[k:])]
+
+
+# ---------------------------------------------------------------------------
+# fibres of a ruling
+
+
+def fibre_certificate(vertices, edges):
+    """Zariski's fibre certificate for a tree of rational curves.
+
+    vertices: (id, self-intersection) pairs; edges: id pairs, each meeting
+    once.  A fibre F = sum m_v C_v of a ruling has F.C_v = 0 for every v, so
+    m spans the kernel of the intersection matrix Q, with every m_v > 0, and
+    by adjunction K.F = sum m_v (-2 - C_v^2) = -2.  Returns the primitive
+    integer multiplicities {id: m_v} when the kernel of Q, found by Fraction
+    elimination, is one-dimensional and spanned by such an m, else None.
+    """
+    ids = [v for v, _ in vertices]
+    at = {v: i for i, v in enumerate(ids)}
+    n = len(ids)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for v, s in vertices:
+        rows[at[v]][at[v]] = Fraction(s)
+    for a, b in edges:
+        rows[at[a]][at[b]] = rows[at[b]][at[a]] = Fraction(1)
+    pivots = []  # (row, column) of each pivot of the reduced echelon form
+    for col in range(n):
+        r = next((i for i in range(len(pivots), n) if rows[i][col] != 0), None)
+        if r is None:
+            continue
+        k = len(pivots)
+        rows[k], rows[r] = rows[r], rows[k]
+        piv = rows[k][col]
+        rows[k] = [x / piv if x else x for x in rows[k]]
+        for i in range(n):
+            f = rows[i][col]
+            if i != k and f != 0:  # the rows are sparse: skip the zeros
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[k])]
+        pivots.append((k, col))
+    free = sorted(set(range(n)) - {c for _, c in pivots})
+    if len(free) != 1:
+        return None
+    kernel = [Fraction(0)] * n
+    kernel[free[0]] = Fraction(1)
+    for r, c in pivots:
+        kernel[c] = -rows[r][free[0]]
+    scale = 1
+    for x in kernel:
+        scale = scale * x.denominator // gcd(scale, x.denominator)
+    m = [int(x * scale) for x in kernel]
+    g = 0
+    for x in m:
+        g = gcd(g, x)
+    m = [x // g for x in m]
+    if m[0] < 0:
+        m = [-x for x in m]
+    if any(x <= 0 for x in m):
+        return None
+    if sum(x * (-2 - s) for x, (_, s) in zip(m, vertices)) != -2:
+        return None
+    return dict(zip(ids, m))
 
 
 # ---------------------------------------------------------------------------

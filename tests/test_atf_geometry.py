@@ -55,6 +55,12 @@ def test_delta_triangle_edge_data():
     assert F(gx) * (-F(1, 2) * 25) == F(gy) * (F(1, 2) * 4 - F(1, 3))
 
 
+def test_girdle_normal_is_scaled_by_the_least_common_denominator_only():
+    # not reduced to a primitive vector: `atf delta` prints it as it stands
+    assert delta_triangle(5, 1, F(1, 2), F(1, 3)).girdle_normal.as_tuple() == (10, -75)
+    assert delta_triangle(5, 1, F(1, 2), F(1, 4)).girdle_normal.as_tuple() == (7, -50)
+
+
 def test_delta_triangle_validation():
     with pytest.raises(DomainError):
         delta_triangle(4, 2, F(1), F(1))  # not coprime

@@ -144,6 +144,41 @@ def test_branch_windows_past_the_digit_limit_are_refused_before_the_walk(capsys)
         sys.set_int_max_str_digits(limit)
 
 
+def test_stair_svg_refuses_steps_past_the_digit_limit(capsys, tmp_path):
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        pytest.skip("this Python has no int/str digit limit")
+    limit = get_limit()
+    sys.set_int_max_str_digits(4300)
+    path = tmp_path / "s.svg"
+    try:
+        # 7 344 steps end at box 3 672, which reads m[3673] of the (5, 1)
+        # branch: the first term past the reach bound
+        assert cli._branch_reach(5, 4300) == 3673
+        for steps in (7344, 12000, 10**40):
+            start = time.perf_counter()
+            code, out, err = invoke(capsys, "stair", "5", "1", "--svg", str(path),
+                                    "--steps", str(steps))
+            assert time.perf_counter() - start < 0.5, steps
+            assert code == 1 and out == "" and not path.exists()
+            assert err == ("error: a branch term exceeds Python's int/str digit limit; "
+                           "PYTHONINTMAXSTRDIGITS=0 lifts it\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_staircase_labels_past_the_digit_limit_are_a_domain_error(monkeypatch):
+    # a label the reach bound lets through still fails as a DomainError
+    monkeypatch.setattr(cli, "_branch_reach", lambda p, digits: 10**9)
+
+    def over_the_limit(r):
+        raise ValueError("Exceeds the limit (4300 digits) for integer string conversion")
+
+    monkeypatch.setattr(cli, "format_rational", over_the_limit)
+    with pytest.raises(DomainError, match="int/str digit limit"):
+        render_staircase(2, 1, RenderSpec("staircase", (F(0), F(3), F(0), F(3)), steps=3))
+
+
 @pytest.mark.parametrize("argv, error", [
     (("5", "1", "--lo", "12000", "--hi", "11990"), "empty window: lo=12000 > hi=11990"),
     (("5", "3", "--lo", "0", "--hi", "12000"), "3 is not a companion of 5 (pair {1, 4})"),
@@ -476,6 +511,10 @@ def _far_window(draw):
     return ["--lo", str(-far), "--hi", str(far)]
 
 
+# 10^5 steps reach index 5 * 10^4 of a branch, past the default limit for every p
+_far_steps = st.integers(min_value=10**5, max_value=10**40).map(str)
+
+
 @st.composite
 def _balls(draw):
     """p1 q1 a1 p2 q2 a2 p3 q3 a3, often around a Markov triple."""
@@ -496,7 +535,8 @@ _argv = st.one_of(
     _cat(st.just(["wahl"]), _pair, _opt("--json")),
     _cat(st.just(["stair"]), _pair, st.just("--alpha"), _rational,
          st.just("--beta"), _rational, _opt("--json")),
-    _cat(st.just(["stair"]), _pair, st.just(["--svg", _SVG, "--steps"]), _small),
+    _cat(st.just(["stair"]), _pair, st.just(["--svg", _SVG, "--steps"]),
+         st.one_of(_small, *([_far_steps] if _DIGIT_LIMIT else []))),
     _cat(st.just(["capacity"]), _pair),
     _cat(st.just(["pack", "two"]), _pair, _rational, _pair, _rational),
     _cat(st.just(["pack", "three"]), _balls()),

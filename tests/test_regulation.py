@@ -13,7 +13,6 @@ from pinstairs.hirzebruch_jung import hj_expand, is_zero_continued_fraction
 from pinstairs.intersection_theory import culet_report
 from pinstairs.markov import companions, enumerate_tree
 from pinstairs.regulation import (
-    EXHAUSTIVE_VERTEX_CAP,
     DualGraph,
     MultiplePositions,
     NoPosition,
@@ -28,7 +27,7 @@ from pinstairs.regulation import (
 )
 
 from .frozen import ATTACH_POSITIONS, ZCF_FALSE, ZCF_TRUE
-from .oracles import attach_sites
+from .oracles import attach_sites, fibre_certificate
 
 
 def test_zero_sphere_and_chain_graph():
@@ -310,14 +309,86 @@ def test_predictions_to_depth_eight_raise_no_warning():
                 assert sum(pred.contracted_counts()) == len(pred.chain) - 1
 
 
-def test_greedy_reducer_still_warns_on_large_trees_that_are_not_paths():
+def test_large_trees_that_are_not_paths_are_decided_without_warning():
     # a -1 of degree 3 with three arms of -2 curves: no vertex can come down
-    n = EXHAUSTIVE_VERTEX_CAP + 2
+    n = 18
     verts = ((1, -1),) + tuple((v, -2) for v in range(2, n + 1))
     edges = [(1, 2), (1, 3), (1, 4)] + [(v - 3, v) for v in range(5, n + 1)]
     star = DualGraph(verts, tuple(edges))
-    with pytest.warns(UserWarning, match="false negative"):
+    # blow up the newest -1 leaf twice, eight times over: a spine of -3
+    # curves, each with a -1 leaf, 18 vertices and nine moves to start with
+    comb = blow_up(zero_sphere(), 1)
+    for _ in range(8):
+        comb = blow_up(comb, max(comb.labels()))
+        comb = blow_up(comb, sorted(comb.labels())[-2])
+    assert len(comb.vertices) == 18 and any(comb.degree(v) > 2 for v, _ in comb.vertices)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert not is_ruling_degeneration(star)
+        assert is_ruling_degeneration(comb)
+
+
+@st.composite
+def _blow_up_trees(draw, min_size=1, max_size=30):
+    """The zero sphere blown up at random vertices and edges."""
+    g = zero_sphere()
+    size = draw(st.integers(min_value=min_size, max_value=max_size))
+    while len(g.vertices) < size:
+        g = blow_up(g, draw(st.sampled_from([v for v, _ in g.vertices] + list(g.edges))))
+    return g
+
+
+@st.composite
+def _random_trees(draw):
+    """A tree of 1 to 8 vertices labelled -4..0."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    labels = [draw(st.integers(min_value=-4, max_value=0)) for _ in range(n)]
+    edges = [(draw(st.integers(min_value=1, max_value=v - 1)), v) for v in range(2, n + 1)]
+    return DualGraph(tuple((i + 1, labels[i]) for i in range(n)), tuple(edges))
+
+
+def test_fibre_certificate_on_hand_computed_configurations():
+    assert fibre_certificate(zero_sphere().vertices, ()) == {1: 1}
+    g = chain_graph([2, 1, 2])
+    assert fibre_certificate(g.vertices, g.edges) == {1: 1, 2: 2, 3: 1}
+    # elliptic configurations: a positive kernel, but K.F = 0
+    d4 = DualGraph(((1, -2), (2, -2), (3, -2), (4, -2), (5, -2)),
+                   ((1, 2), (1, 3), (1, 4), (1, 5)))
+    star = DualGraph(((1, -1), (2, -4), (3, -2), (4, -4)), ((1, 2), (1, 3), (1, 4)))
+    # K.F = -2 on the kernel (2, -2, 2, -1, -1), which is not positive
+    mixed = DualGraph(((1, 0), (2, 0), (3, -1), (4, -2), (5, -2)),
+                      ((1, 2), (1, 3), (2, 4), (2, 5)))
+    for g in (d4, star, mixed):
+        assert fibre_certificate(g.vertices, g.edges) is None
+        assert not is_ruling_degeneration(g) and not exhaustive_is_degeneration(g)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_random_trees(), _blow_up_trees(max_size=8)))
+def test_fibre_certificate_matches_ruling_check_and_exhaustive_search(g):
+    certified = fibre_certificate(g.vertices, g.edges) is not None
+    assert is_ruling_degeneration(g) == certified == exhaustive_is_degeneration(g)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=15, deadline=None)
+@given(_blow_up_trees(min_size=17, max_size=40))
+def test_fibre_certificate_and_ruling_check_accept_large_blow_up_trees(g):
+    assert fibre_certificate(g.vertices, g.edges) is not None
+    assert is_ruling_degeneration(g)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=40, deadline=None)
+@given(_blow_up_trees(max_size=30))
+def test_every_move_of_a_degeneration_leaves_a_degeneration(g):
+    # the lemma in the regulation docstring: the order of blow-downs does not matter
+    labels, adj = g.labels(), g.adjacency()
+    moves = [v for v, s in labels.items() if s == -1 and 1 <= len(adj[v]) <= 2]
+    assert moves or len(labels) == 1
+    for v in moves:
+        assert is_ruling_degeneration(blow_down(g, v))
 
 
 def assert_attach_matches_per_site_reference(chain):
