@@ -34,7 +34,7 @@ from .exact_core import (
     wedge,
 )
 from .hirzebruch_jung import wahl_data
-from .markov import _q_from_triple, is_markov_triple
+from .markov import _corner, _q_from_triple, is_markov_triple
 from .staircase_oracle import CompanionMismatch
 
 __all__ = [
@@ -493,4 +493,4 @@ def visible_ellipsoid_bounds(triple, vertex: int) -> tuple[Rational, Rational, i
     pnext = triple[(k + 1) % 3]
     pprev = triple[(k + 2) % 3]
     q = _q_from_triple(pi, pnext, pprev)
-    return Fraction(pprev, pi * pnext), Fraction(pnext, pi * pprev), q
+    return _corner(pi, pprev, pnext), _corner(pi, pnext, pprev), q

@@ -66,6 +66,15 @@ MAX_TABLE_CHAIN = 600
 # int/str digit limit.  Deeper trees are refused.
 MAX_PRINTED_TREE_DEPTH = 17
 
+# `stair --svg` labels each box with two ratios of branch terms, whose digits
+# grow linearly with the index, so the file grows as the square of `--steps`.
+# Measured with Python 3.11 on 2 vCPUs: 6 000 steps write 17 MB for (1, 1) in
+# 2.0 s, 30 MB for (2, 1) in 3.7 s and 44 MB for (5, 1) in 7.4 s; (1, 1) would
+# write 64 MB at 12 000.  For p >= 13 the int/str digit limit refuses a window
+# first: (13, 2) writes 48 MB at 5 400 steps, the most under the default limit.
+# More steps are refused.
+MAX_STAIR_STEPS = 6000
+
 
 def _rational(text: str) -> Fraction:
     try:
@@ -175,6 +184,8 @@ def _steps_window(steps: int) -> tuple[int, int]:
 def render_staircase(p: int, q: int, spec: RenderSpec) -> str:
     lo, hi = _steps_window(spec.steps)
     _refuse_past_digit_limit(p, q, lo, hi + 1)  # box i reads m_i and m_{i+1}
+    if spec.steps > MAX_STAIR_STEPS:
+        raise DomainError(f"step count {spec.steps} outside [1, {MAX_STAIR_STEPS}]")
     boxes = stair_boxes(p, q, lo, hi)
     sig = sigma_p(p)
     canvas = _Canvas(spec)

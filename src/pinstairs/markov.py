@@ -254,6 +254,12 @@ def canonical_triple(p: int, q: int, search_depth: Optional[int] = None) -> Mark
     raise AssertionError(f"valley pair {x},{y} matches neither companion of {p}")
 
 
+def _corner(pi: int, pj: int, pk: int) -> Fraction:
+    """The box corner p_j/(p_i*p_k) of a Markov triple: a staircase box side,
+    an obstruction corner, a visible bound or a packing bound."""
+    return Fraction(pj, pi * pk)
+
+
 class _Branch:
     """Lazy bi-infinite branch sequence m_i with m_{i+1} = 3p*m_i - m_{i-1}.
 
@@ -274,6 +280,8 @@ class _Branch:
             self.values = {0: a, -1: b}
         self._lo = min(self.values)
         self._hi = max(self.values)
+        # the verdicts decided at each index, built by staircase_oracle on first use
+        self.verdicts: dict = {}
 
     def __getitem__(self, i: int) -> int:
         # store each term before moving the bound: a re-entered extension is harmless
@@ -287,6 +295,24 @@ class _Branch:
             v[k] = 3 * self.p * v[k + 1] - v[k + 2]
             self._lo = k
         return v[i]
+
+    def window(self, lo: int, hi: int) -> list[int]:
+        """The terms m_lo..m_hi: the held ones read, the others walked from the
+        nearest held pair by a local recurrence, so no new term is stored."""
+        v, s = self.values, 3 * self.p
+        out = [v[k] for k in range(max(lo, self._lo), min(hi, self._hi) + 1)]
+        a, b = v[self._hi - 1], v[self._hi]
+        for k in range(self._hi + 1, hi + 1):
+            a, b = b, s * b - a
+            if k >= lo:
+                out.append(b)
+        below = []
+        a, b = v[self._lo + 1], v[self._lo]
+        for k in range(self._lo - 1, lo - 1, -1):
+            a, b = b, s * b - a
+            if k <= hi:
+                below.append(b)
+        return below[::-1] + out
 
 
 # the shared branch of each (p, q) staircase family; a failed build is not cached
@@ -316,8 +342,7 @@ class BranchSequence:
 def branch_sequence(p: int, q: int, lo: int, hi: int) -> BranchSequence:
     if lo > hi:
         raise DomainError(f"empty window: lo={lo} > hi={hi}")
-    br = _family(p, q)
-    values = tuple(br[i] for i in range(lo, hi + 1))
+    values = tuple(_family(p, q).window(lo, hi))
     for m0, m1 in zip(values, values[1:]):
         if not is_markov_triple(p, m0, m1):
             raise AssertionError(f"branch pair ({m0},{m1}) not Markov with {p}")

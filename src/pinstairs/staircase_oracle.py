@@ -12,6 +12,12 @@ is an exact obstruction.  With alpha = n/d and beta = n'/d', the walk runs in
 integers on the family's cached branch: alpha >= alpha_sup(i) iff
 n*p*m_i >= d*m_{i+1}, beta >= beta_sup(i) iff n'*p*m_{i+1} >= d'*m_i, and
 n/d < sigma_p iff p^2*n^2 - 3p^2*n*d + d^2 < 0, or it is > 0 and 2n <= 3d.
+The verdict at an index, Embeds with box i or DoesNotEmbed at the inner corner
+(m_i/(p*m_{i-1}), m_i/(p*m_{i+1})), depends only on the family and i, so each
+box and corner is built and self-checked (Markov equation, volume curve) once
+per family and kept on its branch; a repeated verdict is served from there
+with no Fraction built.  The dominance of the corner is checked on every call,
+in integers: n*p*m_{i-1} >= d*m_i and n'*p*m_{i+1} >= d'*m_i.
 The packing checks are the strict linear inequalities cut out by the triple
 completing (p1, p2).
 """
@@ -26,6 +32,7 @@ from .exact_core import DomainError, Rational, format_rational
 from .intersection_theory import NoCommonTriple, two_ball_degree
 from .markov import (
     _Branch,
+    _corner,
     _family,
     _sigma_compare,
     canonical_triple,
@@ -86,17 +93,39 @@ class EmbeddingVerdict:
 
 
 def _box(p: int, br: _Branch, i: int) -> StairBox:
-    box = StairBox(i, Fraction(br[i + 1], p * br[i]), Fraction(br[i], p * br[i + 1]))
+    a, b = br[i], br[i + 1]
+    if not is_markov_triple(p, a, b):
+        raise AssertionError(f"terms of box {i} are not Markov with {p}")
+    box = StairBox(i, _corner(p, b, a), _corner(p, a, b))
     if box.alpha_sup * box.beta_sup != Fraction(1, p * p):
         raise AssertionError(f"outer corner of box {i} off the volume curve")
     return box
+
+
+_OUTSIDE = EmbeddingVerdict("OutsideVisibleRange")
+
+
+def _verdict(p: int, br: _Branch, i: int, answer: str) -> EmbeddingVerdict:
+    """The verdict `answer` decided at index i of the branch: Embeds with box i,
+    or DoesNotEmbed at the inner corner (m_i/(p*m_{i-1}), m_i/(p*m_{i+1})).
+    Each is built and self-checked on first use and kept on the branch; a
+    frozen verdict is safe to share."""
+    v = br.verdicts.get((i, answer))
+    if v is None:
+        if answer == "Embeds":
+            v = EmbeddingVerdict(answer, witness=_box(p, br, i))
+        else:
+            v = EmbeddingVerdict(answer, obstruction=(_corner(p, br[i], br[i - 1]),
+                                                      _corner(p, br[i], br[i + 1])))
+        br.verdicts[i, answer] = v
+    return v
 
 
 def stair_boxes(p: int, q: int, i_lo: int, i_hi: int) -> list[StairBox]:
     if i_lo > i_hi:
         raise DomainError(f"empty index window: {i_lo} > {i_hi}")
     br = _family(p, q)
-    boxes = [_box(p, br, i) for i in range(i_lo, i_hi + 1)]
+    boxes = [_verdict(p, br, i, "Embeds").witness for i in range(i_lo, i_hi + 1)]
     for a, b in zip(boxes, boxes[1:]):
         if not a.alpha_sup < b.alpha_sup:
             raise AssertionError("alpha_sup not strictly increasing")
@@ -104,7 +133,10 @@ def stair_boxes(p: int, q: int, i_lo: int, i_hi: int) -> list[StairBox]:
 
 
 def embeds(p: int, q: int, alpha: Rational, beta: Rational) -> EmbeddingVerdict:
-    alpha, beta = Fraction(alpha), Fraction(beta)
+    if type(alpha) is not Fraction:
+        alpha = Fraction(alpha)
+    if type(beta) is not Fraction:
+        beta = Fraction(beta)
     n, d = alpha.numerator, alpha.denominator
     nb, db = beta.numerator, beta.denominator
     if n <= 0 or nb <= 0:
@@ -112,7 +144,7 @@ def embeds(p: int, q: int, alpha: Rational, beta: Rational) -> EmbeddingVerdict:
     if p < 1:
         raise DomainError(f"p must be positive: {p}")
     if _sigma_compare(p, n, d) != "less" or _sigma_compare(p, nb, db) != "less":
-        return EmbeddingVerdict("OutsideVisibleRange")
+        return _OUTSIDE
     m = _family(p, q)
     pn, pnb = p * n, p * nb
     i = 0
@@ -130,19 +162,19 @@ def embeds(p: int, q: int, alpha: Rational, beta: Rational) -> EmbeddingVerdict:
         # beta < sigma_p some box far down is tall enough
         while pnb * m[i + 1] >= db * m[i]:
             i -= 1
-        return EmbeddingVerdict("Embeds", witness=_box(p, m, i))
+        return _verdict(p, m, i, "Embeds")
     if pnb * m[i + 1] < db * m[i]:
-        return EmbeddingVerdict("Embeds", witness=_box(p, m, i))
-    corner = (Fraction(m[i], p * m[i - 1]), Fraction(m[i], p * m[i + 1]))
-    if not (alpha >= corner[0] and beta >= corner[1]):
+        return _verdict(p, m, i, "Embeds")
+    # (alpha, beta) dominates the inner corner i, checked in integers
+    if not (pn * m[i - 1] >= d * m[i] and pnb * m[i + 1] >= db * m[i]):
         raise AssertionError("obstruction corner is not dominated")
-    return EmbeddingVerdict("DoesNotEmbed", obstruction=corner)
+    return _verdict(p, m, i, "DoesNotEmbed")
 
 
 def pin_ball_capacity(p: int, q: int) -> Rational:
     """Largest a with the round ball of width a embedding on the diagonal."""
     _, a, b = canonical_triple(p, q)
-    return min(Fraction(a, p * b), Fraction(b, p * a))
+    return min(_corner(p, a, b), _corner(p, b, a))
 
 
 @dataclass(frozen=True)
@@ -185,9 +217,9 @@ def two_ball_feasible(p1: int, q1: int, alpha1: Rational,
             return TwoBallReport("unknown", None, {}, (), None)
         raise
     bounds = {
-        "alpha1": Fraction(p2, p1 * p3),
-        "alpha2": Fraction(p1, p2 * p3),
-        "sum": Fraction(p3, p1 * p2),
+        "alpha1": _corner(p1, p2, p3),
+        "alpha2": _corner(p2, p1, p3),
+        "sum": _corner(p1, p3, p2),
     }
     values = {"alpha1": alpha1, "alpha2": alpha2, "sum": alpha1 + alpha2}
     binding = tuple(k for k in ("alpha1", "alpha2", "sum") if values[k] >= bounds[k])
@@ -230,9 +262,9 @@ def three_ball_feasible(triple, alphas, qs=None) -> ThreeBallReport:
             if q not in companions(p):
                 raise CompanionMismatch(f"{q} is not a companion of {p}")
     bounds = {
-        (1, 2): Fraction(p3, p1 * p2),
-        (1, 3): Fraction(p2, p1 * p3),
-        (2, 3): Fraction(p1, p2 * p3),
+        (1, 2): _corner(p1, p3, p2),
+        (1, 3): _corner(p1, p2, p3),
+        (2, 3): _corner(p2, p1, p3),
     }
     binding = tuple(key for key, sup in bounds.items()
                     if a[key[0] - 1] + a[key[1] - 1] >= sup)

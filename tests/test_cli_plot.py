@@ -167,6 +167,44 @@ def test_stair_svg_refuses_steps_past_the_digit_limit(capsys, tmp_path):
         sys.set_int_max_str_digits(limit)
 
 
+@contextlib.contextmanager
+def int_str_digits(n):
+    """Python's int/str digit limit set to n where this Python has one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(n)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def assert_steps_refused(capsys, path, p, q, steps):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "stair", str(p), str(q), "--svg", str(path),
+                            "--steps", str(steps))
+    assert time.perf_counter() - start < 0.5, steps
+    assert code == 1 and out == "" and not path.exists()
+    assert err == f"error: step count {steps} outside [1, {cli.MAX_STAIR_STEPS}]\n"
+
+
+def test_stair_svg_refuses_steps_past_the_output_bound(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "s.svg"
+    with int_str_digits(4300):
+        # each window stays below the digit limit of its p
+        for p, q, steps in ((1, 1, cli.MAX_STAIR_STEPS + 1), (2, 1, 10**4), (5, 1, 7343)):
+            assert_steps_refused(capsys, path, p, q, steps)
+    with int_str_digits(0):  # with the limit lifted, the bound still holds
+        assert_steps_refused(capsys, path, 7453378, 1807955, cli.MAX_STAIR_STEPS + 1)
+        assert_steps_refused(capsys, path, 1, 1, 10**40)
+    monkeypatch.setattr(cli, "MAX_STAIR_STEPS", 3)
+    code, _, _ = invoke(capsys, "stair", "2", "1", "--svg", str(path), "--steps", "3")
+    assert code == 0 and path.exists()
+    path.unlink()
+    assert_steps_refused(capsys, path, 2, 1, 4)
+
+
 def test_staircase_labels_past_the_digit_limit_are_a_domain_error(monkeypatch):
     # a label the reach bound lets through still fails as a DomainError
     monkeypatch.setattr(cli, "_branch_reach", lambda p, digits: 10**9)
@@ -511,8 +549,12 @@ def _far_window(draw):
     return ["--lo", str(-far), "--hi", str(far)]
 
 
-# 10^5 steps reach index 5 * 10^4 of a branch, past the default limit for every p
-_far_steps = st.integers(min_value=10**5, max_value=10**40).map(str)
+# from just past the output bound out to 10^40: each is refused before any box
+# is built, by the step bound or, past the digit limit of its p, by that limit
+_far_steps = st.one_of(
+    st.integers(min_value=cli.MAX_STAIR_STEPS + 1, max_value=cli.MAX_STAIR_STEPS + 50),
+    st.integers(min_value=cli.MAX_STAIR_STEPS + 1, max_value=10**40),
+).map(str)
 
 
 @st.composite
@@ -536,7 +578,7 @@ _argv = st.one_of(
     _cat(st.just(["stair"]), _pair, st.just("--alpha"), _rational,
          st.just("--beta"), _rational, _opt("--json")),
     _cat(st.just(["stair"]), _pair, st.just(["--svg", _SVG, "--steps"]),
-         st.one_of(_small, *([_far_steps] if _DIGIT_LIMIT else []))),
+         st.one_of(_small, _far_steps)),
     _cat(st.just(["capacity"]), _pair),
     _cat(st.just(["pack", "two"]), _pair, _rational, _pair, _rational),
     _cat(st.just(["pack", "three"]), _balls()),

@@ -303,6 +303,27 @@ def test_branch_sequence_rejects_non_companions():
         branch_sequence(7, 1, 0, 1)
 
 
+def test_a_far_branch_window_stores_no_term_in_the_family():
+    held = len(markov._family(5, 1).values)
+    seq = branch_sequence(5, 1, 3990, 4000)
+    assert len(markov._family(5, 1).values) == held
+    # the same terms as the walk that stores every term on the way
+    fresh = markov._Branch(5, 1)
+    assert seq.values == tuple(fresh[i] for i in range(3990, 4001))
+    assert len(fresh.values) > 4000
+
+
+@given(st.sampled_from([(1, 1), (2, 1), (5, 1), (5, 4), (29, 7)]),
+       st.integers(-40, 40), st.integers(-40, 40), st.integers(0, 30))
+def test_branch_window_matches_the_storing_walk(pq, grown, lo, width):
+    br = markov._Branch(*pq)
+    br[grown]  # hold some terms on one side of the valley
+    held = dict(br.values)
+    window = br.window(lo, lo + width)
+    assert br.values == held
+    assert window == [markov._Branch(*pq)[i] for i in range(lo, lo + width + 1)]
+
+
 def test_branch_sequence_window_validation():
     with pytest.raises(DomainError):
         branch_sequence(2, 1, 3, 1)

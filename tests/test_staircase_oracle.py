@@ -1,11 +1,14 @@
 """Staircase boxes, the embedding oracle, packing reports, certificates."""
 
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pinstairs import markov, staircase_oracle
 from pinstairs.exact_core import DomainError
 from pinstairs.markov import compare_to_sigma, sigma_p
 from pinstairs.staircase_oracle import (
@@ -132,6 +135,103 @@ def test_embeds_on_exact_box_edges(p, q):
                 assert verdict.witness.contains(x, y)
             else:
                 assert x >= verdict.obstruction[0] and y >= verdict.obstruction[1]
+
+
+def fraction_builds(call):
+    """Calls of Fraction.__new__ made while `call()` runs, and its result."""
+    target, count = Fraction.__new__.__code__, 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call" and frame.f_code is target
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return count, result
+
+
+@pytest.mark.parametrize("p,q,alpha,beta,answer", [
+    (5, 1, Fraction(3, 10), Fraction(1, 5), "DoesNotEmbed"),
+    (2, 1, Fraction(49, 100), Fraction(49, 100), "Embeds"),
+    (29, 7, Fraction(1, 10**30), Fraction(2), "Embeds"),
+])
+def test_a_warm_verdict_builds_no_fraction(p, q, alpha, beta, answer):
+    markov._family.cache_clear()
+    built, cold = fraction_builds(lambda: embeds(p, q, alpha, beta))
+    assert cold.answer == answer and built > 0  # the box or corner, once
+    built, warm = fraction_builds(lambda: embeds(p, q, alpha, beta))
+    assert built == 0 and warm is cold
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(GRID_PAIRS + [(433, 104)]),
+    st.lists(st.tuples(
+        st.fractions(min_value=Fraction(1, 10**4), max_value=Fraction(3), max_denominator=10**4),
+        st.fractions(min_value=Fraction(1, 10**4), max_value=Fraction(3), max_denominator=10**4)),
+        min_size=1, max_size=25),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_warm_verdicts_equal_cold_ones_in_any_order(pq, points, seed):
+    cold = []
+    for a, b in points:
+        markov._family.cache_clear()
+        cold.append(embeds(*pq, a, b))
+    order, rnd = list(range(len(points))), random.Random(seed)
+    for _ in range(2):
+        rnd.shuffle(order)
+        for k in order:
+            assert embeds(*pq, *points[k]) == cold[k]
+
+
+def test_a_corrupt_term_fails_the_box_check_on_first_build():
+    markov._family.cache_clear()
+    try:
+        br = markov._family(5, 1)
+        br.values[1] = br[1] + 1
+        for _ in range(2):  # a failed build is not kept
+            with pytest.raises(AssertionError, match="terms of box 0 are not Markov with 5"):
+                stair_boxes(5, 1, 0, 0)
+    finally:
+        markov._family.cache_clear()
+
+
+def test_a_corrupt_corner_fails_the_volume_check_on_first_build(monkeypatch):
+    markov._family.cache_clear()
+    monkeypatch.setattr(staircase_oracle, "_corner", lambda pi, pj, pk: Fraction(pj + 1, pi * pk))
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="outer corner of box 0 off the volume curve"):
+            embeds(2, 1, Fraction(49, 100), Fraction(49, 100))
+    monkeypatch.undo()
+    assert embeds(2, 1, Fraction(49, 100), Fraction(49, 100)).witness.alpha_sup == Fraction(1, 2)
+
+
+class _Sub(Fraction):
+    pass
+
+
+@pytest.mark.parametrize("args,expected", [
+    ((1, 1, 1, 1), {"answer": "DoesNotEmbed", "obstruction": ["1", "1/2"]}),
+    ((2, 1, 1, "1/100"),
+     {"answer": "Embeds", "witness_box": {"i": 1, "alpha_sup": "5/2", "beta_sup": "1/10"}}),
+    ((2, 1, 2, 1), {"answer": "DoesNotEmbed", "obstruction": ["1/2", "1/10"]}),
+    ((5, 1, "3/10", "1/5"), {"answer": "DoesNotEmbed", "obstruction": ["1/65", "1/10"]}),
+    ((5, 1, "1/5", _Sub(1, 100)),
+     {"answer": "Embeds", "witness_box": {"i": -1, "alpha_sup": "2/5", "beta_sup": "1/10"}}),
+    ((29, 7, _Sub(1, 10**30), 2),
+     {"answer": "Embeds", "witness_box": {"i": -2, "alpha_sup": "5/12557", "beta_sup": "433/145"}}),
+    ((5, 1, 3, "1/100"), {"answer": "OutsideVisibleRange"}),
+    ((2, 1, 0.25, "49/100"),
+     {"answer": "Embeds", "witness_box": {"i": 0, "alpha_sup": "1/2", "beta_sup": "1/2"}}),
+])
+def test_inputs_that_are_not_plain_fractions_give_the_same_verdicts(args, expected):
+    p, q, alpha, beta = args
+    verdict = embeds(p, q, alpha, beta)
+    assert verdict.to_json() == expected
+    assert verdict == embeds(p, q, Fraction(alpha), Fraction(beta))
 
 
 def test_failed_family_is_not_cached():
