@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Optional
 
 from .exact_core import (
     DomainError,
@@ -34,8 +33,7 @@ from .exact_core import (
     wedge,
 )
 from .hirzebruch_jung import wahl_data
-from .markov import _corner, _q_from_triple, is_markov_triple
-from .staircase_oracle import CompanionMismatch
+from .markov import CompanionMismatch, _corner, _girdle, _q_from_triple, mutate, validate_triple
 
 __all__ = [
     "GirdledTriangle",
@@ -313,9 +311,7 @@ class ViannaTriangle:
 
 
 def _validate_vianna(t: ViannaTriangle) -> ViannaTriangle:
-    p1, p2, p3 = t.triple
-    if not is_markov_triple(p1, p2, p3):
-        raise DomainError(f"{t.triple} is not a Markov triple")
+    validate_triple(t.triple)
     if t.area() != Fraction(1, 2):
         raise AssertionError("mutation failed to preserve area")
     # edge k runs from vertex k to vertex k+1, so vertex k sees edges k and k+2;
@@ -327,7 +323,7 @@ def _validate_vianna(t: ViannaTriangle) -> ViannaTriangle:
         d2 = -edges[(k + 2) % 3][0]
         if abs(wedge(d1, d2)) != pk * pk:
             raise AssertionError(f"vertex {k} determinant is not {pk}^2")
-        want = Fraction(pk, t.triple[(k + 1) % 3] * t.triple[(k + 2) % 3])
+        want = _corner(t.triple[(k + 1) % 3], pk, t.triple[(k + 2) % 3])
         if edges[(k + 1) % 3][1] != want:
             raise AssertionError(f"edge opposite vertex {k} has wrong length")
         u = t.cuts[k]
@@ -407,23 +403,18 @@ def mutate_triangle(t: ViannaTriangle, vertex: int) -> ViannaTriangle:
     def shear_vec(v: LatticeVector) -> LatticeVector:
         return v + wedge(u, v) * chosen * u
 
-    numbers = list(t.triple)
-    numbers[k] = 3 * numbers[j1] * numbers[j2] - numbers[k]
     points = [None, None, None]
     cuts: list = [None, None, None]
     points[k], points[j1], points[j2] = exit_pt, new_v1, v2
     cuts[k], cuts[j1], cuts[j2] = -u, shear_vec(t.cuts[j1]), t.cuts[j2]
     return _validate_vianna(ViannaTriangle(
-        tuple(numbers), tuple(points), tuple(cuts), t.history + (vertex,)
+        mutate(t.triple, vertex), tuple(points), tuple(cuts), t.history + (vertex,)
     ))
 
 
 def vianna_triangle(p1: int, p2: int, p3: int) -> ViannaTriangle:
     """A concrete base diagram for the ordered triple, built by mutations."""
-    triple = (p1, p2, p3)
-    if not is_markov_triple(*triple):
-        raise DomainError(f"{triple} is not a Markov triple")
-    return _vianna(*triple)
+    return _vianna(*validate_triple((p1, p2, p3)))
 
 
 @lru_cache(maxsize=_VIANNA_CACHE_SIZE)
@@ -436,11 +427,9 @@ def _vianna(p1: int, p2: int, p3: int) -> ViannaTriangle:
     if triple == (1, 1, 1):
         return standard_triangle()
     k = triple.index(max(triple))
-    down = 3 * triple[(k + 1) % 3] * triple[(k + 2) % 3] - triple[k]
-    if not 0 < down < triple[k]:
+    parent = mutate(triple, k + 1)
+    if not 0 < parent[k] < triple[k]:
         raise AssertionError(f"no descent from {triple}")
-    parent = list(triple)
-    parent[k] = down
     return mutate_triangle(_vianna(*parent), k + 1)
 
 
@@ -455,20 +444,16 @@ def triangle_signature(t: ViannaTriangle) -> tuple:
 def girdle_data(triple, q1: int) -> tuple[LatticeVector, Rational, Rational]:
     """Primitive girdle vector, girdle affine length, and displacement for
     the ordered triple (p1, p2, p3) seen from the p1 vertex."""
-    p1, p2, p3 = triple
-    if not is_markov_triple(p1, p2, p3):
-        raise DomainError(f"{triple} is not a Markov triple")
+    p1, p2, p3 = validate_triple(triple)
     if q1 != _q_from_triple(p1, p2, p3):
         raise CompanionMismatch(
             f"q={q1} does not match the ordered triple {tuple(triple)}"
         )
-    p3p = 3 * p1 * p3 - p2
+    p3p, length, disp = _girdle(p1, p2, p3)
     num = p3p * q1 - 3 * p3
     if num % p1 != 0:
         raise AssertionError(f"girdle vector not integral for {triple}")
     vec = LatticeVector(p3p, num // p1)
-    length = Fraction(p1 * p3, p2 * p3p)
-    disp = Fraction(p3, p1)
     # independent re-derivation from the concrete moment triangle
     tri = delta_triangle(p1, q1, Fraction(p3, p1 * p2), Fraction(p3, p1 * p3p))
     a, b = tri.top, tri.apex
@@ -485,9 +470,7 @@ def visible_ellipsoid_bounds(triple, vertex: int) -> tuple[Rational, Rational, i
     """Open bounds (alpha_max, beta_max) and companion q at a triangle vertex."""
     if vertex not in (1, 2, 3):
         raise DomainError("vertex must be 1, 2 or 3")
-    p1, p2, p3 = triple
-    if not is_markov_triple(p1, p2, p3):
-        raise DomainError(f"{triple} is not a Markov triple")
+    validate_triple(triple)
     k = vertex - 1
     pi = triple[k]
     pnext = triple[(k + 1) % 3]

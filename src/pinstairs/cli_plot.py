@@ -26,7 +26,7 @@ from .atf_geometry import (
     triangle_signature,
     vianna_triangle,
 )
-from .exact_core import DomainError, RationalPoint, format_rational, parse_rational
+from .exact_core import DomainError, format_rational, parse_rational
 from .hirzebruch_jung import wahl_data
 from .intersection_theory import (
     NoCulet,

@@ -26,8 +26,8 @@ from functools import lru_cache
 from math import isqrt, prod
 
 from .exact_core import DomainError, Rational
-from .hirzebruch_jung import WahlData, hj_expand, isqrt_exact, wahl_data
-from .markov import companions, is_markov_triple
+from .hirzebruch_jung import WahlData, isqrt_exact, recognize_dual_wahl, wahl_data
+from .markov import _require_companion, companions, is_markov_triple
 
 __all__ = [
     "IntersectionLattice",
@@ -221,31 +221,20 @@ class CuletReport:
         }
 
 
-def _dual_wahl_of(s: int, q: int) -> list[int]:
-    """The reversal-dual of the Wahl chain of (s, q): chain of s^2/(s^2-sq+1)."""
-    if s == 1:
-        return []
-    return hj_expand(s * s, s * s - s * q + 1)
-
-
 def _match_flank(flank: tuple[int, ...], s: int) -> int:
-    """Return a companion q of s whose dual Wahl chain equals the flank."""
-    if s == 1:
-        if flank:
-            raise AssertionError(f"flank for a 1-entry should be empty: {flank}")
-        return 1
-    for q in sorted(companions(s).pair):
-        if _dual_wahl_of(s, q) == list(flank):
-            return q
-    raise AssertionError(f"flank {flank} is not a dual Wahl chain of {s}")
+    """Return the companion q of s whose dual Wahl chain, the chain of
+    s^2/(s^2-sq+1), equals the flank."""
+    hit = recognize_dual_wahl(list(flank))
+    if hit is None or hit[0] != s or hit[1] not in companions(s):
+        raise AssertionError(f"flank {flank} is not a dual Wahl chain of {s}")
+    return hit[1]
 
 
 def culet_report(p: int, q: int) -> CuletReport:
     if p < 2:
         raise NoCulet(f"culet scan needs p >= 2: got p={p}")
     try:
-        if q not in companions(p):
-            raise NoCulet(f"{q} is not a companion of {p}")
+        _require_companion(p, q)
     except DomainError as exc:
         raise NoCulet(str(exc)) from exc
     return _culet(p, q)
@@ -344,8 +333,7 @@ def square_zero_class_search(p: int, q: int) -> tuple[int, tuple[int, ...]]:
     """
     if p < 2:
         raise DomainError(f"search needs p >= 2: got p={p}")
-    if q not in companions(p):
-        raise DomainError(f"{q} is not a companion of {p}")
+    _require_companion(p, q)
     w = wahl_data(p, q)
     e, f, lin = _adjunction_terms(w)
     budget = 2 * p * p - (3 * p - 1)  # max of 2p^2 - c0(3p - c0) over c0 in [1, p]

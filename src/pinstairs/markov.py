@@ -28,6 +28,7 @@ __all__ = [
     "Sigma",
     "NotFound",
     "NotMarkov",
+    "CompanionMismatch",
     "is_markov_triple",
     "validate_triple",
     "mutate",
@@ -57,14 +58,18 @@ class NotMarkov(NotFound):
     """The exhaustive pruned search proved the number is not a Markov number."""
 
 
+class CompanionMismatch(DomainError):
+    """A supplied q is not in the companion pair of its p."""
+
+
 def is_markov_triple(a: int, b: int, c: int) -> bool:
     return a >= 1 and b >= 1 and c >= 1 and a * a + b * b + c * c == 3 * a * b * c
 
 
 def validate_triple(t: MarkovTriple) -> MarkovTriple:
-    """Check the Markov equation plus the classical side conditions."""
-    if len(t) != 3 or not is_markov_triple(*t):
-        raise DomainError(f"not a Markov triple: {t}")
+    """Check the Markov equation in integers plus the classical side conditions."""
+    if len(t) != 3 or not all(isinstance(x, int) for x in t) or not is_markov_triple(*t):
+        raise DomainError(f"{tuple(t)} is not a Markov triple")
     a, b, c = t
     if gcd(a, b) != 1 or gcd(b, c) != 1 or gcd(a, c) != 1:
         raise DomainError(f"Markov triple with non-coprime entries: {t}")
@@ -226,38 +231,45 @@ def is_companion(p: int, q: int, search_depth: Optional[int] = None) -> bool:
     return q in companions(p, search_depth)
 
 
-def _valley_pair(p: int, x: int, y: int) -> tuple[int, int]:
-    """Walk mutations fixing p downhill until both co-entries are minimal."""
-    while True:
-        x2 = 3 * p * y - x
-        y2 = 3 * p * x - y
-        if x2 < x:
-            x = x2
-        elif y2 < y:
-            y = y2
-        else:
-            return x, y
+def _require_companion(p: int, q: int) -> None:
+    """Raise CompanionMismatch unless q is in the companion pair of p."""
+    if q not in companions(p):
+        raise CompanionMismatch(f"{q} is not a companion of {p}")
 
 
 def canonical_triple(p: int, q: int, search_depth: Optional[int] = None) -> MarkovTriple:
-    """The triple (p, a, b) with co-entries <= p, ordered so q = 3*a*b^{-1} mod p."""
+    """The triple (p, a, b) with co-entries <= p, ordered so q = 3*a*b^{-1} mod p.
+
+    For p > 2 the search's triple is the valley of the mutations fixing p:
+    it first meets p as the mutated entry of a triple whose other two entries,
+    kept from the parent, are below p, and replacing a co-entry x < p by
+    3*p*y - x = (p^2 + y^2)/x > p only goes up.
+    """
     pair, t = _companions_from(p, search_depth)
     if q not in pair:
-        raise DomainError(f"{q} is not a companion of {p} (pair {set(pair.pair)})")
+        raise CompanionMismatch(f"{q} is not a companion of {p} (pair {set(pair.pair)})")
     if p <= 2:
         return (p, 1, 1)
-    x, y = _valley_pair(p, *_co_entries(p, t))
+    x, y = _co_entries(p, t)
     if _q_from_triple(p, x, y) == q:
         return (p, x, y)
     if _q_from_triple(p, y, x) == q:
         return (p, y, x)
-    raise AssertionError(f"valley pair {x},{y} matches neither companion of {p}")
+    raise AssertionError(f"co-entries {x},{y} match neither companion of {p}")
 
 
 def _corner(pi: int, pj: int, pk: int) -> Fraction:
     """The box corner p_j/(p_i*p_k) of a Markov triple: a staircase box side,
-    an obstruction corner, a visible bound or a packing bound."""
+    an obstruction corner, a visible bound, a packing bound or a Vianna edge."""
     return Fraction(pj, pi * pk)
+
+
+def _girdle(p1: int, p2: int, p3: int) -> tuple[int, Fraction, Fraction]:
+    """The girdle of the Markov triple (p1, p2, p3) seen from p1: the mutated
+    entry p3' = 3*p1*p3 - p2, the girdle length p1*p3/(p2*p3') and the
+    displacement p3/p1."""
+    p3p = 3 * p1 * p3 - p2
+    return p3p, Fraction(p1 * p3, p2 * p3p), Fraction(p3, p1)
 
 
 class _Branch:

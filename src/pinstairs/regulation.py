@@ -45,7 +45,7 @@ from typing import Iterable, Optional, Union
 from .exact_core import DomainError
 from .hirzebruch_jung import is_zero_continued_fraction, recognize_dual_wahl
 from .intersection_theory import culet_report
-from .markov import companions
+from .markov import _require_companion
 
 __all__ = [
     "DualGraph",
@@ -347,8 +347,7 @@ def _flank_ruling(chain, positions) -> tuple[DualGraph, int]:
 def predict_regulation(p: int, q: int) -> RegulationPrediction:
     if p < 2:
         raise DomainError(f"prediction needs p >= 2: got p={p}")
-    if q not in companions(p):
-        raise DomainError(f"{q} is not a companion of {p}")
+    _require_companion(p, q)
     rep = culet_report(p, q)
     chain = list(rep.left_flank) + [rep.manetti_weight] + list(rep.right_flank)
     i = rep.culet_index

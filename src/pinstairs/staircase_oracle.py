@@ -31,13 +31,16 @@ from typing import Optional
 from .exact_core import DomainError, Rational, format_rational
 from .intersection_theory import NoCommonTriple, two_ball_degree
 from .markov import (
+    CompanionMismatch,
     _Branch,
     _corner,
     _family,
+    _girdle,
+    _require_companion,
     _sigma_compare,
     canonical_triple,
-    companions,
     is_markov_triple,
+    validate_triple,
 )
 
 __all__ = [
@@ -54,10 +57,6 @@ __all__ = [
     "three_ball_feasible",
     "obstruction_certificate",
 ]
-
-
-class CompanionMismatch(DomainError):
-    """A supplied q is not in the companion pair of its p."""
 
 
 @dataclass(frozen=True)
@@ -204,10 +203,8 @@ def two_ball_feasible(p1: int, q1: int, alpha1: Rational,
     alpha1, alpha2 = Fraction(alpha1), Fraction(alpha2)
     if alpha1 <= 0 or alpha2 <= 0:
         raise DomainError("ball widths must be positive")
-    if q1 not in companions(p1):
-        raise CompanionMismatch(f"{q1} is not a companion of {p1}")
-    if q2 not in companions(p2):
-        raise CompanionMismatch(f"{q2} is not a companion of {p2}")
+    _require_companion(p1, q1)
+    _require_companion(p2, q2)
     try:
         p3 = two_ball_degree(p1, p2)
     except NoCommonTriple:
@@ -251,16 +248,13 @@ class ThreeBallReport:
 
 
 def three_ball_feasible(triple, alphas, qs=None) -> ThreeBallReport:
-    p1, p2, p3 = triple
-    if not is_markov_triple(p1, p2, p3):
-        raise DomainError(f"{triple} is not a Markov triple")
+    p1, p2, p3 = validate_triple(triple)
     a = [Fraction(x) for x in alphas]
     if len(a) != 3 or any(x <= 0 for x in a):
         raise DomainError("need three positive ball widths")
     if qs is not None:
         for p, q in zip(triple, qs):
-            if q not in companions(p):
-                raise CompanionMismatch(f"{q} is not a companion of {p}")
+            _require_companion(p, q)
     bounds = {
         (1, 2): _corner(p1, p3, p2),
         (1, 3): _corner(p1, p2, p3),
@@ -298,13 +292,11 @@ def obstruction_certificate(p: int, q: int, i: int) -> ObstructionCertificate:
     br = _family(p, q)
     p1, p2, p3 = p, br[i + 1], br[i]
     if not is_markov_triple(p1, p2, p3):
-        raise DomainError(f"index {i} does not give a Markov triple for ({p},{q})")
-    p3p = 3 * p1 * p3 - p2
+        raise AssertionError(f"index {i} does not give a Markov triple for ({p},{q})")
+    p3p, length, disp = _girdle(p1, p2, p3)
     if p3p != br[i - 1]:
         raise AssertionError("mutated third entry disagrees with the branch")
     s = Fraction(-p2 * p3p, p1 * p1)
-    length = Fraction(p1 * p3, p2 * p3p)
-    disp = Fraction(p3, p1)
     if s * length + disp != 0:
         raise AssertionError(f"certificate identity fails at ({p},{q},{i})")
     return ObstructionCertificate(p, q, i, (p1, p2, p3), p3p, s, length, disp)

@@ -212,3 +212,79 @@ VIANNA_CULET_DIGEST_DEPTH_8 = "d597d5f442c11b96b7459fda97c7aa437c25147699c5d6e2a
 # --- markov numbers up to 1000 ---
 
 MARKOV_NUMBERS_1000 = [1, 2, 5, 13, 29, 34, 89, 169, 194, 233, 433, 610, 985]
+
+# --- public API: the names each module exports, none of which may disappear ---
+
+PUBLIC_API = {
+    "pinstairs": frozenset({
+        "BranchSequence", "CompanionMismatch", "CompanionPair", "CuletReport",
+        "DomainError", "DualGraph", "EmbeddingVerdict", "GirdleViolated",
+        "GirdledTriangle", "HJChain", "HomologyClass", "INFINITY",
+        "IntersectionLattice", "LatticeVector", "MultipleCulets", "MultiplePositions",
+        "NoCommonTriple", "NoCulet", "NoPosition", "NotDelzant", "NotFound",
+        "NotMarkov", "ObstructionCertificate", "PavilionEdge", "PavilionPolygon",
+        "Rational", "RationalPoint", "RegulationPrediction", "Sigma", "StairBox",
+        "ThreeBallReport", "TreeEntry", "TwoBallReport", "ViannaTriangle", "WahlData",
+        "affine_length", "atf_geometry", "attach_position", "blow_down",
+        "blow_down_all", "blow_up", "branch_sequence", "canonical_class",
+        "canonical_triple", "chain_graph", "class_pairing", "class_square",
+        "coefficients_from_intersections", "companions", "compare_to_sigma",
+        "culet_report", "cut_segment", "delta_triangle", "discrepancies", "dot",
+        "dual_chain", "embeds", "enumerate_adjunction_solutions", "enumerate_tree",
+        "exact_core", "exceptional_class", "fan_rays", "format_rational", "girdle_data",
+        "hirzebruch_jung", "hj_eval", "hj_expand", "intersection_matrix",
+        "intersection_theory", "inverse_closed_form", "is_companion",
+        "is_markov_number", "is_markov_triple", "is_negative_definite",
+        "is_ruling_degeneration", "is_zero_continued_fraction", "markov", "mutate",
+        "mutate_triangle", "obstruction_certificate", "parse_rational",
+        "pavilion_polygon", "pin_ball_capacity", "predict_regulation", "primitive_part",
+        "recognize_dual_wahl", "regulation", "sigma_p", "square_zero_class_search",
+        "stair_boxes", "staircase_oracle", "standard_triangle", "three_ball_feasible",
+        "tree_to_json", "triangle_signature", "two_ball_degree", "two_ball_feasible",
+        "vianna_triangle", "visible_ellipsoid_bounds", "wahl_data", "wedge",
+        "zero_sphere"
+    }),
+    "pinstairs.exact_core": frozenset({
+        "DomainError", "LatticeVector", "Rational", "RationalPoint", "affine_length",
+        "dot", "format_rational", "parse_rational", "primitive_part", "wedge"
+    }),
+    "pinstairs.markov": frozenset({
+        "BranchSequence", "CompanionMismatch", "CompanionPair", "MarkovTriple",
+        "NotFound", "NotMarkov", "Sigma", "TreeEntry", "branch_sequence",
+        "canonical_triple", "companions", "enumerate_tree", "is_companion",
+        "is_markov_number", "is_markov_triple", "mutate", "sigma_p", "tree_to_json",
+        "validate_triple"
+    }),
+    "pinstairs.hirzebruch_jung": frozenset({
+        "HJChain", "INFINITY", "WahlData", "dual_chain", "hj_eval",
+        "hj_eval_projective", "hj_expand", "is_zero_continued_fraction",
+        "recognize_dual_wahl", "wahl_data"
+    }),
+    "pinstairs.intersection_theory": frozenset({
+        "CuletReport", "HomologyClass", "IntersectionLattice", "MultipleCulets",
+        "NoCommonTriple", "NoCulet", "canonical_class", "class_pairing", "class_square",
+        "coefficients_from_intersections", "culet_report", "discrepancies",
+        "enumerate_adjunction_solutions", "exceptional_class", "intersection_matrix",
+        "inverse_closed_form", "is_negative_definite", "square_zero_class_search",
+        "two_ball_degree"
+    }),
+    "pinstairs.staircase_oracle": frozenset({
+        "CompanionMismatch", "EmbeddingVerdict", "ObstructionCertificate", "StairBox",
+        "ThreeBallReport", "TwoBallReport", "embeds", "obstruction_certificate",
+        "pin_ball_capacity", "stair_boxes", "three_ball_feasible", "two_ball_feasible"
+    }),
+    "pinstairs.atf_geometry": frozenset({
+        "GirdleViolated", "GirdledTriangle", "NotDelzant", "PavilionPolygon",
+        "ViannaTriangle", "cut_segment", "delta_triangle", "fan_rays", "girdle_data",
+        "mutate_triangle", "pavilion_polygon", "standard_triangle",
+        "triangle_signature", "vianna_triangle", "visible_ellipsoid_bounds"
+    }),
+    "pinstairs.regulation": frozenset({
+        "DualGraph", "MultiplePositions", "NoPosition", "RegulationPrediction",
+        "attach_position", "blow_down", "blow_down_all", "blow_up", "chain_graph",
+        "is_ruling_degeneration", "predict_regulation", "zero_sphere"
+    }),
+    "pinstairs.cli_plot": frozenset({
+        "RenderSpec", "main", "render_base_diagram", "render_staircase", "run"
+    }),
+}

@@ -26,7 +26,7 @@ from pinstairs.exact_core import DomainError, affine_length, wedge
 from pinstairs.intersection_theory import culet_report
 from pinstairs.markov import enumerate_tree
 from pinstairs.regulation import predict_regulation
-from pinstairs.staircase_oracle import CompanionMismatch
+from pinstairs.staircase_oracle import CompanionMismatch, three_ball_feasible
 
 from .frozen import FAN_RAYS, GIRDLES, VISIBLE_BOUNDS
 
@@ -312,6 +312,17 @@ def test_girdle_data_rejects_wrong_companion():
         girdle_data((5, 2, 1), 4)  # q=4 pairs with the (5,1,2) ordering
     with pytest.raises(DomainError):
         girdle_data((5, 2, 2), 1)
+
+
+@pytest.mark.parametrize("triple", [(5, 2), (5, 2, 1, 1), (5.0, 2.0, 1.0)])
+@pytest.mark.parametrize("call", [
+    lambda t: girdle_data(t, 1),
+    lambda t: visible_ellipsoid_bounds(t, 1),
+    lambda t: three_ball_feasible(t, (F(1, 10),) * 3),
+], ids=["girdle_data", "visible_ellipsoid_bounds", "three_ball_feasible"])
+def test_a_triple_of_the_wrong_shape_is_a_domain_error(call, triple):
+    with pytest.raises(DomainError, match=re.escape(f"{triple} is not a Markov triple")):
+        call(list(triple))
 
 
 @pytest.mark.parametrize("key,expected", sorted(VISIBLE_BOUNDS.items()))

@@ -406,3 +406,15 @@ def test_refused_inputs_leave_no_cache_entry_and_caches_stay_bounded():
         culet_report(p, q)
     assert wahl_cache.cache_info().currsize == WAHL_CACHE_SIZE
     assert culet_cache.cache_info().currsize == CULET_CACHE_SIZE
+
+
+def test_a_flank_matches_only_a_dual_wahl_chain_of_its_own_number_and_companion():
+    match = intersection_theory._match_flank
+    assert match((), 1) == 1
+    assert match((2, 2, 2), 2) == 1
+    assert match((2, 2, 2, 2, 2, 5), 5) == 1
+    assert match((5, 2, 2, 2, 2, 2), 5) == 4
+    # the dual of (2, 1) under s = 5, of the non-companion (5, 2), and no dual chain
+    for flank, s in [((2, 2, 2), 5), ((2, 3, 2, 2, 3), 5), ((2,), 1), ((3, 2), 2)]:
+        with pytest.raises(AssertionError, match="is not a dual Wahl chain"):
+            match(flank, s)

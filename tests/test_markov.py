@@ -381,3 +381,18 @@ def test_sigma_squeeze_by_branch_ratios():
         if last is not None:
             assert r > last
         last = r
+
+
+def test_the_search_meets_each_markov_number_at_the_valley_of_its_mutations():
+    # canonical_triple reads its co-entries from the searched triple unmoved:
+    # p is its strict maximum, so each mutation fixing p goes up
+    numbers = sorted({x for e in enumerate_tree(10) for x in e.triple if x > 2})
+    assert len(numbers) == 511
+    for p in numbers:
+        t, cut = markov._tree_search(p, None)
+        co = list(t)
+        co.remove(p)
+        assert not cut and max(co) < p
+        for q in companions(p).pair:
+            _, x, y = canonical_triple(p, q)
+            assert 3 * p * y - x > x and 3 * p * x - y > y

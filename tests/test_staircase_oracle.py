@@ -199,6 +199,18 @@ def test_a_corrupt_term_fails_the_box_check_on_first_build():
         markov._family.cache_clear()
 
 
+def test_a_corrupt_term_fails_the_certificate_self_check():
+    # _family refuses a bad p or q, so only a corrupt branch reaches this check
+    markov._family.cache_clear()
+    try:
+        br = markov._family(5, 1)
+        br.values[1] = br[1] + 1
+        with pytest.raises(AssertionError, match="index 0 does not give a Markov triple"):
+            obstruction_certificate(5, 1, 0)
+    finally:
+        markov._family.cache_clear()
+
+
 def test_a_corrupt_corner_fails_the_volume_check_on_first_build(monkeypatch):
     markov._family.cache_clear()
     monkeypatch.setattr(staircase_oracle, "_corner", lambda pi, pj, pk: Fraction(pj + 1, pi * pk))
