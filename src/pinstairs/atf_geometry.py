@@ -14,7 +14,6 @@ triangles of one process share are mutated and validated once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -25,6 +24,7 @@ from .exact_core import (
     Rational,
     RationalPoint,
     _clear_denominators,
+    _Record,
     _primitive_direction,
     affine_length,
     format_rational,
@@ -81,12 +81,18 @@ def _direction(a: RationalPoint, b: RationalPoint) -> LatticeVector:
     return v
 
 
-@dataclass(frozen=True)
-class GirdledTriangle:
+class GirdledTriangle(_Record):
+    __slots__ = ("p", "q", "alpha", "beta")
     p: int
     q: int
     alpha: Rational
     beta: Rational
+
+    def __init__(self, p: int, q: int, alpha: Rational, beta: Rational):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     @property
     def origin(self) -> RationalPoint:
@@ -196,20 +202,33 @@ def _clip(loop: list[RationalPoint], n: LatticeVector, c: Rational) -> list[Rati
     return dedup
 
 
-@dataclass(frozen=True)
-class PavilionEdge:
+class PavilionEdge(_Record):
+    __slots__ = ("label", "start", "end", "length")
     label: str  # "rho_<i>" or "girdle"
     start: RationalPoint
     end: RationalPoint
     length: Rational
 
+    def __init__(self, label: str, start: RationalPoint, end: RationalPoint, length: Rational):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "length", length)
 
-@dataclass(frozen=True)
-class PavilionPolygon:
+
+class PavilionPolygon(_Record):
+    __slots__ = ("base", "offsets", "vertices", "edges")
     base: GirdledTriangle
     offsets: tuple[Rational, ...]
     vertices: tuple[RationalPoint, ...]
     edges: tuple[PavilionEdge, ...]
+
+    def __init__(self, base: GirdledTriangle, offsets: tuple[Rational, ...],
+                 vertices: tuple[RationalPoint, ...], edges: tuple[PavilionEdge, ...]):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
 
     def edge_lengths(self) -> dict:
         return {e.label: e.length for e in self.edges}
@@ -273,8 +292,7 @@ def pavilion_polygon(base: GirdledTriangle, offsets) -> PavilionPolygon:
     return PavilionPolygon(base, offsets, tuple(loop), tuple(edges))
 
 
-@dataclass(frozen=True)
-class ViannaTriangle:
+class ViannaTriangle(_Record):
     """A concrete base diagram with vertex numbers (p1, p2, p3).
 
     The vertex at position i has determinant p_i^2, the opposite edge has
@@ -282,10 +300,20 @@ class ViannaTriangle:
     direction at vertex i.  history records the mutation word from (1,1,1).
     """
 
+    __slots__ = ("triple", "points", "cuts", "history")
     triple: tuple[int, int, int]
     points: tuple[RationalPoint, RationalPoint, RationalPoint]
     cuts: tuple[LatticeVector, LatticeVector, LatticeVector]
-    history: tuple[int, ...] = ()
+    history: tuple[int, ...]
+
+    def __init__(self, triple: tuple[int, int, int],
+                 points: tuple[RationalPoint, RationalPoint, RationalPoint],
+                 cuts: tuple[LatticeVector, LatticeVector, LatticeVector],
+                 history: tuple[int, ...] = ()):
+        object.__setattr__(self, "triple", triple)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "cuts", cuts)
+        object.__setattr__(self, "history", history)
 
     def area(self) -> Rational:
         v0, v1, v2 = self.points

@@ -4,47 +4,21 @@ All numeric CLI arguments use the exact a/b syntax; decimals are rejected so
 nothing is ever silently rounded.  SVG output keeps every coordinate as a
 Fraction until the final string formatting (6 significant digits), making
 documents byte-for-byte reproducible.
+
+Each command imports the modules it uses when it runs, so a process loads
+only those: `markov tree` loads `markov` alone, `wahl` adds the chain and
+lattice modules, and only `--json` loads `json`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .atf_geometry import (
-    GirdledTriangle,
-    PavilionPolygon,
-    ViannaTriangle,
-    cut_segment,
-    delta_triangle,
-    pavilion_polygon,
-    triangle_signature,
-    vianna_triangle,
-)
-from .exact_core import DomainError, format_rational, parse_rational
-from .hirzebruch_jung import wahl_data
-from .intersection_theory import (
-    NoCulet,
-    culet_report,
-    discrepancies,
-    intersection_matrix,
-    inverse_closed_form,
-)
-from .markov import (branch_sequence, companions, compare_to_sigma, enumerate_tree, is_companion,
-                     sigma_p, tree_to_json)
-from .regulation import predict_regulation
-from .staircase_oracle import (
-    embeds,
-    pin_ball_capacity,
-    stair_boxes,
-    three_ball_feasible,
-    two_ball_feasible,
-)
+from .exact_core import DomainError, _Record, format_rational, parse_rational
 
 __all__ = ["run", "main", "RenderSpec", "render_staircase", "render_base_diagram"]
 
@@ -70,9 +44,10 @@ MAX_PRINTED_TREE_DEPTH = 17
 # grow linearly with the index, so the file grows as the square of `--steps`.
 # Measured with Python 3.11 on 2 vCPUs: 6 000 steps write 17 MB for (1, 1) in
 # 2.0 s, 30 MB for (2, 1) in 3.7 s and 44 MB for (5, 1) in 7.4 s; (1, 1) would
-# write 64 MB at 12 000.  For p >= 13 the int/str digit limit refuses a window
-# first: (13, 2) writes 48 MB at 5 400 steps, the most under the default limit.
-# More steps are refused.
+# write 64 MB at 12 000.  More steps are refused.  The terms of a larger p gain
+# more digits per step, so a window is also refused when its labels could
+# print more digits than those of (5, 1) at this many steps (see
+# _label_digits): 3 000 steps of (7453378, 1807955) would write 67 MB.
 MAX_STAIR_STEPS = 6000
 
 
@@ -92,24 +67,30 @@ def _rational_list(text: str) -> list[Fraction]:
 FMT = "%.6g"
 
 
-@dataclass(frozen=True)
-class RenderSpec:
+class RenderSpec(_Record):
     """What to draw and how: world window, pixel scale, staircase steps."""
 
+    __slots__ = ("kind", "window", "path", "scale", "steps")
     kind: str  # "staircase" | "base_diagram" | "markov_tree"
     window: tuple[Fraction, Fraction, Fraction, Fraction]  # xmin,xmax,ymin,ymax
-    path: Optional[str] = None
-    scale: int = 160
-    steps: int = 1
+    path: Optional[str]
+    scale: int
+    steps: int
 
-    def __post_init__(self):
-        xmin, xmax, ymin, ymax = self.window
+    def __init__(self, kind: str, window: tuple[Fraction, Fraction, Fraction, Fraction],
+                 path: Optional[str] = None, scale: int = 160, steps: int = 1):
+        xmin, xmax, ymin, ymax = window
         if not (xmax > xmin and ymax > ymin):
             raise DomainError("render window must have positive extent")
-        if self.steps < 1:
+        if steps < 1:
             raise DomainError("step count must be >= 1")
-        if self.scale < 1:
+        if scale < 1:
             raise DomainError("scale must be >= 1")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "steps", steps)
 
 
 class _Canvas:
@@ -181,11 +162,48 @@ def _steps_window(steps: int) -> tuple[int, int]:
     return -((steps - 1) // 2), steps // 2
 
 
+def _label_digits(p: int, steps: int) -> int:
+    """An upper bound on the digits that the box labels of a `steps` window of
+    a branch of p print, from integer bit lengths alone.
+
+    Box i prints m_{i+1}/(p*m_i) and m_i/(p*m_{i+1}), in lowest terms as the
+    entries of a Markov triple are coprime.  The valley terms are at most p
+    and m_{k+1} = 3p*m_k - m_{k-1} < 3p*m_k, so m_j <= (3p)^(|j|+1), and the
+    four numbers of box i have at most (2|i| + 2|i+1| + 6)*log2(3p) bits
+    together, so at most that times log10(2), plus 4, digits.  With
+    2^a >= (3p)^1024, summing |j| over the window in closed form gives the
+    bound; (3p)^1024 is not expanded for a 3p of more than 64 bits.
+    """
+    lo, hi = _steps_window(steps)
+    n = 3 * p
+    shift = max(n.bit_length() - 64, 0)
+    if shift:  # 3p rounded up to 64 bits
+        n = (n >> shift) + 1
+    a = (n ** 1024).bit_length() + 1024 * shift
+
+    def ramp(k):  # 1 + 2 + ... + k
+        return k * (k + 1) // 2
+
+    bits_1024 = a * (2 * (ramp(-lo) + ramp(-lo - 1) + ramp(hi) + ramp(hi + 1)) + 6 * steps)
+    return -(-bits_1024 * 30103 // (1024 * 100000)) + 4 * steps  # log10(2) < 0.30103
+
+
+# the most label digits a `stair --svg` window may print
+MAX_STAIR_LABEL_DIGITS = _label_digits(5, MAX_STAIR_STEPS)
+
+
 def render_staircase(p: int, q: int, spec: RenderSpec) -> str:
+    from .markov import is_companion, sigma_p
+    from .staircase_oracle import stair_boxes
+
     lo, hi = _steps_window(spec.steps)
     _refuse_past_digit_limit(p, q, lo, hi + 1)  # box i reads m_i and m_{i+1}
     if spec.steps > MAX_STAIR_STEPS:
         raise DomainError(f"step count {spec.steps} outside [1, {MAX_STAIR_STEPS}]")
+    # a p that is not Markov, or a q that is not its companion, is named as such
+    if _label_digits(p, spec.steps) > MAX_STAIR_LABEL_DIGITS and is_companion(p, q):
+        raise DomainError(f"{spec.steps} steps of a branch of {p} could print more than "
+                          f"{MAX_STAIR_LABEL_DIGITS} label digits")
     boxes = stair_boxes(p, q, lo, hi)
     sig = sigma_p(p)
     canvas = _Canvas(spec)
@@ -236,6 +254,8 @@ def render_base_diagram(shape, spec: Optional[RenderSpec] = None, scale: int = 1
     Toric edges are solid, girdles long-dashed, branch cuts short-dashed
     with an x marker at the node; determinant-1 vertices get no cut.
     """
+    from .atf_geometry import GirdledTriangle, PavilionPolygon, ViannaTriangle, cut_segment
+
     if isinstance(shape, GirdledTriangle):
         edges = [(shape.origin, shape.apex, "solid"),
                  (shape.apex, shape.top, "girdle"),
@@ -275,10 +295,14 @@ def _write(path: str, text: str) -> None:
 
 
 def _json_print(obj) -> None:
+    import json
+
     print(json.dumps(obj, sort_keys=True))
 
 
 def cmd_markov_tree(args) -> int:
+    from .markov import enumerate_tree, tree_to_json
+
     entries = enumerate_tree(args.depth, MAX_PRINTED_TREE_DEPTH)
     if args.json:
         _json_print(tree_to_json(entries))
@@ -292,6 +316,8 @@ def cmd_markov_tree(args) -> int:
 
 
 def cmd_markov_companions(args) -> int:
+    from .markov import companions
+
     pair = companions(args.p, args.depth)
     inner = ", ".join(str(q) for q in sorted(pair.pair))
     print(f"q ∈ {{{inner}}}")
@@ -332,6 +358,8 @@ def _refuse_past_digit_limit(p: int, q: int, lo: int, hi: int) -> None:
     before computing any term.  A p that is not Markov is refused as such by
     is_companion; an empty window or a q that is not a companion is left to
     the caller, which names that fault."""
+    from .markov import is_companion
+
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if (limit and lo <= hi and is_companion(p, q)
             and max(-lo, hi) >= _branch_reach(p, limit)):
@@ -339,6 +367,8 @@ def _refuse_past_digit_limit(p: int, q: int, lo: int, hi: int) -> None:
 
 
 def cmd_markov_branch(args) -> int:
+    from .markov import branch_sequence
+
     _refuse_past_digit_limit(args.p, args.q, args.lo, args.hi)
     seq = branch_sequence(args.p, args.q, args.lo, args.hi)
     try:
@@ -350,6 +380,10 @@ def cmd_markov_branch(args) -> int:
 
 
 def cmd_wahl(args) -> int:
+    from .hirzebruch_jung import wahl_data
+    from .intersection_theory import (NoCulet, culet_report, discrepancies, intersection_matrix,
+                                      inverse_closed_form)
+
     w = wahl_data(args.p, args.q)
     if w.m > MAX_TABLE_CHAIN:
         raise DomainError(f"the chain of ({w.p},{w.q}) has {w.m} entries; the matrix and "
@@ -393,6 +427,9 @@ def cmd_wahl(args) -> int:
 
 
 def cmd_stair(args) -> int:
+    from .markov import compare_to_sigma, sigma_p
+    from .staircase_oracle import embeds
+
     if args.svg:
         sig = sigma_p(args.p)
         hi = Fraction(float(sig)) * Fraction(21, 20)
@@ -422,6 +459,8 @@ def cmd_stair(args) -> int:
 
 
 def cmd_capacity(args) -> int:
+    from .staircase_oracle import pin_ball_capacity
+
     print(format_rational(pin_ball_capacity(args.p, args.q)))
     return 0
 
@@ -430,6 +469,8 @@ _PACK_SHOW = {"alpha1": "alpha1", "alpha2": "alpha2", "sum": "alpha1+alpha2"}
 
 
 def cmd_pack_two(args) -> int:
+    from .staircase_oracle import two_ball_feasible
+
     rep = two_ball_feasible(args.p1, args.q1, args.a1, args.p2, args.q2, args.a2)
     if rep.answer == "unknown":
         print("unknown (the two Markov numbers share no triple; "
@@ -453,6 +494,8 @@ def cmd_pack_two(args) -> int:
 
 
 def cmd_pack_three(args) -> int:
+    from .staircase_oracle import three_ball_feasible
+
     rep = three_ball_feasible((args.p1, args.p2, args.p3),
                               (args.a1, args.a2, args.a3),
                               (args.q1, args.q2, args.q3))
@@ -473,6 +516,8 @@ def cmd_pack_three(args) -> int:
 
 
 def cmd_atf_delta(args) -> int:
+    from .atf_geometry import PavilionPolygon, delta_triangle, pavilion_polygon
+
     tri = delta_triangle(args.p, args.q, args.alpha, args.beta)
     shape = tri
     if args.pavilion is not None:
@@ -495,6 +540,8 @@ def cmd_atf_delta(args) -> int:
 
 
 def cmd_atf_vianna(args) -> int:
+    from .atf_geometry import triangle_signature, vianna_triangle
+
     t = vianna_triangle(args.p1, args.p2, args.p3)
     if args.svg:
         _write(args.svg, render_base_diagram(t))
@@ -512,6 +559,8 @@ def cmd_atf_vianna(args) -> int:
 
 
 def cmd_regulation(args) -> int:
+    from .regulation import predict_regulation
+
     pred = predict_regulation(args.p, args.q)
     if args.json:
         _json_print(pred.to_json())

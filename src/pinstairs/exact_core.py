@@ -7,9 +7,9 @@ point is allowed only at display boundaries (CLI formatting, SVG emission).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 
 Rational = Fraction
 
@@ -31,16 +31,60 @@ class DomainError(ValueError):
     """A structurally valid request whose arguments violate a domain contract."""
 
 
-@dataclass(frozen=True)
-class LatticeVector:
+class _Record:
+    """Base of the frozen result classes.
+
+    A subclass names its fields, in order, in `__slots__` and sets them in its
+    own `__init__` with `object.__setattr__`; no field can be set or deleted
+    afterwards.  Equality (same class, equal fields), hashing and `repr` read
+    the fields as those of a frozen dataclass do.  Building the class costs
+    no more than a plain class, where `dataclasses` spends about a
+    millisecond on each one at import.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__slots__)
+        cls._values = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # pickle and copy restore the slots through here
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class LatticeVector(_Record):
     """An integer vector in the plane."""
 
+    __slots__ = ("x", "y")
     x: int
     y: int
 
-    def __post_init__(self):
-        if not (isinstance(self.x, int) and isinstance(self.y, int)):
-            raise DomainError(f"lattice vector needs integer entries: {self.x}, {self.y}")
+    def __init__(self, x: int, y: int):
+        if not (isinstance(x, int) and isinstance(y, int)):
+            raise DomainError(f"lattice vector needs integer entries: {x}, {y}")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     def __add__(self, other: "LatticeVector") -> "LatticeVector":
         return LatticeVector(self.x + other.x, self.y + other.y)
@@ -63,12 +107,16 @@ class LatticeVector:
         return (self.x, self.y)
 
 
-@dataclass(frozen=True)
-class RationalPoint:
+class RationalPoint(_Record):
     """A point of the plane with exact rational coordinates."""
 
+    __slots__ = ("x", "y")
     x: Rational
     y: Rational
+
+    def __init__(self, x: Rational, y: Rational):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     def __add__(self, other: "RationalPoint") -> "RationalPoint":
         return RationalPoint(self.x + other.x, self.y + other.y)

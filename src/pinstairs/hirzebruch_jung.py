@@ -8,12 +8,11 @@ continued fractions, which are exactly the chains evaluating to 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .exact_core import DomainError
+from .exact_core import DomainError, _Record
 
 __all__ = [
     "INFINITY",
@@ -114,8 +113,7 @@ def is_zero_continued_fraction(entries: HJChain) -> bool:
     return num == 0
 
 
-@dataclass(frozen=True)
-class WahlData:
+class WahlData(_Record):
     """The chain of p^2/(pq-1) together with its e/f companion sequences.
 
     e and f satisfy the same three-term recursion x_{i+1} = b_i*x_i - x_{i-1}
@@ -123,11 +121,20 @@ class WahlData:
     and e_i*f_{i-1} - e_{i-1}*f_i = p^2 throughout.
     """
 
+    __slots__ = ("p", "q", "chain", "e", "f")
     p: int
     q: int
     chain: tuple[int, ...]
     e: tuple[int, ...]
     f: tuple[int, ...]
+
+    def __init__(self, p: int, q: int, chain: tuple[int, ...], e: tuple[int, ...],
+                 f: tuple[int, ...]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "f", f)
 
     @property
     def m(self) -> int:

@@ -20,12 +20,11 @@ over 0/1 vectors chi exactly, which forces the Markov relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, prod
 
-from .exact_core import DomainError, Rational
+from .exact_core import DomainError, Rational, _Record
 from .hirzebruch_jung import WahlData, isqrt_exact, recognize_dual_wahl, wahl_data
 from .markov import _require_companion, companions, is_markov_triple
 
@@ -111,11 +110,14 @@ def discrepancies(w: WahlData) -> list[Rational]:
     return out
 
 
-@dataclass(frozen=True)
-class IntersectionLattice:
+class IntersectionLattice(_Record):
     """One or more disjoint Wahl chains plus the shared line class scale."""
 
+    __slots__ = ("chains",)
     chains: tuple[WahlData, ...]
+
+    def __init__(self, chains: tuple[WahlData, ...]):
+        object.__setattr__(self, "chains", chains)
 
     @property
     def delta(self) -> int:
@@ -125,12 +127,16 @@ class IntersectionLattice:
         return [intersection_matrix(w) for w in self.chains]
 
 
-@dataclass(frozen=True)
-class HomologyClass:
+class HomologyClass(_Record):
     """a0 * E + per-chain curve combinations, E = (1/Delta) * line class."""
 
+    __slots__ = ("a0", "parts")
     a0: Rational
     parts: tuple[tuple[Rational, ...], ...]
+
+    def __init__(self, a0: Rational, parts: tuple[tuple[Rational, ...], ...]):
+        object.__setattr__(self, "a0", a0)
+        object.__setattr__(self, "parts", parts)
 
 
 def _chain_pairing(w: WahlData, a: tuple, b: tuple) -> Rational:
@@ -195,8 +201,9 @@ def coefficients_from_intersections(w: WahlData, chi) -> list[Rational]:
     return out
 
 
-@dataclass(frozen=True)
-class CuletReport:
+class CuletReport(_Record):
+    __slots__ = ("p", "q", "culet_index", "p2", "p3", "manetti_weight", "left_flank",
+                 "right_flank", "left_q", "right_q")
     p: int
     q: int
     culet_index: int  # 1-based position in the chain
@@ -207,6 +214,20 @@ class CuletReport:
     right_flank: tuple[int, ...]
     left_q: int  # Wahl parameter whose dual chain is the left flank
     right_q: int
+
+    def __init__(self, p: int, q: int, culet_index: int, p2: int, p3: int, manetti_weight: int,
+                 left_flank: tuple[int, ...], right_flank: tuple[int, ...], left_q: int,
+                 right_q: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "culet_index", culet_index)
+        object.__setattr__(self, "p2", p2)
+        object.__setattr__(self, "p3", p3)
+        object.__setattr__(self, "manetti_weight", manetti_weight)
+        object.__setattr__(self, "left_flank", left_flank)
+        object.__setattr__(self, "right_flank", right_flank)
+        object.__setattr__(self, "left_q", left_q)
+        object.__setattr__(self, "right_q", right_q)
 
     @property
     def triple(self) -> tuple[int, int, int]:

@@ -11,14 +11,13 @@ staircase range and is handled exactly through its minimal polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import gcd, isqrt
+from math import isqrt
 from typing import Iterator, Optional
 
-from .exact_core import DomainError, Rational
+from .exact_core import DomainError, Rational, _Record
 
 __all__ = [
     "MarkovTriple",
@@ -67,14 +66,17 @@ def is_markov_triple(a: int, b: int, c: int) -> bool:
 
 
 def validate_triple(t: MarkovTriple) -> MarkovTriple:
-    """Check the Markov equation in integers plus the classical side conditions."""
+    """Check the Markov equation in integers.
+
+    The classical side conditions follow from it and are not tested again.
+    The entries are pairwise coprime: a mutation keeps the gcd of each pair,
+    as gcd(a, 3ab - c) = gcd(a, c), and every positive solution descends by
+    mutations to (1, 1, 1).  No entry is divisible by 3: a square is 0 or 1
+    mod 3, so a^2 + b^2 + c^2 = 0 mod 3 needs all three entries or none
+    divisible by 3, and all three would make the pairs share the factor 3.
+    """
     if len(t) != 3 or not all(isinstance(x, int) for x in t) or not is_markov_triple(*t):
         raise DomainError(f"{tuple(t)} is not a Markov triple")
-    a, b, c = t
-    if gcd(a, b) != 1 or gcd(b, c) != 1 or gcd(a, c) != 1:
-        raise DomainError(f"Markov triple with non-coprime entries: {t}")
-    if a % 3 == 0 or b % 3 == 0 or c % 3 == 0:
-        raise DomainError(f"Markov entry divisible by 3: {t}")
     return t
 
 
@@ -88,11 +90,16 @@ def mutate(t: MarkovTriple, index: int) -> MarkovTriple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class TreeEntry:
+class TreeEntry(_Record):
+    __slots__ = ("triple", "parent", "mutated")
     triple: MarkovTriple  # canonical sorted representative
     parent: Optional[int]  # index into the enumeration list
     mutated: Optional[int]  # which position of the parent was mutated
+
+    def __init__(self, triple: MarkovTriple, parent: Optional[int], mutated: Optional[int]):
+        object.__setattr__(self, "triple", triple)
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "mutated", mutated)
 
 
 def _tree_levels(expand=None) -> Iterator[list[tuple[MarkovTriple, MarkovTriple, int]]]:
@@ -177,11 +184,16 @@ def is_markov_number(p: int) -> bool:
     return _search_triple_with(p, None) is not None
 
 
-@dataclass(frozen=True)
-class CompanionPair:
+class CompanionPair(_Record):
+    __slots__ = ("p", "q_plus", "q_minus")
     p: int
     q_plus: int
     q_minus: int
+
+    def __init__(self, p: int, q_plus: int, q_minus: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q_plus", q_plus)
+        object.__setattr__(self, "q_minus", q_minus)
 
     @property
     def pair(self) -> frozenset:
@@ -331,12 +343,18 @@ class _Branch:
 _family = lru_cache(maxsize=FAMILY_CACHE_SIZE)(_Branch)
 
 
-@dataclass(frozen=True)
-class BranchSequence:
+class BranchSequence(_Record):
+    __slots__ = ("p", "q", "lo", "values")
     p: int
     q: int
     lo: int
     values: tuple[int, ...]
+
+    def __init__(self, p: int, q: int, lo: int, values: tuple[int, ...]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "values", values)
 
     @property
     def hi(self) -> int:
@@ -361,19 +379,16 @@ def branch_sequence(p: int, q: int, lo: int, hi: int) -> BranchSequence:
     return BranchSequence(p, q, lo, values)
 
 
-@dataclass(frozen=True)
-class Sigma:
+class Sigma(_Record):
     """The larger root of x^2 - 3x + 1/p^2, handled symbolically."""
 
+    __slots__ = ("p", "polynomial")
     p: int
-    polynomial: tuple[Rational, Rational, Rational] = field(init=False)
+    polynomial: tuple[Rational, Rational, Rational]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "polynomial",
-            (Fraction(1), Fraction(-3), Fraction(1, self.p * self.p)),
-        )
+    def __init__(self, p: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "polynomial", (Fraction(1), Fraction(-3), Fraction(1, p * p)))
 
     def compare(self, r: Rational) -> str:
         """Exact comparison of a rational with sigma_p: 'less' or 'greater'.

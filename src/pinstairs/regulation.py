@@ -39,10 +39,9 @@ one contraction and one path test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .exact_core import DomainError
+from .exact_core import DomainError, _Record
 from .hirzebruch_jung import is_zero_continued_fraction, recognize_dual_wahl
 from .intersection_theory import culet_report
 from .markov import _require_companion
@@ -71,20 +70,21 @@ class MultiplePositions(AssertionError):
     """Several sites work: contradicts theory for a genuine dual Wahl chain."""
 
 
-@dataclass(frozen=True)
-class DualGraph:
+class DualGraph(_Record):
     """A labeled tree; labels are self-intersection numbers."""
 
+    __slots__ = ("vertices", "edges")
     vertices: tuple[tuple[int, int], ...]  # (id, label)
     edges: tuple[tuple[int, int], ...]  # unordered id pairs, stored sorted
 
-    def __post_init__(self):
-        ids = [v for v, _ in self.vertices]
+    def __init__(self, vertices: tuple[tuple[int, int], ...], edges: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "vertices", vertices)
+        ids = [v for v, _ in vertices]
         if len(set(ids)) != len(ids):
             raise DomainError("duplicate vertex ids")
         idset = set(ids)
         norm = []
-        for a, b in self.edges:
+        for a, b in edges:
             if a == b or a not in idset or b not in idset:
                 raise DomainError(f"bad edge ({a},{b})")
             norm.append((min(a, b), max(a, b)))
@@ -297,8 +297,8 @@ def attach_position(chain) -> int:
     return hits[0]
 
 
-@dataclass(frozen=True)
-class RegulationPrediction:
+class RegulationPrediction(_Record):
+    __slots__ = ("p", "q", "weight", "culet_index", "chain", "rulings", "attach_positions")
     p: int
     q: int
     weight: int
@@ -306,6 +306,16 @@ class RegulationPrediction:
     chain: tuple[int, ...]
     rulings: tuple[DualGraph, ...]
     attach_positions: tuple[int, ...]  # global chain positions met by each -1
+
+    def __init__(self, p: int, q: int, weight: int, culet_index: int, chain: tuple[int, ...],
+                 rulings: tuple[DualGraph, ...], attach_positions: tuple[int, ...]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "culet_index", culet_index)
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "rulings", rulings)
+        object.__setattr__(self, "attach_positions", attach_positions)
 
     def contracted_counts(self) -> tuple[int, ...]:
         return tuple(len(g.vertices) - 1 for g in self.rulings)

@@ -24,11 +24,10 @@ completing (p1, p2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exact_core import DomainError, Rational, format_rational
+from .exact_core import DomainError, Rational, _Record, format_rational
 from .intersection_theory import NoCommonTriple, two_ball_degree
 from .markov import (
     CompanionMismatch,
@@ -59,11 +58,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StairBox:
+class StairBox(_Record):
+    __slots__ = ("index", "alpha_sup", "beta_sup")
     index: int
     alpha_sup: Rational
     beta_sup: Rational
+
+    def __init__(self, index: int, alpha_sup: Rational, beta_sup: Rational):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "alpha_sup", alpha_sup)
+        object.__setattr__(self, "beta_sup", beta_sup)
 
     def contains(self, alpha: Rational, beta: Rational) -> bool:
         return 0 < alpha < self.alpha_sup and 0 < beta < self.beta_sup
@@ -76,11 +80,17 @@ class StairBox:
         }
 
 
-@dataclass(frozen=True)
-class EmbeddingVerdict:
+class EmbeddingVerdict(_Record):
+    __slots__ = ("answer", "witness", "obstruction")
     answer: str  # "Embeds" | "DoesNotEmbed" | "OutsideVisibleRange"
-    witness: Optional[StairBox] = None
-    obstruction: Optional[tuple[Rational, Rational]] = None
+    witness: Optional[StairBox]
+    obstruction: Optional[tuple[Rational, Rational]]
+
+    def __init__(self, answer: str, witness: Optional[StairBox] = None,
+                 obstruction: Optional[tuple[Rational, Rational]] = None):
+        object.__setattr__(self, "answer", answer)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "obstruction", obstruction)
 
     def to_json(self) -> dict:
         out: dict = {"answer": self.answer}
@@ -176,13 +186,21 @@ def pin_ball_capacity(p: int, q: int) -> Rational:
     return min(_corner(p, a, b), _corner(p, b, a))
 
 
-@dataclass(frozen=True)
-class TwoBallReport:
+class TwoBallReport(_Record):
+    __slots__ = ("answer", "p3", "bounds", "binding", "implied")
     answer: str  # "feasible" | "infeasible" | "unknown"
     p3: Optional[int]
     bounds: dict  # name -> Rational sup
     binding: tuple[str, ...]
     implied: Optional[str]
+
+    def __init__(self, answer: str, p3: Optional[int], bounds: dict, binding: tuple[str, ...],
+                 implied: Optional[str]):
+        object.__setattr__(self, "answer", answer)
+        object.__setattr__(self, "p3", p3)
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "binding", binding)
+        object.__setattr__(self, "implied", implied)
 
     @property
     def feasible(self) -> Optional[bool]:
@@ -228,11 +246,16 @@ def two_ball_feasible(p1: int, q1: int, alpha1: Rational,
                          p3, bounds, binding, implied)
 
 
-@dataclass(frozen=True)
-class ThreeBallReport:
+class ThreeBallReport(_Record):
+    __slots__ = ("answer", "bounds", "binding")
     answer: str
     bounds: dict  # pair (i, j) -> Rational sup on alpha_i + alpha_j
     binding: tuple[tuple[int, int], ...]
+
+    def __init__(self, answer: str, bounds: dict, binding: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "answer", answer)
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "binding", binding)
 
     @property
     def feasible(self) -> bool:
@@ -265,8 +288,8 @@ def three_ball_feasible(triple, alphas, qs=None) -> ThreeBallReport:
     return ThreeBallReport("feasible" if not binding else "infeasible", bounds, binding)
 
 
-@dataclass(frozen=True)
-class ObstructionCertificate:
+class ObstructionCertificate(_Record):
+    __slots__ = ("p", "q", "index", "triple", "p3_prime", "s", "girdle_length", "displacement")
     p: int
     q: int
     index: int
@@ -275,6 +298,17 @@ class ObstructionCertificate:
     s: Rational  # self-pairing witness  -p2*p3'/p1^2
     girdle_length: Rational  # p1*p3/(p2*p3')
     displacement: Rational  # p3/p1
+
+    def __init__(self, p: int, q: int, index: int, triple: tuple[int, int, int], p3_prime: int,
+                 s: Rational, girdle_length: Rational, displacement: Rational):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "triple", triple)
+        object.__setattr__(self, "p3_prime", p3_prime)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "girdle_length", girdle_length)
+        object.__setattr__(self, "displacement", displacement)
 
     def to_json(self) -> dict:
         return {

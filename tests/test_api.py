@@ -1,7 +1,11 @@
-"""The public API snapshot, and a check for imports the package never uses."""
+"""The public API snapshot, the lazy package, and checks on what the
+package's modules import."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +65,61 @@ def test_companion_mismatch_is_one_class_on_every_import_path():
     assert pinstairs.CompanionMismatch is staircase_oracle.CompanionMismatch
     assert staircase_oracle.CompanionMismatch is markov.CompanionMismatch
     assert issubclass(markov.CompanionMismatch, pinstairs.DomainError)
+
+
+def test_no_module_imports_dataclasses():
+    # its import (with inspect) and its class building cost a CLI command more
+    # than the command's own work
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found += [path.name for a in node.names if a.name.split(".")[0] == "dataclasses"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                found.append(path.name)
+    assert found == []
+
+
+def _fresh(*args: str) -> subprocess.CompletedProcess:
+    """A new interpreter that finds this copy of the package first."""
+    env = dict(os.environ)
+    path = [str(Path(pinstairs.__file__).parent.parent), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def _imported(*args: str) -> set[str]:
+    """The modules a fresh interpreter running `args` imports, as -X importtime
+    lists them."""
+    out = _fresh("-X", "importtime", *args)
+    assert out.returncode == 0, out.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
+            if line.startswith("import time:") and "|" in line}
+
+
+def test_importing_the_package_loads_no_submodule():
+    out = _fresh("-c", "import sys, pinstairs; "
+                       "print(sorted(m for m in sys.modules if m.startswith('pinstairs.')))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
+def test_a_markov_tree_command_loads_only_what_it_uses():
+    loaded = _imported("-m", "pinstairs.cli_plot", "markov", "tree", "--depth", "1")
+    loaded -= _imported("-c", "pass")  # what the interpreter loads at start
+    assert {"pinstairs.exact_core", "pinstairs.markov"} <= loaded
+    assert loaded.isdisjoint({"dataclasses", "pinstairs.regulation", "pinstairs.atf_geometry"})
+
+
+def test_every_public_name_resolves_on_every_path():
+    names = PUBLIC_API["pinstairs"]
+    for name in sorted(names):
+        module = importlib.import_module(f"pinstairs.{pinstairs._MODULE_OF[name]}")
+        want = module if module.__name__ == f"pinstairs.{name}" else getattr(module, name)
+        assert getattr(pinstairs, name) is want, name
+    star: dict = {}
+    exec("from pinstairs import *", star)
+    assert sorted(names - set(star)) == []
+    assert sorted(names - set(dir(pinstairs))) == []
+    assert not hasattr(pinstairs, "no_such_name")

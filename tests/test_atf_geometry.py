@@ -1,7 +1,6 @@
 """Moment triangles, fans, pavilions, Vianna triangles, girdle data."""
 
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,6 +18,7 @@ from pinstairs.atf_geometry import (
     pavilion_polygon,
     standard_triangle,
     triangle_signature,
+    ViannaTriangle,
     vianna_triangle,
     visible_ellipsoid_bounds,
 )
@@ -195,10 +195,13 @@ def test_vianna_self_checks_fire_on_corrupted_triangles():
     assert _validate_vianna(t) is t
     u0, u1, u2 = t.cuts
     corrupted = [
-        (replace(t, cuts=(u0 * 2, u1, u2)), "cut at vertex 0 not primitive"),
-        (replace(t, cuts=(-u0, u1, u2)), "cut at vertex 0 does not point inward"),
-        (replace(t, triple=(2, 5, 1)), "vertex 0 determinant is not 2^2"),
-        (replace(t, points=tuple(v.scale(2) for v in t.points)),
+        (ViannaTriangle(t.triple, t.points, (u0 * 2, u1, u2), t.history),
+         "cut at vertex 0 not primitive"),
+        (ViannaTriangle(t.triple, t.points, (-u0, u1, u2), t.history),
+         "cut at vertex 0 does not point inward"),
+        (ViannaTriangle((2, 5, 1), t.points, t.cuts, t.history),
+         "vertex 0 determinant is not 2^2"),
+        (ViannaTriangle(t.triple, tuple(v.scale(2) for v in t.points), t.cuts, t.history),
          "mutation failed to preserve area"),
     ]
     for bad, message in corrupted:

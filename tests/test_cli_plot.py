@@ -17,7 +17,7 @@ import pinstairs.cli_plot as cli
 from pinstairs.cli_plot import RenderSpec, main, render_base_diagram, render_staircase, run
 from pinstairs.atf_geometry import delta_triangle, pavilion_polygon, vianna_triangle
 from pinstairs.exact_core import DomainError
-from pinstairs.markov import companions, enumerate_tree
+from pinstairs.markov import branch_sequence, companions, enumerate_tree
 
 F = Fraction
 
@@ -203,6 +203,48 @@ def test_stair_svg_refuses_steps_past_the_output_bound(capsys, tmp_path, monkeyp
     assert code == 0 and path.exists()
     path.unlink()
     assert_steps_refused(capsys, path, 2, 1, 4)
+
+
+def test_stair_svg_refuses_label_digits_past_those_of_5_1(capsys, tmp_path, monkeypatch):
+    from pinstairs import staircase_oracle
+
+    def no_box(*args):
+        raise AssertionError("a box was built")
+
+    path = tmp_path / "s.svg"
+    assert cli.MAX_STAIR_LABEL_DIGITS == cli._label_digits(5, cli.MAX_STAIR_STEPS)
+    with int_str_digits(0), monkeypatch.context() as patch:
+        patch.setattr(staircase_oracle, "stair_boxes", no_box)
+        # 3 000 steps of (7453378, 1807955) would write 67 MB, and 5 400 of
+        # (13, 2) 48 MB, against 44 MB for 6 000 of (5, 1)
+        for p, q, steps in ((7453378, 1807955, 3000), (13, 2, 5400), (433, 104, 6000)):
+            start = time.perf_counter()
+            code, out, err = invoke(capsys, "stair", str(p), str(q), "--svg", str(path),
+                                    "--steps", str(steps))
+            assert time.perf_counter() - start < 0.5, steps
+            assert code == 1 and out == "" and not path.exists()
+            assert err == (f"error: {steps} steps of a branch of {p} could print more than "
+                           f"{cli.MAX_STAIR_LABEL_DIGITS} label digits\n")
+    with int_str_digits(0):  # a p or q at fault is named as such
+        code, _, err = invoke(capsys, "stair", "7453378", "3", "--svg", str(path),
+                              "--steps", "3000")
+        assert code == 1 and err.startswith("error: 3 is not a companion of 7453378")
+        code, _, err = invoke(capsys, "stair", "7453379", "3", "--svg", str(path),
+                              "--steps", "3000")
+        assert code == 1 and err.startswith("error: 7453379 is not a Markov number")
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (5, 1), (5, 4), (29, 7), (7453378, 1807955)])
+def test_label_digits_bound_the_printed_labels(p, q):
+    for steps in (1, 2, 7, 60, 301):
+        lo, hi = cli._steps_window(steps)
+        terms = dict(branch_sequence(p, q, lo, hi + 1).items())
+        printed = sum(len(str(n)) for i in range(lo, hi + 1)
+                      for n in (terms[i + 1], p * terms[i], terms[i], p * terms[i + 1]))
+        bound = cli._label_digits(p, steps)
+        assert printed <= bound
+    # and the bound is close where it binds: within 3% for p >= 5 at 301 steps
+    assert p < 5 or bound < 1.03 * printed
 
 
 def test_staircase_labels_past_the_digit_limit_are_a_domain_error(monkeypatch):

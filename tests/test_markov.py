@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -24,6 +25,7 @@ from pinstairs.markov import (
     mutate,
     sigma_p,
     tree_to_json,
+    validate_triple,
 )
 
 from .frozen import (
@@ -54,6 +56,18 @@ def test_tree_matches_frozen_rows():
 def test_tree_triples_all_satisfy_the_equation():
     for e in enumerate_tree(6):
         assert is_markov_triple(*e.triple)
+
+
+def test_markov_triples_are_pairwise_coprime_and_free_of_the_factor_3():
+    # validate_triple checks only the equation and relies on both (its docstring
+    # gives the argument)
+    for e in enumerate_tree(12):
+        a, b, c = e.triple
+        for t in ((a, b, c), (b, c, a), (c, a, b)):
+            assert validate_triple(t) == t
+            x, y, z = t
+            assert gcd(x, y) == gcd(y, z) == gcd(x, z) == 1
+            assert x % 3 and y % 3 and z % 3
 
 
 def test_tree_against_brute_force_search():
