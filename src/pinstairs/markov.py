@@ -304,6 +304,7 @@ class _Branch:
             self.values = {0: a, -1: b}
         self._lo = min(self.values)
         self._hi = max(self.values)
+        self[1]  # box 0 is always held: embeds reads it directly
         # the verdicts decided at each index, built by staircase_oracle on first use
         self.verdicts: dict = {}
 
@@ -319,6 +320,33 @@ class _Branch:
             v[k] = 3 * self.p * v[k + 1] - v[k + 2]
             self._lo = k
         return v[i]
+
+    def first_wider(self, pn: int, d: int) -> Optional[int]:
+        """The least i with pn*m_i < d*m_{i+1}, that is alpha < alpha_sup(i) for
+        alpha = pn/(p*d) in (0, sigma_p), or None when there is none: alpha is at
+        or below the limit 1/(p^2 sigma_p) of alpha_sup at -infinity, so every
+        box is wider.  Bisects the held boxes on `values`, and grows the branch
+        only when alpha lies beyond all of them, up to m_{i+1} or down to
+        m_{i-1}; on return m_{i-1}, m_i and m_{i+1} are held."""
+        v, lo, hi = self.values, self._lo, self._hi
+        while lo < hi:  # the least held box wider than alpha, or _hi for none
+            mid = (lo + hi) // 2
+            if pn * v[mid] < d * v[mid + 1]:
+                hi = mid
+            else:
+                lo = mid + 1
+        i = lo
+        if i == self._hi:
+            while pn * v[i] >= d * self[i + 1]:
+                i += 1
+        elif i == self._lo:
+            # alpha_sup decreases to its limit as i -> -infinity: test the limit
+            # before growing down, so the walk ends
+            if _sigma_compare(self.p, d, self.p * pn) != "less":
+                return None
+            while pn * self[i - 1] < d * v[i]:
+                i -= 1
+        return i
 
     def window(self, lo: int, hi: int) -> list[int]:
         """The terms m_lo..m_hi: the held ones read, the others walked from the

@@ -5,13 +5,20 @@ infinite union of open boxes
 
     box_i = (0, m_{i+1}/(p*m_i)) x (0, m_i/(p*m_{i+1}))
 
-indexed by the branch sequence m_i.  Membership reduces to an exact walk:
+indexed by the branch sequence m_i.  Membership reduces to one exact search:
 alpha_sup(i) increases strictly to sigma_p, so the minimal box whose width
 exceeds alpha decides the verdict, and on failure the dominated inner corner
-is an exact obstruction.  With alpha = n/d and beta = n'/d', the walk runs in
-integers on the family's cached branch: alpha >= alpha_sup(i) iff
-n*p*m_i >= d*m_{i+1}, beta >= beta_sup(i) iff n'*p*m_{i+1} >= d'*m_i, and
+is an exact obstruction.  With alpha = n/d and beta = n'/d', the search runs
+in integers on the family's cached branch: alpha < alpha_sup(i) iff
+n*p*m_i < d*m_{i+1}, beta < beta_sup(i) iff n'*p*m_{i+1} < d'*m_i, and
 n/d < sigma_p iff p^2*n^2 - 3p^2*n*d + d^2 < 0, or it is > 0 and 2n <= 3d.
+`_Branch.first_wider` finds the minimal box by bisecting the terms the branch
+holds; it grows the branch only when alpha lies beyond every held box, and
+grows it down only once alpha is known to lie above the limit 1/(p^2 sigma_p)
+of alpha_sup at -infinity.  At or below that limit every box is wide enough,
+and the witness is the largest i <= 0 whose box is tall enough; on the volume
+curve beta < beta_sup(i) iff 1/(p^2 beta) > alpha_sup(i), so the same search
+finds it.  A verdict decided inside the held terms reads no other term.
 The verdict at an index, Embeds with box i or DoesNotEmbed at the inner corner
 (m_i/(p*m_{i-1}), m_i/(p*m_{i+1})), depends only on the family and i, so each
 box and corner is built and self-checked (Markov equation, volume curve) once
@@ -155,27 +162,24 @@ def embeds(p: int, q: int, alpha: Rational, beta: Rational) -> EmbeddingVerdict:
     if _sigma_compare(p, n, d) != "less" or _sigma_compare(p, nb, db) != "less":
         return _OUTSIDE
     m = _family(p, q)
-    pn, pnb = p * n, p * nb
-    i = 0
-    if pn * m[0] >= d * m[1]:
-        # walk up to the minimal i with alpha < alpha_sup(i)
-        while pn * m[i] >= d * m[i + 1]:
-            i += 1
-    elif _sigma_compare(p, d, p * pn) == "less":
-        # alpha above the decreasing limit 1/(p^2 sigma_p) of alpha_sup: the
-        # minimal box exists below; walk down to it
-        while pn * m[i - 1] < d * m[i]:
-            i -= 1
-    else:
-        # alpha at or below the limit: every box is wide enough, and since
-        # beta < sigma_p some box far down is tall enough
-        while pnb * m[i + 1] >= db * m[i]:
-            i -= 1
+    v, pn, pnb = m.values, p * n, p * nb
+    i = m.first_wider(pn, d)
+    if i is None:
+        # alpha at or below the limit of alpha_sup: every box is wide enough.
+        # The witness is the largest i <= 0 with beta < beta_sup(i).  If box 0
+        # is too short, the first j with beta_sup(j) < beta, that is
+        # 1/(p^2 beta) < alpha_sup(j), is at most 1, and the witness is j - 1,
+        # or j - 2 when beta_sup(j - 1) = beta
+        i = 0
+        if pnb * v[1] >= db * v[0]:
+            i = m.first_wider(db, pnb) - 1
+            if pnb * v[i + 1] >= db * v[i]:
+                i -= 1
         return _verdict(p, m, i, "Embeds")
-    if pnb * m[i + 1] < db * m[i]:
+    if pnb * v[i + 1] < db * v[i]:
         return _verdict(p, m, i, "Embeds")
     # (alpha, beta) dominates the inner corner i, checked in integers
-    if not (pn * m[i - 1] >= d * m[i] and pnb * m[i + 1] >= db * m[i]):
+    if not (pn * v[i - 1] >= d * v[i] and pnb * v[i + 1] >= db * v[i]):
         raise AssertionError("obstruction corner is not dominated")
     return _verdict(p, m, i, "DoesNotEmbed")
 

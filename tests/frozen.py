@@ -208,6 +208,12 @@ ATTACH_POSITIONS = {(2, 2, 2): 2, (5, 2, 2, 2, 2, 2): 2}
 
 REGULATION_DIGEST_DEPTH_8 = "e25d9c4914ffa2a4c04b8d825eb6e8e66e37e28d8b6e3c85d3e2a151e2dc11e3"
 VIANNA_CULET_DIGEST_DEPTH_8 = "d597d5f442c11b96b7459fda97c7aa437c25147699c5d6e2a4e65190140b6b8a"
+# Recorded from the `embeds` that walked each verdict up or down from index 0:
+# the SHA-256 over the 7 benchmark families in order of
+# json.dumps([p, q, rows], sort_keys=True, separators=(",", ":")), where rows
+# holds [embeds(p, q, a, b).to_json(), embeds(p, p - q, b, a).to_json()] for
+# a, b = k/100 * int(sigma_p * 1000)/1001, k = 1..100 (q_swap = 1 for p <= 2).
+GRID_VERDICT_DIGEST_100 = "8a748a80426f3c8fe4dc3888a1156bb8fed041784d8a577b0c3ef0dff6dce461"
 
 # --- markov numbers up to 1000 ---
 

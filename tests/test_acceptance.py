@@ -42,6 +42,7 @@ from pinstairs.staircase_oracle import (
 )
 
 from .frozen import (
+    GRID_VERDICT_DIGEST_100,
     MARKOV_NUMBERS_1000,
     PACK_THREE_521,
     PACK_TWO_25,
@@ -239,3 +240,18 @@ def test_oracle_grid_agreement_and_swap_symmetry():
                 assert v.answer == ("Embeds" if want else "DoesNotEmbed")
                 w = embeds(p, q_swap, b, a)
                 assert w.answer == v.answer
+
+
+def test_benchmark_grid_verdicts_match_pinned_digest():
+    # every verdict of a 100x100 grid over the 7 benchmark families, direct and
+    # swapped, in full: answer, witness index and sups, or obstruction corner
+    n = 100
+    h = hashlib.sha256()
+    for p, q in [(1, 1), (2, 1), (5, 1), (5, 4), (29, 7), (433, 104), (7453378, 1807955)]:
+        top = F(int(float(sigma_p(p)) * 1000), 1001)
+        vals = [F(i, n) * top for i in range(1, n + 1)]
+        q_swap = p - q if p > 2 else 1
+        rows = [[embeds(p, q, a, b).to_json(), embeds(p, q_swap, b, a).to_json()]
+                for a in vals for b in vals]
+        h.update(json.dumps([p, q, rows], sort_keys=True, separators=(",", ":")).encode())
+    assert h.hexdigest() == GRID_VERDICT_DIGEST_100

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinstairs import markov
@@ -336,6 +336,68 @@ def test_branch_window_matches_the_storing_walk(pq, grown, lo, width):
     window = br.window(lo, lo + width)
     assert br.values == held
     assert window == [markov._Branch(*pq)[i] for i in range(lo, lo + width + 1)]
+
+
+def _least_wider(pq, pn, d, cap=1000):
+    """The least i with pn*m_i < d*m_{i+1}, by a walk from index 0 on a fresh
+    branch; None when every box down to -cap is wider."""
+    m, i = markov._Branch(*pq), 0
+    if pn * m[0] >= d * m[1]:
+        while pn * m[i] >= d * m[i + 1]:
+            i += 1
+            assert i < cap
+        return i
+    while pn * m[i - 1] < d * m[i]:
+        i -= 1
+        if i < -cap:
+            return None
+    return i
+
+
+@st.composite
+def branch_queries(draw):
+    """A family, a term to grow its branch to, and an alpha in (0, sigma_p):
+    at or between box widths, within 10^-40 of sigma_p, or just above or below
+    the limit 3 - sigma_p = 1/(p^2 sigma_p) of the widths at -infinity."""
+    pq = draw(st.sampled_from([(1, 1), (2, 1), (5, 1), (5, 4), (29, 7), (433, 104)]))
+    p = pq[0]
+    s = Fraction(sigma_p(p).decimal(45))  # sigma_p - 10^-45 < s < sigma_p
+    tiny = Fraction(draw(st.integers(0, 9)), 10**41)
+    kind = draw(st.sampled_from(["box", "between", "top", "above_limit", "below_limit", "any"]))
+    if kind in ("box", "between"):
+        k, m = draw(st.integers(-45, 45)), markov._Branch(*pq)
+        alpha = Fraction(m[k + 1], p * m[k])
+        if kind == "between":
+            alpha = (alpha + Fraction(m[k + 2], p * m[k + 1])) / 2
+    elif kind == "top":
+        alpha = s - tiny
+    elif kind == "above_limit":
+        alpha = 3 - s + tiny
+    elif kind == "below_limit":
+        alpha = 3 - s - Fraction(1, 10**44) - tiny
+    else:
+        alpha = draw(st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(2),
+                                  max_denominator=10**6))
+    return pq, draw(st.integers(-40, 40)), alpha
+
+
+@settings(deadline=None)
+@given(branch_queries())
+def test_first_wider_matches_a_walk_from_zero_and_grows_only_to_its_neighbours(query):
+    pq, grown, alpha = query
+    br = markov._Branch(*pq)
+    br[grown]  # hold some terms on one side of the valley
+    held = dict(br.values)
+    pn, d = pq[0] * alpha.numerator, alpha.denominator
+    i = br.first_wider(pn, d)
+    assert i == _least_wider(pq, pn, d)
+    assert all(br.values[k] == v for k, v in held.items())
+    if i is None:
+        assert br.values == held
+    else:
+        assert {i - 1, i, i + 1} <= br.values.keys()
+        assert min(br.values) == min(*held, i - 1) and max(br.values) == max(*held, i + 1)
+        assert (br._lo, br._hi) == (min(br.values), max(br.values))
 
 
 def test_branch_sequence_window_validation():

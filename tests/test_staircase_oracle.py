@@ -137,9 +137,10 @@ def test_embeds_on_exact_box_edges(p, q):
                 assert x >= verdict.obstruction[0] and y >= verdict.obstruction[1]
 
 
-def fraction_builds(call):
-    """Calls of Fraction.__new__ made while `call()` runs, and its result."""
-    target, count = Fraction.__new__.__code__, 0
+def calls_made(target, call):
+    """Calls of the function with code object `target` made while `call()`
+    runs, and its result."""
+    count = 0
 
     def profile(frame, event, arg):
         nonlocal count
@@ -153,6 +154,11 @@ def fraction_builds(call):
     return count, result
 
 
+def fraction_builds(call):
+    """Calls of Fraction.__new__ made while `call()` runs, and its result."""
+    return calls_made(Fraction.__new__.__code__, call)
+
+
 @pytest.mark.parametrize("p,q,alpha,beta,answer", [
     (5, 1, Fraction(3, 10), Fraction(1, 5), "DoesNotEmbed"),
     (2, 1, Fraction(49, 100), Fraction(49, 100), "Embeds"),
@@ -164,6 +170,36 @@ def test_a_warm_verdict_builds_no_fraction(p, q, alpha, beta, answer):
     assert cold.answer == answer and built > 0  # the box or corner, once
     built, warm = fraction_builds(lambda: embeds(p, q, alpha, beta))
     assert built == 0 and warm is cold
+
+
+@pytest.mark.parametrize("p,q,alpha,beta,answer,index", [
+    (5, 1, Fraction(3, 10), Fraction(1, 5), "DoesNotEmbed", None),
+    (2, 1, Fraction(49, 100), Fraction(49, 100), "Embeds", 0),
+    (433, 104, Fraction(2999998222, 10**9), Fraction(1, 10**12), "Embeds", 2),
+    (29, 7, Fraction(1, 10**30), Fraction(2), "Embeds", -2),
+    (1, 1, Fraction(1, 3), Fraction(1, 10), "Embeds", 0),
+])
+def test_a_warm_verdict_reads_no_term_through_getitem(p, q, alpha, beta, answer, index):
+    getitem = markov._Branch.__getitem__.__code__
+    markov._family.cache_clear()
+    _, cold = calls_made(getitem, lambda: embeds(p, q, alpha, beta))
+    assert cold.answer == answer and getattr(cold.witness, "index", None) == index
+    reads, warm = calls_made(getitem, lambda: embeds(p, q, alpha, beta))
+    assert reads == 0 and warm is cold
+
+
+@pytest.mark.parametrize("p,q", BENCHMARK_PAIRS)
+def test_below_the_width_limit_the_witness_is_the_last_tall_box_up_to_0(p, q):
+    # alpha below 1/(p^2 sigma_p) fits every box; the witness is the largest
+    # i <= 0 with beta < beta_sup(i), also when beta is a box height exactly
+    sups = {b.index: b.beta_sup for b in stair_boxes(p, q, -10, 10)}
+    D = max(x.denominator for x in sups.values())
+    eps = Fraction(1, 4 * D * D)
+    for j in range(-6, 4):
+        for beta in (sups[j] - eps, sups[j], sups[j] + eps):
+            verdict = embeds(p, q, Fraction(1, 10**60), beta)
+            want = max(i for i in range(-10, 1) if beta < sups[i])
+            assert verdict.answer == "Embeds" and verdict.witness.index == want
 
 
 @settings(max_examples=40, deadline=None)
