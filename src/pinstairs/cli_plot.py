@@ -631,7 +631,7 @@ def _build_parser() -> argparse.ArgumentParser:
     x.add_argument("--json", action="store_true")
     x.add_argument("--svg", metavar="FILE")
     x.add_argument("--steps", type=int, default=5)
-    x.set_defaults(func=cmd_stair)
+    x.set_defaults(func=cmd_stair, parser=x)  # its usage errors name `pinstairs stair`
 
     x = sub.add_parser("capacity", help="pin-ball capacity")
     x.add_argument("p", type=int)
@@ -687,7 +687,6 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        args.parser = parser
         return args.func(args)
     except SystemExit as exc:
         code = exc.code

@@ -6,6 +6,14 @@ the closed form M^{-1}_{ij} = -e_i f_j / p^2 (i <= j): integer products over
 the one shared denominator p^2.  Solving M x = chi therefore needs no table:
 x_i = -(f_i sum_{j<=i} e_j chi_j + e_i sum_{j>i} f_j chi_j)/p^2 takes one
 prefix and one suffix sum, O(m) in all.
+inverse_closed_form still builds the whole table, each entry already in
+lowest terms.  f obeys the recursion of e, and f_0 = p^2 = 0 = (pq - 1) e_0,
+f_1 = pq - 1 = (pq - 1) e_1 (mod p^2), so f_i = (pq - 1) e_i (mod p^2) for
+every i.  As pq - 1 is prime to p, gcd(f_i, p^2) = gcd(e_i, p^2) =: g_i.
+Prime by prime, gcd(ab, n) = gcd(gcd(a, n) gcd(b, n), n), so e_i f_j / p^2
+reduces by gcd(g_i g_j, p^2), which is 1 unless g_i > 1 or g_j > 1.  The
+table checks gcd(f_i, p^2) = g_i on every input, in O(m), and builds each
+entry from its coprime pair with no gcd of its own.
 The discrepancies are k_i = -1 + (e_i + f_i)/p^2, and scanning e_i, f_i for
 simultaneous perfect squares locates the culet index, whose weight b_i is 4,
 7 or 10; each pair's culet is scanned and self-checked once while it stays
@@ -22,9 +30,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
-from .exact_core import DomainError, Rational, _Record
+from .exact_core import DomainError, Rational, _coprime_fraction, _Record
 from .hirzebruch_jung import WahlData, isqrt_exact, recognize_dual_wahl, wahl_data
 from .markov import _require_companion, companions, is_markov_triple
 
@@ -77,13 +85,23 @@ def intersection_matrix(w: WahlData) -> list[list[int]]:
 
 
 def inverse_closed_form(w: WahlData) -> list[list[Rational]]:
+    """The table of -e_i f_j / p^2 (i <= j), each entry built once in lowest
+    terms and shared with its mirror; every row is a list of its own."""
     m = w.m
     p2 = w.p * w.p
+    e, f = w.e[1:-1], w.f[1:-1]
+    g = [gcd(x, p2) for x in e]
+    if [gcd(x, p2) for x in f] != g:
+        raise AssertionError(f"gcd(f_i, p^2) != gcd(e_i, p^2) for ({w.p},{w.q})")
     inv: list[list[Rational]] = [[0] * m for _ in range(m)]
     for i in range(m):
-        e = w.e[i + 1]
+        ei, gi = e[i], g[i]
         for j in range(i, m):  # symmetric: build each entry once
-            inv[i][j] = inv[j][i] = Fraction(-(e * w.f[j + 1]), p2)
+            n, d = -ei * f[j], p2
+            if gi != 1 or g[j] != 1:  # only where p^2 shares a factor with e_i or e_j
+                k = gcd(gi * g[j], p2)
+                n, d = n // k, d // k
+            inv[i][j] = inv[j][i] = _coprime_fraction(n, d)
     return inv
 
 

@@ -71,6 +71,14 @@ def test_missing_subcommand_is_usage_error(capsys):
     assert code == 2
 
 
+def test_stair_without_a_query_prints_the_stair_usage(capsys):
+    code, out, err = invoke(capsys, "stair", "1", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: pinstairs stair ")
+    assert err.rstrip().endswith("pinstairs stair: error: need --alpha and --beta "
+                                 "(or --svg with --steps)")
+
+
 def test_domain_errors_exit_one(capsys):
     code, _, err = invoke(capsys, "markov", "companions", "6")
     assert code == 1

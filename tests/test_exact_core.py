@@ -1,5 +1,7 @@
 """Lattice/rational primitives: parsing, wedge products, affine lengths."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -11,6 +13,7 @@ from pinstairs.exact_core import (
     DomainError,
     LatticeVector,
     RationalPoint,
+    _coprime_fraction,
     affine_length,
     dot,
     format_rational,
@@ -101,3 +104,27 @@ def test_rational_pair_wedge_matches_determinant(ax, ay, bx, by):
     a = RationalPoint(ax, ay)
     b = RationalPoint(bx, by)
     assert rational_pair_wedge(a, b) == ax * by - ay * bx
+
+
+def test_fraction_keeps_the_slots_the_coprime_constructor_sets():
+    # _coprime_fraction writes these two slots; a Python that renames them
+    # must fail here rather than build broken Fractions
+    assert set(Fraction.__slots__) >= {"_numerator", "_denominator"}
+
+
+@pytest.mark.parametrize("n, d", [(-56, 29 * 29), (5, 1), (0, 1), (-7, 2), (10**40 + 1, 10**20)])
+def test_a_coprime_fraction_is_an_ordinary_fraction(n, d):
+    x, ref = _coprime_fraction(n, d), Fraction(n, d)
+    assert type(x) is Fraction
+    assert (x.numerator, x.denominator, hash(x)) == (ref.numerator, ref.denominator, hash(ref))
+    for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(y) is Fraction and (y.numerator, y.denominator) == (n, d)
+    assert (repr(x), str(x), format_rational(x)) == (repr(ref), str(ref), format_rational(ref))
+    half = Fraction(1, 2)
+    assert (x + half, x - half, x * half, x / half, half / x if n else None) == \
+        (ref + half, ref - half, ref * half, ref / half, half / ref if n else None)
+    assert (x + 3, 3 - x, x * 3, x ** 2, -x, abs(x)) == (ref + 3, 3 - ref, ref * 3, ref ** 2, -ref,
+                                                          abs(ref))
+    assert x == ref and not x != ref and x <= ref and {x: 1}[ref] == 1
+    assert (x < half, x > -1, x == n // d, x < 3) == (ref < half, ref > -1, ref == n // d, ref < 3)
+    assert float(x) == float(ref)

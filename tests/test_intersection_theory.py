@@ -1,6 +1,7 @@
 """Intersection matrices, discrepancies, culets, adjunction, two-ball degrees."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from pinstairs import hirzebruch_jung, intersection_theory
 from pinstairs.exact_core import DomainError
-from pinstairs.hirzebruch_jung import WAHL_CACHE_SIZE, wahl_data
+from pinstairs.hirzebruch_jung import WAHL_CACHE_SIZE, WahlData, wahl_data
 from pinstairs.intersection_theory import (
     CULET_CACHE_SIZE,
     HomologyClass,
@@ -115,6 +116,46 @@ def test_inverse_rows_are_separate_lists():
     mirror = inv[5][0]
     inv[0][5] = Fraction(1)
     assert inv[5][0] == mirror and inverse_closed_form(w)[0][5] == mirror
+
+
+def test_inverse_entries_are_in_lowest_terms_to_depth_7():
+    # every pair of the depth-7 tree, the benchmark's `families` sweep; the
+    # entries are built without Fraction's own reduction, so compare each
+    # with the normalising constructor
+    pairs = pairs_to_depth(7)
+    assert len(pairs) == 127
+    reduced_rows = set()
+    for p, q in pairs:
+        w = wahl_data(p, q)
+        p2 = p * p
+        inv = inverse_closed_form(w)
+        assert len(inv) == w.m
+        for i in range(w.m):
+            if gcd(w.e[i + 1], p2) > 1:
+                reduced_rows.add(p)
+            assert len(inv[i]) == w.m
+            for j in range(i, w.m):
+                x, want = inv[i][j], Fraction(-w.e[i + 1] * w.f[j + 1], p2)
+                assert type(x) is Fraction and inv[j][i] is x
+                assert (x.numerator, x.denominator, hash(x)) == \
+                    (want.numerator, want.denominator, hash(want))
+    assert reduced_rows >= {34, 169, 194, 610, 985}
+
+
+def test_f_and_e_share_their_gcd_with_p_squared():
+    # f_i = (pq - 1) e_i mod p^2, and pq - 1 is prime to p
+    for p, q in pairs_to_depth(7):
+        w = wahl_data(p, q)
+        assert [gcd(x, p * p) for x in w.f] == [gcd(x, p * p) for x in w.e]
+
+
+def test_inverse_refuses_f_that_breaks_the_gcd_premise():
+    w = wahl_data(29, 7)
+    f = list(w.f)
+    f[1] *= 29  # gcd(f_1, p^2) is now 29, but gcd(e_1, p^2) = 1
+    broken = WahlData(w.p, w.q, w.chain, w.e, tuple(f))
+    with pytest.raises(AssertionError, match="gcd"):
+        inverse_closed_form(broken)
 
 
 _SMALL_TABLES = [(w, inverse_closed_form(w)) for w in (wahl_data(p, q) for p, q in pairs_to_depth(5))]
