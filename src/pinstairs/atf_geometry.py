@@ -10,13 +10,19 @@ shear mutations from the standard simplex, with the vertex-determinant and
 edge-length laws re-validated after every move.  A bounded cache keeps the
 validated triangle of each ordered Markov triple, so the ancestors that the
 triangles of one process share are mutated and validated once.
+
+A mutation and its checks run in integers.  The three vertices are integer
+pairs over one denominator D, the lcm of the six coordinates' denominators
+(p1*p2*p3 on every triangle of the tree to depth 9).  The shear about the
+cut vertex is integral and unimodular, so it keeps D; only the node-ray exit
+needs D*|wedge(u, v2 - v1)|, and Fractions are built just for the result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .exact_core import (
     DomainError,
@@ -29,6 +35,7 @@ from .exact_core import (
     affine_length,
     format_rational,
     point,
+    primitive_part,
     rational_pair_wedge,
     wedge,
 )
@@ -338,21 +345,30 @@ class ViannaTriangle(_Record):
         }
 
 
+def _over_one_denominator(t: ViannaTriangle) -> tuple[int, list[tuple[int, int]]]:
+    """(D, [(X_i, Y_i)]): vertex i is (X_i/D, Y_i/D), D the lcm of the denominators."""
+    d = lcm(*(c.denominator for v in t.points for c in (v.x, v.y)))
+    return d, [(v.x.numerator * (d // v.x.denominator), v.y.numerator * (d // v.y.denominator))
+               for v in t.points]
+
+
 def _validate_vianna(t: ViannaTriangle) -> ViannaTriangle:
     validate_triple(t.triple)
-    if t.area() != Fraction(1, 2):
+    # edge k runs from vertex k to vertex k+1, so vertex k sees edges k and k+2
+    d, pts = _over_one_denominator(t)
+    sides = [LatticeVector(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1])]
+    if abs(wedge(sides[0], sides[2])) != d * d:  # twice the area, over D^2
         raise AssertionError("mutation failed to preserve area")
-    # edge k runs from vertex k to vertex k+1, so vertex k sees edges k and k+2;
-    # the area check above already rules out a zero-length edge
-    edges = [_primitive_direction(t.points[k], t.points[(k + 1) % 3]) for k in range(3)]
+    # so no edge has length 0: edge k is g/D times its primitive direction
+    edges = [primitive_part(v) for v in sides]
     for k in range(3):
-        pk = t.triple[k]
+        pk, pj, pl = t.triple[k], t.triple[(k + 1) % 3], t.triple[(k + 2) % 3]
         d1 = edges[k][0]
         d2 = -edges[(k + 2) % 3][0]
         if abs(wedge(d1, d2)) != pk * pk:
             raise AssertionError(f"vertex {k} determinant is not {pk}^2")
-        want = _corner(t.triple[(k + 1) % 3], pk, t.triple[(k + 2) % 3])
-        if edges[(k + 1) % 3][1] != want:
+        # g/D must be the box corner _corner(pj, pk, pl) = pk/(pj*pl)
+        if edges[(k + 1) % 3][1] * pj * pl != pk * d:
             raise AssertionError(f"edge opposite vertex {k} has wrong length")
         u = t.cuts[k]
         if not u.is_primitive():
@@ -372,22 +388,23 @@ def standard_triangle() -> ViannaTriangle:
     ))
 
 
-def _ray_exit(t: ViannaTriangle, k: int) -> RationalPoint:
-    """Where the node ray from vertex k crosses the opposite edge interior."""
-    j1, j2 = (k + 1) % 3, (k + 2) % 3
-    vk, v1, v2 = t.points[k], t.points[j1], t.points[j2]
+def _ray_exit(t: ViannaTriangle, k: int) -> tuple[int, list[tuple[int, int]], int, tuple[int, int]]:
+    """(D, vertices over D, w, E): the node ray from vertex k crosses the opposite
+    edge's interior at E/(D*w), for w = |wedge(u, v2 - v1)| over D."""
+    d, pts = _over_one_denominator(t)
+    (xk, yk), (x1, y1), (x2, y2) = pts[k], pts[(k + 1) % 3], pts[(k + 2) % 3]
     u = t.cuts[k]
-    uq = point(u.x, u.y)
-    d = v2 - v1
-    den = rational_pair_wedge(uq, d)
-    if den == 0:
+    w = u.x * (y2 - y1) - u.y * (x2 - x1)
+    if w == 0:
         raise AssertionError("node ray parallel to the opposite edge")
-    w = v1 - vk
-    tpar = rational_pair_wedge(w, d) / den
-    s = rational_pair_wedge(uq, w) / -den
-    if not (tpar > 0 and 0 < s < 1):
+    # vk + (r/(D*w)) u = v1 + s (v2 - v1), with r over D^2 and s = -a/w
+    r = (x1 - xk) * (y2 - y1) - (y1 - yk) * (x2 - x1)
+    a = u.x * (y1 - yk) - u.y * (x1 - xk)
+    if w < 0:
+        w, r, a = -w, -r, -a
+    if not (r > 0 and 0 < -a < w):
         raise AssertionError("node ray misses the opposite edge interior")
-    return vk + uq.scale(tpar)
+    return d, pts, w, (xk * w + u.x * r, yk * w + u.y * r)
 
 
 def cut_segment(t: ViannaTriangle, vertex: int) -> tuple[RationalPoint, RationalPoint]:
@@ -396,8 +413,9 @@ def cut_segment(t: ViannaTriangle, vertex: int) -> tuple[RationalPoint, Rational
     if vertex not in (1, 2, 3):
         raise DomainError("vertex must be 1, 2 or 3")
     k = vertex - 1
-    vk = t.points[k]
-    return vk, vk + (_ray_exit(t, k) - vk).scale(Fraction(1, 2))
+    d, pts, w, (ex, ey) = _ray_exit(t, k)
+    (xk, yk), m = pts[k], 2 * d * w
+    return t.points[k], RationalPoint(Fraction(xk * w + ex, m), Fraction(yk * w + ey, m))
 
 
 def mutate_triangle(t: ViannaTriangle, vertex: int) -> ViannaTriangle:
@@ -407,57 +425,58 @@ def mutate_triangle(t: ViannaTriangle, vertex: int) -> ViannaTriangle:
         raise DomainError("vertex must be 1, 2 or 3")
     k = vertex - 1
     j1, j2 = (k + 1) % 3, (k + 2) % 3
-    vk, v1, v2 = t.points[k], t.points[j1], t.points[j2]
+    d, pts, w, (ex, ey) = _ray_exit(t, k)
+    (xk, yk), (x1, y1), (x2, y2) = pts[k], pts[j1], pts[j2]
     u = t.cuts[k]
-    uq = point(u.x, u.y)
-    exit_pt = _ray_exit(t, k)
-
-    def shear(x: RationalPoint, eps: int) -> RationalPoint:
-        rel = x - vk
-        return vk + rel + uq.scale(eps * rational_pair_wedge(uq, rel))
-
-    new_v1 = None
+    # the shear x -> x + eps*wedge(u, x - vk)*u is integral: v1 stays over D
+    c = u.x * (y1 - yk) - u.y * (x1 - xk)
     for eps in (1, -1):
-        cand = shear(v1, eps)
+        sx, sy = x1 - xk + eps * c * u.x, y1 - yk + eps * c * u.y
         # the old vertex must flatten: collinear with vk strictly between
-        if rational_pair_wedge(cand - vk, v2 - vk) == 0 and \
-                (cand - vk).x * (v2 - vk).x + (cand - vk).y * (v2 - vk).y < 0:
-            new_v1 = cand
-            chosen = eps
+        if sx * (y2 - yk) == sy * (x2 - xk) and sx * (x2 - xk) + sy * (y2 - yk) < 0:
             break
-    if new_v1 is None:
+    else:
         raise AssertionError("no unimodular shear straightens the cut vertex")
-
-    def shear_vec(v: LatticeVector) -> LatticeVector:
-        return v + wedge(u, v) * chosen * u
-
-    points = [None, None, None]
-    cuts: list = [None, None, None]
-    points[k], points[j1], points[j2] = exit_pt, new_v1, v2
-    cuts[k], cuts[j1], cuts[j2] = -u, shear_vec(t.cuts[j1]), t.cuts[j2]
+    points, cuts = list(t.points), list(t.cuts)
+    points[k] = RationalPoint(Fraction(ex, d * w), Fraction(ey, d * w))
+    points[j1] = RationalPoint(Fraction(xk + sx, d), Fraction(yk + sy, d))
+    cuts[k], cuts[j1] = -u, cuts[j1] + wedge(u, cuts[j1]) * eps * u
     return _validate_vianna(ViannaTriangle(
         mutate(t.triple, vertex), tuple(points), tuple(cuts), t.history + (vertex,)
     ))
 
 
 def vianna_triangle(p1: int, p2: int, p3: int) -> ViannaTriangle:
-    """A concrete base diagram for the ordered triple, built by mutations."""
-    return _vianna(*validate_triple((p1, p2, p3)))
+    """A concrete base diagram for the ordered triple, built by mutations.
+    The cached triangle of each triple on the descent is asked for from
+    (1, 1, 1) upward, so the stack stays one mutation deep at any depth."""
+    path = [validate_triple((p1, p2, p3))]
+    while path[-1] != (1, 1, 1):
+        path.append(_descend(path[-1])[1])
+    for triple in reversed(path):
+        t = _vianna(*triple)
+    return t
 
 
-@lru_cache(maxsize=_VIANNA_CACHE_SIZE)
-def _vianna(p1: int, p2: int, p3: int) -> ViannaTriangle:
-    """vianna_triangle for a Markov triple: the triangle of its parent,
-    mutated at the largest number.  Each ancestor comes from the cache, so
-    each ordered triple is mutated and validated once while it stays cached;
-    the triangles are frozen, so every caller can share them."""
-    triple = (p1, p2, p3)
-    if triple == (1, 1, 1):
-        return standard_triangle()
+def _descend(triple: tuple[int, int, int]) -> tuple[int, tuple[int, int, int]]:
+    """(k, parent): the parent mutates the largest number, at position k."""
     k = triple.index(max(triple))
     parent = mutate(triple, k + 1)
     if not 0 < parent[k] < triple[k]:
         raise AssertionError(f"no descent from {triple}")
+    return k, parent
+
+
+@lru_cache(maxsize=_VIANNA_CACHE_SIZE)
+def _vianna(p1: int, p2: int, p3: int) -> ViannaTriangle:
+    """vianna_triangle for a Markov triple: the cached triangle of its
+    parent, mutated at the largest number.  Each ordered triple is mutated
+    and validated once while it stays cached; the triangles are frozen, so
+    every caller can share them."""
+    triple = (p1, p2, p3)
+    if triple == (1, 1, 1):
+        return standard_triangle()
+    k, parent = _descend(triple)
     return mutate_triangle(_vianna(*parent), k + 1)
 
 

@@ -214,6 +214,11 @@ VIANNA_CULET_DIGEST_DEPTH_8 = "d597d5f442c11b96b7459fda97c7aa437c25147699c5d6e2a
 # holds [embeds(p, q, a, b).to_json(), embeds(p, p - q, b, a).to_json()] for
 # a, b = k/100 * int(sigma_p * 1000)/1001, k = 1..100 (q_swap = 1 for p <= 2).
 GRID_VERDICT_DIGEST_100 = "8a748a80426f3c8fe4dc3888a1156bb8fed041784d8a577b0c3ef0dff6dce461"
+# Recorded from the Vianna mutation that worked in Fraction arithmetic: the
+# SHA-256 of json.dumps(rows, sort_keys=True, separators=(",", ":")), where
+# rows holds vianna_triangle(*t).to_json() for t = (a, b, c), (b, c, a) and
+# (c, a, b) over every triple (a, b, c) of enumerate_tree(7), in order.
+VIANNA_DIGEST_7 = "a2707a838e6353e8955c375a077c8bcfd7f52ad0885c114bfe85c8727ecf1e47"
 
 # --- markov numbers up to 1000 ---
 

@@ -230,14 +230,21 @@ def brute_markov_numbers(bound):
     return sorted({x for t in brute_markov_triples(bound) for x in t})
 
 
-def fibonacci_markov_pair(k):
-    """(F_k, {q, F_k - q}) for an odd k >= 5, read off the Markov triple
-    (1, F_{k-2}, F_k) with q = 3 * F_{k-2} * 1^{-1} mod F_k."""
+def fibonacci_markov_triple(k):
+    """The Markov triple (1, F_{k-2}, F_k) for an odd k >= 3, which lies at
+    depth (k - 1)/2 of the tree."""
     fib = [0, 1]
     while len(fib) <= k:
         fib.append(fib[-1] + fib[-2])
-    p, u = fib[k], fib[k - 2]
+    u, p = fib[k - 2], fib[k]
     assert 1 + u * u + p * p == 3 * u * p
+    return 1, u, p
+
+
+def fibonacci_markov_pair(k):
+    """(F_k, {q, F_k - q}) for an odd k >= 5, read off the Markov triple
+    (1, F_{k-2}, F_k) with q = 3 * F_{k-2} * 1^{-1} mod F_k."""
+    _, u, p = fibonacci_markov_triple(k)
     q = 3 * u % p
     return p, {q, p - q}
 

@@ -1,5 +1,7 @@
 """Moment triangles, fans, pavilions, Vianna triangles, girdle data."""
 
+import hashlib
+import json
 import re
 from fractions import Fraction
 
@@ -22,13 +24,15 @@ from pinstairs.atf_geometry import (
     vianna_triangle,
     visible_ellipsoid_bounds,
 )
-from pinstairs.exact_core import DomainError, affine_length, wedge
+from pinstairs.exact_core import DomainError, LatticeVector, affine_length, wedge
 from pinstairs.intersection_theory import culet_report
 from pinstairs.markov import enumerate_tree
 from pinstairs.regulation import predict_regulation
 from pinstairs.staircase_oracle import CompanionMismatch, three_ball_feasible
 
-from .frozen import FAN_RAYS, GIRDLES, VISIBLE_BOUNDS
+from .frozen import FAN_RAYS, GIRDLES, VIANNA_DIGEST_7, VISIBLE_BOUNDS
+from .oracles import fibonacci_markov_triple
+from .test_staircase_oracle import calls_made
 
 F = Fraction
 
@@ -298,6 +302,90 @@ def test_cut_segments_stay_inside_the_triangle():
         # the midpoint is a strict convex combination of the three vertices
         xs = sorted(p.x for p in t.points)
         assert xs[0] < mid.x < xs[2]
+
+
+def _rotations(triple):
+    return [triple, triple[1:] + triple[:1], triple[2:] + triple[:2]]
+
+
+def test_cut_segment_halves_the_node_ray_up_to_the_opposite_edge():
+    for e in enumerate_tree(4):
+        for triple in _rotations(e.triple):
+            t = vianna_triangle(*triple)
+            for k in range(3):
+                vk, v1, v2 = t.points[k], t.points[(k + 1) % 3], t.points[(k + 2) % 3]
+                node, mid = cut_segment(t, k + 1)
+                assert node == vk
+                exit_point = mid + (mid - vk)
+                # the exit is vk + lam*u for the cut u and some lam > 0 ...
+                ray, u = exit_point - vk, t.cuts[k]
+                assert ray.x * u.y == ray.y * u.x and ray.x * u.x + ray.y * u.y > 0
+                # ... and v1 + s*(v2 - v1) for some 0 < s < 1
+                off, edge = exit_point - v1, v2 - v1
+                assert off.x * edge.y == off.y * edge.x
+                assert 0 < (off.x * edge.x + off.y * edge.y) / (edge.x ** 2 + edge.y ** 2) < 1
+            for vertex in (0, 4):
+                with pytest.raises(DomainError):
+                    cut_segment(t, vertex)
+
+
+def test_a_node_ray_that_misses_the_opposite_edge_fails_a_self_check():
+    t = standard_triangle()  # (0, 0), (1, 0), (0, 1); vertex 0 faces x + y = 1
+    for cut, message in [((1, -1), "node ray parallel to the opposite edge"),
+                         ((-1, -1), "node ray misses the opposite edge interior"),
+                         ((2, -1), "node ray misses the opposite edge interior"),
+                         ((-1, 2), "node ray misses the opposite edge interior")]:
+        bad = ViannaTriangle(t.triple, t.points, (LatticeVector(*cut),) + t.cuts[1:])
+        for call in (cut_segment, mutate_triangle):
+            with pytest.raises(AssertionError, match=f"^{message}$"):
+                call(bad, 1)
+
+
+def test_vianna_triangles_to_depth_7_match_pinned_digest():
+    rows = [vianna_triangle(*triple).to_json()
+            for e in enumerate_tree(7) for triple in _rotations(e.triple)]
+    text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == VIANNA_DIGEST_7
+
+
+@pytest.mark.parametrize("triple", [(2, 1, 1), (5, 29, 433), (1, 89, 233)])
+def test_a_mutation_does_no_fraction_arithmetic(triple):
+    t = vianna_triangle(*triple)
+    for vertex in (1, 2, 3):
+        def mutation():
+            return mutate_triangle(t, vertex)
+
+        for name in ("_add", "_sub", "_mul", "_div"):
+            assert calls_made(getattr(Fraction, name).__code__, mutation)[0] == 0
+        built, result = calls_made(Fraction.__new__.__code__, mutation)
+        assert built <= 6 and result == mutation()
+
+
+def test_a_triple_600_levels_deep_is_built_and_each_ancestor_validated_once(monkeypatch):
+    triple = fibonacci_markov_triple(1201)  # (1, F_1199, F_1201), 251 digits
+    path = _descent(triple)
+    assert len(path) == 601
+    atf._vianna.cache_clear()
+    seen = []
+
+    def counting(t):
+        seen.append(t.triple)
+        return _validate_vianna(t)
+
+    monkeypatch.setattr(atf, "_validate_vianna", counting)
+    for _ in range(2):
+        t = vianna_triangle(*triple)
+        assert t.triple == triple and len(t.history) == 600
+    assert sorted(seen) == sorted(path)
+
+
+def test_a_descent_longer_than_the_cache_is_built_from_the_root():
+    triple = fibonacci_markov_triple(2 * atf._VIANNA_CACHE_SIZE + 101)
+    atf._vianna.cache_clear()
+    t = vianna_triangle(*triple)
+    assert t.triple == triple and len(t.history) == atf._VIANNA_CACHE_SIZE + 50
+    assert atf._vianna.cache_info().currsize == atf._VIANNA_CACHE_SIZE
+    assert t == _cold_build(triple)
 
 
 @pytest.mark.parametrize("key,expected", sorted(GIRDLES.items()))

@@ -19,6 +19,8 @@ from pinstairs.atf_geometry import delta_triangle, pavilion_polygon, vianna_tria
 from pinstairs.exact_core import DomainError
 from pinstairs.markov import branch_sequence, companions, enumerate_tree
 
+from .oracles import fibonacci_markov_triple
+
 F = Fraction
 
 
@@ -453,6 +455,18 @@ def test_atf_vianna_text(capsys):
     assert code == 0
     assert out.splitlines()[0] == "triple: (2, 1, 1)"
     assert "signature: dets (1, 1, 4)" in out
+
+
+def test_atf_vianna_600_levels_deep_exits_0_without_traceback(capsys, monkeypatch):
+    _, u, p = fibonacci_markov_triple(1201)  # F_1199 and F_1201, 251 digits each
+    monkeypatch.setattr(sys, "argv", ["pinstairs", "atf", "vianna", "1", str(u), str(p)])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    assert out.splitlines()[0] == f"triple: (1, {u}, {p})"
+    assert out.splitlines()[-1].startswith(f"signature: dets (1, {u * u}, {p * p})")
+    assert out.splitlines()[-1].endswith("area 1/2")
 
 
 def test_regulation_text_and_json(capsys):
