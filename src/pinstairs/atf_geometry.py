@@ -36,7 +36,6 @@ from .exact_core import (
     format_rational,
     point,
     primitive_part,
-    rational_pair_wedge,
     wedge,
 )
 from .hirzebruch_jung import wahl_data
@@ -94,12 +93,6 @@ class GirdledTriangle(_Record):
     q: int
     alpha: Rational
     beta: Rational
-
-    def __init__(self, p: int, q: int, alpha: Rational, beta: Rational):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
 
     @property
     def origin(self) -> RationalPoint:
@@ -216,12 +209,6 @@ class PavilionEdge(_Record):
     end: RationalPoint
     length: Rational
 
-    def __init__(self, label: str, start: RationalPoint, end: RationalPoint, length: Rational):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "length", length)
-
 
 class PavilionPolygon(_Record):
     __slots__ = ("base", "offsets", "vertices", "edges")
@@ -229,13 +216,6 @@ class PavilionPolygon(_Record):
     offsets: tuple[Rational, ...]
     vertices: tuple[RationalPoint, ...]
     edges: tuple[PavilionEdge, ...]
-
-    def __init__(self, base: GirdledTriangle, offsets: tuple[Rational, ...],
-                 vertices: tuple[RationalPoint, ...], edges: tuple[PavilionEdge, ...]):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
 
     def edge_lengths(self) -> dict:
         return {e.label: e.length for e in self.edges}
@@ -312,28 +292,24 @@ class ViannaTriangle(_Record):
     points: tuple[RationalPoint, RationalPoint, RationalPoint]
     cuts: tuple[LatticeVector, LatticeVector, LatticeVector]
     history: tuple[int, ...]
-
-    def __init__(self, triple: tuple[int, int, int],
-                 points: tuple[RationalPoint, RationalPoint, RationalPoint],
-                 cuts: tuple[LatticeVector, LatticeVector, LatticeVector],
-                 history: tuple[int, ...] = ()):
-        object.__setattr__(self, "triple", triple)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "cuts", cuts)
-        object.__setattr__(self, "history", history)
+    _defaults = ((),)
 
     def area(self) -> Rational:
-        v0, v1, v2 = self.points
-        return abs(rational_pair_wedge(v1 - v0, v2 - v0)) / 2
+        d, ((u0, g0), _, (u2, g2)) = _edges(self)
+        return Fraction(g0 * g2 * abs(wedge(u0, u2)), 2 * d * d)
 
     def vertex_determinant(self, k: int) -> int:
-        d1 = _direction(self.points[k], self.points[(k + 1) % 3])
-        d2 = _direction(self.points[k], self.points[(k + 2) % 3])
-        return abs(wedge(d1, d2))
+        # vertex k is where edge k + 2 ends and edge k starts
+        _, edges = _edges(self)
+        (u1, g1), (u2, g2) = edges[k], edges[(k + 2) % 3]
+        if not (g1 and g2):
+            raise DomainError("zero segment has no direction")
+        return abs(wedge(u1, u2))
 
     def edge_length(self, k: int) -> Rational:
         """Affine length of the edge opposite vertex k."""
-        return affine_length(self.points[(k + 1) % 3], self.points[(k + 2) % 3])
+        d, edges = _edges(self)
+        return Fraction(edges[(k + 1) % 3][1], d)
 
     def to_json(self) -> dict:
         return {
@@ -352,15 +328,22 @@ def _over_one_denominator(t: ViannaTriangle) -> tuple[int, list[tuple[int, int]]
                for v in t.points]
 
 
+def _edges(t: ViannaTriangle) -> tuple[int, list[tuple[LatticeVector, int]]]:
+    """(D, [(u_k, g_k)]): edge k runs from vertex k to vertex k+1 and is g_k/D
+    times the primitive integer vector u_k (g_k = 0 for a zero edge)."""
+    d, pts = _over_one_denominator(t)
+    return d, [primitive_part(LatticeVector(bx - ax, by - ay))
+               for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1])]
+
+
 def _validate_vianna(t: ViannaTriangle) -> ViannaTriangle:
     validate_triple(t.triple)
-    # edge k runs from vertex k to vertex k+1, so vertex k sees edges k and k+2
-    d, pts = _over_one_denominator(t)
-    sides = [LatticeVector(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1])]
-    if abs(wedge(sides[0], sides[2])) != d * d:  # twice the area, over D^2
+    # vertex k sees edges k and k+2
+    d, edges = _edges(t)
+    (u0, g0), _, (u2, g2) = edges
+    if g0 * g2 * abs(wedge(u0, u2)) != d * d:  # twice the area, over D^2
         raise AssertionError("mutation failed to preserve area")
-    # so no edge has length 0: edge k is g/D times its primitive direction
-    edges = [primitive_part(v) for v in sides]
+    # so no edge has length 0
     for k in range(3):
         pk, pj, pl = t.triple[k], t.triple[(k + 1) % 3], t.triple[(k + 2) % 3]
         d1 = edges[k][0]

@@ -86,11 +86,7 @@ class RenderSpec(_Record):
             raise DomainError("step count must be >= 1")
         if scale < 1:
             raise DomainError("scale must be >= 1")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "steps", steps)
+        super().__init__(kind, window, path, scale, steps)
 
 
 class _Canvas:
@@ -232,11 +228,16 @@ def render_staircase(p: int, q: int, spec: RenderSpec) -> str:
         corner = (b.alpha_sup, b.beta_sup)
         canvas.dot(corner)
         try:
-            label = f"({format_rational(b.alpha_sup)}, {format_rational(b.beta_sup)})"
+            label = _tuple_text((b.alpha_sup, b.beta_sup))
         except ValueError as exc:  # a term over the limit that the reach bound let through
             raise DomainError(_DIGIT_LIMIT_ERROR) from exc
         canvas.text(corner, label)
     return canvas.finish()
+
+
+def _tuple_text(xs) -> str:
+    """'(a, b, ...)' for rationals or ints, each through format_rational."""
+    return f"({', '.join(map(format_rational, xs))})"
 
 
 def _bbox(points, pad=Fraction(1, 10)) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -448,9 +449,7 @@ def cmd_stair(args) -> int:
         print(f"Embeds (box i={box.index}, "
               f"sup {format_rational(box.alpha_sup)} × {format_rational(box.beta_sup)})")
     elif verdict.answer == "DoesNotEmbed":
-        a, b = verdict.obstruction
-        print(f"DoesNotEmbed (obstruction corner "
-              f"({format_rational(a)}, {format_rational(b)}))")
+        print(f"DoesNotEmbed (obstruction corner {_tuple_text(verdict.obstruction)})")
     else:
         var = "alpha" if compare_to_sigma(args.p, args.alpha) != "less" else "beta"
         shown = sigma_p(args.p).decimal(3, rounded=True)
@@ -478,18 +477,19 @@ def cmd_pack_two(args) -> int:
         return 0
     values = {"alpha1": args.a1, "alpha2": args.a2, "sum": args.a1 + args.a2}
     if rep.answer == "feasible":
-        print(f"feasible (p3 = {rep.p3})")
+        lines = [f"feasible (p3 = {format_rational(rep.p3)})"]
     else:
         parts = ", ".join(
             f"{_PACK_SHOW[k]} = {format_rational(values[k])} "
             f"not < {format_rational(rep.bounds[k])}"
             for k in rep.binding
         )
-        print(f"infeasible, binding: {parts}")
-    print("bounds: " + ", ".join(
+        lines = [f"infeasible, binding: {parts}"]
+    lines.append("bounds: " + ", ".join(
         f"{_PACK_SHOW[k]} < {format_rational(rep.bounds[k])}"
         for k in ("alpha1", "alpha2", "sum")))
-    print(f"implied: {_PACK_SHOW[rep.implied]}")
+    lines.append(f"implied: {_PACK_SHOW[rep.implied]}")
+    print("\n".join(lines))
     return 0
 
 
@@ -501,17 +501,18 @@ def cmd_pack_three(args) -> int:
                               (args.q1, args.q2, args.q3))
     alphas = {1: args.a1, 2: args.a2, 3: args.a3}
     if rep.answer == "feasible":
-        print("feasible")
+        lines = ["feasible"]
     else:
         parts = ", ".join(
             f"alpha{i}+alpha{j} = {format_rational(alphas[i] + alphas[j])} "
             f"not < {format_rational(rep.bounds[(i, j)])}"
             for i, j in rep.binding
         )
-        print(f"infeasible, binding: {parts}")
-    print("bounds: " + ", ".join(
+        lines = [f"infeasible, binding: {parts}"]
+    lines.append("bounds: " + ", ".join(
         f"alpha{i}+alpha{j} < {format_rational(v)}"
         for (i, j), v in sorted(rep.bounds.items())))
+    print("\n".join(lines))
     return 0
 
 
@@ -526,16 +527,14 @@ def cmd_atf_delta(args) -> int:
         _write(args.svg, render_base_diagram(shape))
         return 0
     if isinstance(shape, PavilionPolygon):
-        for v in shape.vertices:
-            print(f"vertex ({format_rational(v.x)}, {format_rational(v.y)})")
-        for e in shape.edges:
-            print(f"edge {e.label}: length {format_rational(e.length)}")
+        lines = [f"vertex {_tuple_text(v.as_tuple())}" for v in shape.vertices]
+        lines += [f"edge {e.label}: length {format_rational(e.length)}" for e in shape.edges]
     else:
-        for v in tri.loop():
-            print(f"vertex ({format_rational(v.x)}, {format_rational(v.y)})")
-        print(f"toric normals: {tri.normal_first.as_tuple()} "
-              f"{tri.normal_last.as_tuple()}")
-        print(f"girdle normal: {tri.girdle_normal.as_tuple()}")
+        lines = [f"vertex {_tuple_text(v.as_tuple())}" for v in tri.loop()]
+        lines.append(f"toric normals: {_tuple_text(tri.normal_first.as_tuple())} "
+                     f"{_tuple_text(tri.normal_last.as_tuple())}")
+        lines.append(f"girdle normal: {_tuple_text(tri.girdle_normal.as_tuple())}")
+    print("\n".join(lines))
     return 0
 
 
@@ -546,15 +545,14 @@ def cmd_atf_vianna(args) -> int:
     if args.svg:
         _write(args.svg, render_base_diagram(t))
         return 0
-    print(f"triple: {t.triple}")
-    for k in range(3):
-        v = t.points[k]
-        print(f"vertex {k + 1}: ({format_rational(v.x)}, {format_rational(v.y)}) "
-              f"det {t.vertex_determinant(k)} cut {t.cuts[k].as_tuple()}")
+    lines = [f"triple: {_tuple_text(t.triple)}"]
+    lines += [f"vertex {k + 1}: {_tuple_text(v.as_tuple())} "
+              f"det {format_rational(t.vertex_determinant(k))} "
+              f"cut {_tuple_text(t.cuts[k].as_tuple())}" for k, v in enumerate(t.points)]
     dets, lengths, area = triangle_signature(t)
-    print(f"signature: dets {dets}, "
-          f"lengths ({', '.join(format_rational(x) for x in lengths)}), "
-          f"area {format_rational(area)}")
+    lines.append(f"signature: dets {_tuple_text(dets)}, lengths {_tuple_text(lengths)}, "
+                 f"area {format_rational(area)}")
+    print("\n".join(lines))
     return 0
 
 

@@ -34,20 +34,51 @@ class DomainError(ValueError):
 class _Record:
     """Base of the frozen result classes.
 
-    A subclass names its fields, in order, in `__slots__` and sets them in its
-    own `__init__` with `object.__setattr__`; no field can be set or deleted
-    afterwards.  Equality (same class, equal fields), hashing and `repr` read
-    the fields as those of a frozen dataclass do.  Building the class costs
-    no more than a plain class, where `dataclasses` spends about a
-    millisecond on each one at import.
+    A subclass names its fields, in order, in `__slots__`.  It is built as a
+    frozen dataclass is called: fields by position or by name, the last ones
+    optional when the class lists their defaults in `_defaults`, and a
+    missing, extra, repeated or unknown field a `TypeError`.  A subclass that
+    checks or derives a field writes its own `__init__` instead.  No field
+    can be set or deleted afterwards.  Equality (same class, equal fields),
+    hashing and `repr` read the fields as those of a frozen dataclass do.
+    Building the class costs no more than a plain class, where `dataclasses`
+    spends about a millisecond on each one at import.
     """
 
     __slots__ = ()
+    _defaults = ()  # the values of the last len(_defaults) fields when not given
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         get = attrgetter(*cls.__slots__)
         cls._values = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+        # the slot descriptors' own setters, past the __setattr__ that refuses
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *values, **named):
+        if named or len(values) != len(self.__slots__):
+            values = self._bind(values, named)
+        for put, value in zip(self._setters, values):
+            put(self, value)
+
+    def _bind(self, values, named):
+        """The fields in order, bound from `values`, `named` and `_defaults` as
+        a call binds its arguments."""
+        names, cls = self.__slots__, type(self).__qualname__
+        if len(values) > len(names):
+            raise TypeError(f"{cls}() takes {len(names)} arguments but {len(values)} were given")
+        first_default = len(names) - len(self._defaults)
+        missing = [name for name in names[len(values):first_default] if name not in named]
+        if missing:
+            raise TypeError(f"{cls}() missing required argument(s): {', '.join(missing)}")
+        values = list(values)
+        for k in range(len(values), len(names)):
+            name = names[k]
+            values.append(named.pop(name) if name in named else self._defaults[k - first_default])
+        for name in named:  # left over: a field given by position too, or no field
+            raise TypeError(f"{cls}() got multiple values for argument {name!r}" if name in names
+                            else f"{cls}() got an unexpected keyword argument {name!r}")
+        return values
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -114,10 +145,6 @@ class RationalPoint(_Record):
     x: Rational
     y: Rational
 
-    def __init__(self, x: Rational, y: Rational):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
     def __add__(self, other: "RationalPoint") -> "RationalPoint":
         return RationalPoint(self.x + other.x, self.y + other.y)
 
@@ -177,11 +204,6 @@ def _primitive_direction(a: RationalPoint, b: RationalPoint) -> tuple[LatticeVec
     return u, Fraction(k, n)
 
 
-def rational_pair_wedge(a: RationalPoint, b: RationalPoint) -> Rational:
-    """Exact 2D cross product of two rational position vectors."""
-    return a.x * b.y - a.y * b.x
-
-
 _new_object = object.__new__  # bound once: the lookup is a fifth of a call's time
 
 
@@ -215,7 +237,13 @@ def parse_rational(text: str) -> Rational:
 
 
 def format_rational(r: Rational) -> str:
-    """Render a rational as 'a/b', omitting the denominator when it is 1."""
-    if r.denominator == 1:
-        return str(r.numerator)
-    return f"{r.numerator}/{r.denominator}"
+    """Render a rational (or an int) as 'a/b', omitting the denominator when
+    it is 1.  A number past Python's int/str digit limit (3.11+) is a
+    DomainError that says how to lift the limit."""
+    try:
+        if r.denominator == 1:
+            return str(r.numerator)
+        return f"{r.numerator}/{r.denominator}"
+    except ValueError as exc:
+        raise DomainError("a number exceeds Python's int/str digit limit; "
+                          "PYTHONINTMAXSTRDIGITS=0 lifts it") from exc

@@ -128,14 +128,6 @@ class WahlData(_Record):
     e: tuple[int, ...]
     f: tuple[int, ...]
 
-    def __init__(self, p: int, q: int, chain: tuple[int, ...], e: tuple[int, ...],
-                 f: tuple[int, ...]):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "f", f)
-
     @property
     def m(self) -> int:
         return len(self.chain)

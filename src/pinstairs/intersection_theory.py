@@ -134,9 +134,6 @@ class IntersectionLattice(_Record):
     __slots__ = ("chains",)
     chains: tuple[WahlData, ...]
 
-    def __init__(self, chains: tuple[WahlData, ...]):
-        object.__setattr__(self, "chains", chains)
-
     @property
     def delta(self) -> int:
         return prod(w.p for w in self.chains)
@@ -151,10 +148,6 @@ class HomologyClass(_Record):
     __slots__ = ("a0", "parts")
     a0: Rational
     parts: tuple[tuple[Rational, ...], ...]
-
-    def __init__(self, a0: Rational, parts: tuple[tuple[Rational, ...], ...]):
-        object.__setattr__(self, "a0", a0)
-        object.__setattr__(self, "parts", parts)
 
 
 def _chain_pairing(w: WahlData, a: tuple, b: tuple) -> Rational:
@@ -232,20 +225,6 @@ class CuletReport(_Record):
     right_flank: tuple[int, ...]
     left_q: int  # Wahl parameter whose dual chain is the left flank
     right_q: int
-
-    def __init__(self, p: int, q: int, culet_index: int, p2: int, p3: int, manetti_weight: int,
-                 left_flank: tuple[int, ...], right_flank: tuple[int, ...], left_q: int,
-                 right_q: int):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "culet_index", culet_index)
-        object.__setattr__(self, "p2", p2)
-        object.__setattr__(self, "p3", p3)
-        object.__setattr__(self, "manetti_weight", manetti_weight)
-        object.__setattr__(self, "left_flank", left_flank)
-        object.__setattr__(self, "right_flank", right_flank)
-        object.__setattr__(self, "left_q", left_q)
-        object.__setattr__(self, "right_q", right_q)
 
     @property
     def triple(self) -> tuple[int, int, int]:

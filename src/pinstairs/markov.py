@@ -96,11 +96,6 @@ class TreeEntry(_Record):
     parent: Optional[int]  # index into the enumeration list
     mutated: Optional[int]  # which position of the parent was mutated
 
-    def __init__(self, triple: MarkovTriple, parent: Optional[int], mutated: Optional[int]):
-        object.__setattr__(self, "triple", triple)
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "mutated", mutated)
-
 
 def _tree_levels(expand=None) -> Iterator[list[tuple[MarkovTriple, MarkovTriple, int]]]:
     """Levels of the mutation tree below (1,1,1) as (child, parent, position), each
@@ -189,11 +184,6 @@ class CompanionPair(_Record):
     p: int
     q_plus: int
     q_minus: int
-
-    def __init__(self, p: int, q_plus: int, q_minus: int):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q_plus", q_plus)
-        object.__setattr__(self, "q_minus", q_minus)
 
     @property
     def pair(self) -> frozenset:
@@ -378,12 +368,6 @@ class BranchSequence(_Record):
     lo: int
     values: tuple[int, ...]
 
-    def __init__(self, p: int, q: int, lo: int, values: tuple[int, ...]):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "values", values)
-
     @property
     def hi(self) -> int:
         return self.lo + len(self.values) - 1
@@ -415,8 +399,7 @@ class Sigma(_Record):
     polynomial: tuple[Rational, Rational, Rational]
 
     def __init__(self, p: int):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "polynomial", (Fraction(1), Fraction(-3), Fraction(1, p * p)))
+        super().__init__(p, (Fraction(1), Fraction(-3), Fraction(1, p * p)))
 
     def compare(self, r: Rational) -> str:
         """Exact comparison of a rational with sigma_p: 'less' or 'greater'.

@@ -78,7 +78,6 @@ class DualGraph(_Record):
     edges: tuple[tuple[int, int], ...]  # unordered id pairs, stored sorted
 
     def __init__(self, vertices: tuple[tuple[int, int], ...], edges: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "vertices", vertices)
         ids = [v for v, _ in vertices]
         if len(set(ids)) != len(ids):
             raise DomainError("duplicate vertex ids")
@@ -90,7 +89,7 @@ class DualGraph(_Record):
             norm.append((min(a, b), max(a, b)))
         if len(set(norm)) != len(norm):
             raise DomainError("duplicate edges")
-        object.__setattr__(self, "edges", tuple(norm))
+        super().__init__(vertices, tuple(norm))
         if self.vertices and len(self.edges) != len(self.vertices) - 1:
             raise DomainError("graph is not a tree (wrong edge count)")
         if self.vertices and len(self._component(ids[0])) != len(ids):
@@ -306,16 +305,6 @@ class RegulationPrediction(_Record):
     chain: tuple[int, ...]
     rulings: tuple[DualGraph, ...]
     attach_positions: tuple[int, ...]  # global chain positions met by each -1
-
-    def __init__(self, p: int, q: int, weight: int, culet_index: int, chain: tuple[int, ...],
-                 rulings: tuple[DualGraph, ...], attach_positions: tuple[int, ...]):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "culet_index", culet_index)
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "rulings", rulings)
-        object.__setattr__(self, "attach_positions", attach_positions)
 
     def contracted_counts(self) -> tuple[int, ...]:
         return tuple(len(g.vertices) - 1 for g in self.rulings)

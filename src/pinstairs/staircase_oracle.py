@@ -71,11 +71,6 @@ class StairBox(_Record):
     alpha_sup: Rational
     beta_sup: Rational
 
-    def __init__(self, index: int, alpha_sup: Rational, beta_sup: Rational):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "alpha_sup", alpha_sup)
-        object.__setattr__(self, "beta_sup", beta_sup)
-
     def contains(self, alpha: Rational, beta: Rational) -> bool:
         return 0 < alpha < self.alpha_sup and 0 < beta < self.beta_sup
 
@@ -92,12 +87,7 @@ class EmbeddingVerdict(_Record):
     answer: str  # "Embeds" | "DoesNotEmbed" | "OutsideVisibleRange"
     witness: Optional[StairBox]
     obstruction: Optional[tuple[Rational, Rational]]
-
-    def __init__(self, answer: str, witness: Optional[StairBox] = None,
-                 obstruction: Optional[tuple[Rational, Rational]] = None):
-        object.__setattr__(self, "answer", answer)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "obstruction", obstruction)
+    _defaults = (None, None)
 
     def to_json(self) -> dict:
         out: dict = {"answer": self.answer}
@@ -198,14 +188,6 @@ class TwoBallReport(_Record):
     binding: tuple[str, ...]
     implied: Optional[str]
 
-    def __init__(self, answer: str, p3: Optional[int], bounds: dict, binding: tuple[str, ...],
-                 implied: Optional[str]):
-        object.__setattr__(self, "answer", answer)
-        object.__setattr__(self, "p3", p3)
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "binding", binding)
-        object.__setattr__(self, "implied", implied)
-
     @property
     def feasible(self) -> Optional[bool]:
         return None if self.answer == "unknown" else self.answer == "feasible"
@@ -256,11 +238,6 @@ class ThreeBallReport(_Record):
     bounds: dict  # pair (i, j) -> Rational sup on alpha_i + alpha_j
     binding: tuple[tuple[int, int], ...]
 
-    def __init__(self, answer: str, bounds: dict, binding: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "answer", answer)
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "binding", binding)
-
     @property
     def feasible(self) -> bool:
         return self.answer == "feasible"
@@ -302,17 +279,6 @@ class ObstructionCertificate(_Record):
     s: Rational  # self-pairing witness  -p2*p3'/p1^2
     girdle_length: Rational  # p1*p3/(p2*p3')
     displacement: Rational  # p3/p1
-
-    def __init__(self, p: int, q: int, index: int, triple: tuple[int, int, int], p3_prime: int,
-                 s: Rational, girdle_length: Rational, displacement: Rational):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "triple", triple)
-        object.__setattr__(self, "p3_prime", p3_prime)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "girdle_length", girdle_length)
-        object.__setattr__(self, "displacement", displacement)
 
     def to_json(self) -> dict:
         return {

@@ -61,6 +61,33 @@ def test_no_frozen_public_name_disappears(module):
     assert [name for name in sorted(PUBLIC_API[module]) if not hasattr(mod, name)] == []
 
 
+# the records that check or derive a field, and so write their own __init__
+OWN_INITIALISERS = {"LatticeVector", "DualGraph", "RenderSpec", "Sigma"}
+
+
+def test_only_the_records_that_check_or_derive_a_field_write_an_initialiser():
+    own, setters = set(), []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()  # the nodes of exact_core and of the four records
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(b, ast.Name) and b.id == "_Record" for b in node.bases):
+                if any(isinstance(f, ast.FunctionDef) and f.name == "__init__"
+                       for f in node.body):
+                    own.add(node.name)
+                if node.name in OWN_INITIALISERS:
+                    allowed.update(map(id, ast.walk(node)))
+        if path.name == "exact_core.py":
+            allowed.update(map(id, ast.walk(tree)))
+        setters += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"
+                    and id(node) not in allowed]
+    assert own == OWN_INITIALISERS
+    assert setters == []
+
+
 def test_companion_mismatch_is_one_class_on_every_import_path():
     assert pinstairs.CompanionMismatch is staircase_oracle.CompanionMismatch
     assert staircase_oracle.CompanionMismatch is markov.CompanionMismatch

@@ -269,6 +269,30 @@ def test_staircase_labels_past_the_digit_limit_are_a_domain_error(monkeypatch):
         render_staircase(2, 1, RenderSpec("staircase", (F(0), F(3), F(0), F(3)), steps=3))
 
 
+def _past_the_limit_of_640_digits():
+    """Commands on p = F_1553 (325 digits) whose answers print a product of two
+    325-digit numbers, such as p^2 or a denominator p*u."""
+    _, u, p = fibonacci_markov_triple(1553)
+    p, u, q = str(p), str(u), str(3 * u % p)
+    return [("capacity", p, q),
+            ("stair", p, q, "--alpha", "1/10", "--beta", "1/10"),
+            ("stair", p, q, "--alpha", "1/10", "--beta", "1/10", "--json"),
+            ("pack", "two", p, q, "1/1000", "1", "1", "1/1000"),
+            ("atf", "vianna", "1", u, p)]
+
+
+@pytest.mark.parametrize("argv", _past_the_limit_of_640_digits(),
+                         ids=["capacity", "stair", "stair-json", "pack-two", "atf-vianna"])
+def test_answers_past_the_digit_limit_exit_one_with_nothing_printed(capsys, argv):
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int/str digit limit")
+    with int_str_digits(640):
+        code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err == ("error: a number exceeds Python's int/str digit limit; "
+                   "PYTHONINTMAXSTRDIGITS=0 lifts it\n")
+
+
 @pytest.mark.parametrize("argv, error", [
     (("5", "1", "--lo", "12000", "--hi", "11990"), "empty window: lo=12000 > hi=11990"),
     (("5", "3", "--lo", "0", "--hi", "12000"), "3 is not a companion of 5 (pair {1, 4})"),

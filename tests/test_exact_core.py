@@ -14,14 +14,18 @@ from pinstairs.exact_core import (
     LatticeVector,
     RationalPoint,
     _coprime_fraction,
+    _Record,
     affine_length,
     dot,
     format_rational,
     parse_rational,
     primitive_part,
-    rational_pair_wedge,
     wedge,
 )
+from pinstairs.atf_geometry import ViannaTriangle, vianna_triangle
+from pinstairs.staircase_oracle import EmbeddingVerdict, StairBox
+
+from .test_records import SAMPLES
 
 ints = st.integers(min_value=-50, max_value=50)
 rationals = st.fractions(
@@ -99,13 +103,6 @@ def test_affine_length_scales_linearly(x, y, k):
     assert affine_length(a, kb) == k * affine_length(a, b)
 
 
-@given(rationals, rationals, rationals, rationals)
-def test_rational_pair_wedge_matches_determinant(ax, ay, bx, by):
-    a = RationalPoint(ax, ay)
-    b = RationalPoint(bx, by)
-    assert rational_pair_wedge(a, b) == ax * by - ay * bx
-
-
 def test_fraction_keeps_the_slots_the_coprime_constructor_sets():
     # _coprime_fraction writes these two slots; a Python that renames them
     # must fail here rather than build broken Fractions
@@ -128,3 +125,56 @@ def test_a_coprime_fraction_is_an_ordinary_fraction(n, d):
     assert x == ref and not x != ref and x <= ref and {x: 1}[ref] == 1
     assert (x < half, x > -1, x == n // d, x < 3) == (ref < half, ref > -1, ref == n // d, ref < 3)
     assert float(x) == float(ref)
+
+
+# --- the generic record initialiser --------------------------------------
+
+GENERIC = [x for x in SAMPLES if type(x).__init__ is _Record.__init__]
+
+
+def test_every_record_that_only_stores_its_fields_uses_the_generic_initialiser():
+    assert len(GENERIC) == 18
+
+
+@pytest.mark.parametrize("record", GENERIC, ids=lambda x: type(x).__name__)
+def test_a_record_rebuilt_from_its_fields_by_position_or_by_name_is_equal(record):
+    cls = type(record)
+    values = [getattr(record, name) for name in cls.__slots__]
+    named = dict(zip(cls.__slots__, values))
+    assert cls(*values) == record
+    assert cls(**named) == record
+    assert cls(values[0], **dict(list(named.items())[1:])) == record
+
+
+def test_trailing_fields_take_the_class_defaults():
+    box = StairBox(0, Fraction(1, 2), Fraction(1, 2))
+    assert EmbeddingVerdict("Embeds", witness=box) == EmbeddingVerdict("Embeds", box, None)
+    assert EmbeddingVerdict("OutsideVisibleRange") == EmbeddingVerdict("OutsideVisibleRange",
+                                                                       None, None)
+    t = vianna_triangle(5, 2, 1)
+    assert ViannaTriangle(t.triple, t.points, t.cuts).history == ()
+    assert ViannaTriangle(t.triple, t.points, t.cuts, t.history) == t
+
+
+@pytest.mark.parametrize("args, named, message", [
+    ((0, 1), {}, r"StairBox\(\) missing required argument\(s\): beta_sup"),
+    ((), {"index": 0}, r"StairBox\(\) missing required argument\(s\): alpha_sup, beta_sup"),
+    ((0, 1, 2, 3), {}, r"StairBox\(\) takes 3 arguments but 4 were given"),
+    ((0, 1, 2), {"index": 0}, r"StairBox\(\) got multiple values for argument 'index'"),
+    ((0, 1, 2), {"alpha": 1}, r"StairBox\(\) got an unexpected keyword argument 'alpha'"),
+])
+def test_a_call_a_frozen_dataclass_refuses_is_a_type_error(args, named, message):
+    import dataclasses
+
+    twin = dataclasses.make_dataclass("StairBox", StairBox.__slots__, frozen=True)
+    with pytest.raises(TypeError):
+        twin(*args, **named)
+    with pytest.raises(TypeError, match=message):
+        StairBox(*args, **named)
+
+
+def test_a_missing_field_without_a_default_is_a_type_error():
+    with pytest.raises(TypeError, match=r"missing required argument\(s\): answer"):
+        EmbeddingVerdict(witness=None)
+    with pytest.raises(TypeError, match=r"takes 4 arguments but 5 were given"):
+        ViannaTriangle((1, 1, 1), (), (), (), ())
