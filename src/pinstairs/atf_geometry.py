@@ -38,7 +38,7 @@ from .exact_core import (
     primitive_part,
     wedge,
 )
-from .hirzebruch_jung import wahl_data
+from .hirzebruch_jung import _chain_length, wahl_data
 from .markov import CompanionMismatch, _corner, _girdle, _q_from_triple, mutate, validate_triple
 
 __all__ = [
@@ -232,12 +232,15 @@ class PavilionPolygon(_Record):
 
 def pavilion_polygon(base: GirdledTriangle, offsets) -> PavilionPolygon:
     offsets = tuple(Fraction(x) for x in offsets)
-    rays = fan_rays(base.p, base.q)
-    m = len(rays) - 2
+    # the count is refused before the fan of the chain is built
+    m = _chain_length(base.p * base.p, base.p * base.q - 1)
     if len(offsets) != m:
         raise DomainError(f"need {m} offsets for ({base.p},{base.q}), got {len(offsets)}")
     if any(x <= 0 for x in offsets):
         raise DomainError("offsets must be positive")
+    rays = fan_rays(base.p, base.q)
+    if len(rays) != m + 2:
+        raise AssertionError(f"the fan of ({base.p},{base.q}) does not have {m} inner rays")
     constraints = list(zip(rays[1:-1], offsets))
     # the girdle must stay strictly inside every half-plane
     for n, c in constraints:
@@ -295,16 +298,10 @@ class ViannaTriangle(_Record):
     _defaults = ((),)
 
     def area(self) -> Rational:
-        d, ((u0, g0), _, (u2, g2)) = _edges(self)
-        return Fraction(g0 * g2 * abs(wedge(u0, u2)), 2 * d * d)
+        return _area(*_edges(self))
 
     def vertex_determinant(self, k: int) -> int:
-        # vertex k is where edge k + 2 ends and edge k starts
-        _, edges = _edges(self)
-        (u1, g1), (u2, g2) = edges[k], edges[(k + 2) % 3]
-        if not (g1 and g2):
-            raise DomainError("zero segment has no direction")
-        return abs(wedge(u1, u2))
+        return _vertex_determinant(_edges(self)[1], k)
 
     def edge_length(self, k: int) -> Rational:
         """Affine length of the edge opposite vertex k."""
@@ -334,6 +331,19 @@ def _edges(t: ViannaTriangle) -> tuple[int, list[tuple[LatticeVector, int]]]:
     d, pts = _over_one_denominator(t)
     return d, [primitive_part(LatticeVector(bx - ax, by - ay))
                for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1])]
+
+
+def _area(d: int, edges: list[tuple[LatticeVector, int]]) -> Rational:
+    (u0, g0), _, (u2, g2) = edges
+    return Fraction(g0 * g2 * abs(wedge(u0, u2)), 2 * d * d)
+
+
+def _vertex_determinant(edges: list[tuple[LatticeVector, int]], k: int) -> int:
+    # vertex k is where edge k + 2 ends and edge k starts
+    (u1, g1), (u2, g2) = edges[k], edges[(k + 2) % 3]
+    if not (g1 and g2):
+        raise DomainError("zero segment has no direction")
+    return abs(wedge(u1, u2))
 
 
 def _validate_vianna(t: ViannaTriangle) -> ViannaTriangle:
@@ -466,9 +476,10 @@ def _vianna(p1: int, p2: int, p3: int) -> ViannaTriangle:
 def triangle_signature(t: ViannaTriangle) -> tuple:
     """Integral-affine equivalence key: sorted determinants, sorted edge
     lengths, area."""
-    dets = tuple(sorted(t.vertex_determinant(k) for k in range(3)))
-    lengths = tuple(sorted(t.edge_length(k) for k in range(3)))
-    return (dets, lengths, t.area())
+    d, edges = _edges(t)  # derived once for all seven values
+    dets = tuple(sorted(_vertex_determinant(edges, k) for k in range(3)))
+    lengths = tuple(sorted(Fraction(g, d) for _, g in edges))
+    return (dets, lengths, _area(d, edges))
 
 
 def girdle_data(triple, q1: int) -> tuple[LatticeVector, Rational, Rational]:

@@ -67,6 +67,17 @@ def _rational_list(text: str) -> list[Fraction]:
 FMT = "%.6g"
 
 
+def _float(x) -> float:
+    """float(x) for a number drawn into an SVG, whose coordinates are floats;
+    a number past the float range is refused as a DomainError, so no file is
+    written."""
+    try:
+        return float(x)
+    except OverflowError as exc:
+        raise DomainError("a number is too large to draw: SVG coordinates are "
+                          "floats, which end near 1.8e308") from exc
+
+
 class RenderSpec(_Record):
     """What to draw and how: world window, pixel scale, staircase steps."""
 
@@ -98,8 +109,8 @@ class _Canvas:
         self.spec = spec
         xmin, xmax, ymin, ymax = spec.window
         self.xmin, self.ymin, self.ymax = xmin, ymin, ymax
-        self.w = float(Fraction(spec.scale) * (xmax - xmin)) + 2 * self.MARGIN
-        self.h = float(Fraction(spec.scale) * (ymax - ymin)) + 2 * self.MARGIN
+        self.w = _float(Fraction(spec.scale) * (xmax - xmin)) + 2 * self.MARGIN
+        self.h = _float(Fraction(spec.scale) * (ymax - ymin)) + 2 * self.MARGIN
         self.rows: list[str] = [
             '<svg xmlns="http://www.w3.org/2000/svg" width="%s" height="%s">'
             % (FMT % self.w, FMT % self.h)
@@ -108,7 +119,7 @@ class _Canvas:
     def px(self, x, y) -> tuple[str, str]:
         hx = self.MARGIN + Fraction(self.spec.scale) * (Fraction(x) - self.xmin)
         hy = self.MARGIN + Fraction(self.spec.scale) * (self.ymax - Fraction(y))
-        return FMT % float(hx), FMT % float(hy)
+        return FMT % _float(hx), FMT % _float(hy)
 
     DASH = {"solid": "", "girdle": ' stroke-dasharray="12,6"',
             "cut": ' stroke-dasharray="4,4"', "curve": ' stroke-dasharray="6,4"'}
@@ -208,17 +219,18 @@ def render_staircase(p: int, q: int, spec: RenderSpec) -> str:
     canvas.line(zero, (xmax, Fraction(0)), width="1")
     canvas.line(zero, (Fraction(0), ymax), width="1")
     # accumulation marker at sigma_p
-    sx = Fraction(float(sig))
+    sx = Fraction(_float(sig))
     canvas.line((sx, Fraction(0)), (sx, ymax), style="girdle", width="1")
     canvas.text((sx, ymax), f"sigma_{p} = {sig.decimal(3, rounded=True)}…",
                 dx=-150, dy=14)
     # the volume curve p^2*a*b = 1
     n = 200
-    fx0, fx1 = 1.0 / (p * p * float(ymax)), float(sx)
+    pp = _float(p * p)  # as the float products below would convert it
+    fx0, fx1 = 1.0 / (pp * float(ymax)), float(sx)
     pts = []
     for k in range(n + 1):
         x = fx0 + (fx1 - fx0) * k / n
-        pts.append((Fraction(x), Fraction(1.0 / (p * p * x))))
+        pts.append((Fraction(x), Fraction(1.0 / (pp * x))))
     canvas.polyline(pts, style="curve")
     for b in boxes:
         a_s, b_s = b.alpha_sup, b.beta_sup
@@ -381,14 +393,17 @@ def cmd_markov_branch(args) -> int:
 
 
 def cmd_wahl(args) -> int:
-    from .hirzebruch_jung import wahl_data
+    from .hirzebruch_jung import _chain_length, _require_wahl_pair, wahl_data
     from .intersection_theory import (NoCulet, culet_report, discrepancies, intersection_matrix,
                                       inverse_closed_form)
 
-    w = wahl_data(args.p, args.q)
-    if w.m > MAX_TABLE_CHAIN:
-        raise DomainError(f"the chain of ({w.p},{w.q}) has {w.m} entries; the matrix and "
+    p, q = args.p, args.q
+    _require_wahl_pair(p, q)
+    m = _chain_length(p * p, p * q - 1)  # refused before the chain is built
+    if m > MAX_TABLE_CHAIN:
+        raise DomainError(f"the chain of ({p},{q}) has {m} entries; the matrix and "
                           f"its inverse are printed for at most {MAX_TABLE_CHAIN}")
+    w = wahl_data(p, q)
     matrix = intersection_matrix(w)
     inverse = inverse_closed_form(w)
     disc = discrepancies(w) if w.m else []
@@ -433,7 +448,7 @@ def cmd_stair(args) -> int:
 
     if args.svg:
         sig = sigma_p(args.p)
-        hi = Fraction(float(sig)) * Fraction(21, 20)
+        hi = Fraction(_float(sig)) * Fraction(21, 20)
         spec = RenderSpec("staircase", (Fraction(0), hi, Fraction(0), hi),
                           path=args.svg, steps=args.steps)
         _write(args.svg, render_staircase(args.p, args.q, spec))

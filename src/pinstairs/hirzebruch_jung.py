@@ -133,9 +133,30 @@ class WahlData(_Record):
         return len(self.chain)
 
 
-def wahl_data(p: int, q: int) -> WahlData:
+def _require_wahl_pair(p: int, q: int) -> None:
     if p < 1 or not (1 <= q <= p) or gcd(p, q) != 1:
         raise DomainError(f"need 1 <= q <= p coprime: got p={p}, q={q}")
+
+
+def _chain_length(n: int, a: int) -> int:
+    """len(hj_expand(n, a)) for 0 < a < n coprime, and 0 for a = 0 (the empty
+    chain of p = 1 in p^2/(pq - 1)), without building the chain.
+
+    Euclid's algorithm gives the regular continued fraction [c_1; c_2, ...]
+    of n/a in O(log n) steps.  Each partial quotient at an odd position
+    gives one entry of the ceiling expansion, and each c_k at an even
+    position a run of c_k - 1 entries equal to 2.
+    """
+    m, odd = 0, True
+    while a:
+        c, (n, a) = n // a, (a, n % a)
+        m += 1 if odd else c - 1
+        odd = not odd
+    return m
+
+
+def wahl_data(p: int, q: int) -> WahlData:
+    _require_wahl_pair(p, q)
     return _wahl(p, q)
 
 

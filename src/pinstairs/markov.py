@@ -287,6 +287,7 @@ class _Branch:
     def __init__(self, p: int, q: int):
         self.p = p
         self.q = q
+        self.pp = p * p
         _, a, b = canonical_triple(p, q)
         if p <= 2:
             self.values = {0: 1, 1: 1}
@@ -295,8 +296,10 @@ class _Branch:
         self._lo = min(self.values)
         self._hi = max(self.values)
         self[1]  # box 0 is always held: embeds reads it directly
-        # the verdicts decided at each index, built by staircase_oracle on first use
-        self.verdicts: dict = {}
+        # the verdicts decided at each index, built by staircase_oracle on first
+        # use: Embeds with box i, and DoesNotEmbed at the inner corner i
+        self.box_verdicts: dict = {}
+        self.corner_verdicts: dict = {}
 
     def __getitem__(self, i: int) -> int:
         # store each term before moving the bound: a re-entered extension is harmless
@@ -313,11 +316,14 @@ class _Branch:
 
     def first_wider(self, pn: int, d: int) -> Optional[int]:
         """The least i with pn*m_i < d*m_{i+1}, that is alpha < alpha_sup(i) for
-        alpha = pn/(p*d) in (0, sigma_p), or None when there is none: alpha is at
-        or below the limit 1/(p^2 sigma_p) of alpha_sup at -infinity, so every
-        box is wider.  Bisects the held boxes on `values`, and grows the branch
-        only when alpha lies beyond all of them, up to m_{i+1} or down to
-        m_{i-1}; on return m_{i-1}, m_i and m_{i+1} are held."""
+        alpha = pn/(p*d), or None when there is none: alpha is at or below the
+        limit 1/(p^2 sigma_p) of alpha_sup at -infinity, so every box is wider,
+        or above its limit sigma_p at +infinity, so none is.  The first lies
+        below 3/2 and the second above.  Bisects the held boxes on `values`,
+        and grows the branch only when alpha lies beyond all of them, up to
+        m_{i+1} or down to m_{i-1}, after testing alpha against the limit on
+        that side so the walk ends; on return m_{i-1}, m_i and m_{i+1} are held.
+        An alpha inside the held boxes meets no sigma_p test."""
         v, lo, hi = self.values, self._lo, self._hi
         while lo < hi:  # the least held box wider than alpha, or _hi for none
             mid = (lo + hi) // 2
@@ -327,12 +333,14 @@ class _Branch:
                 lo = mid + 1
         i = lo
         if i == self._hi:
+            if _above_sigma(self.pp, pn, self.p * d):
+                return None
             while pn * v[i] >= d * self[i + 1]:
                 i += 1
         elif i == self._lo:
-            # alpha_sup decreases to its limit as i -> -infinity: test the limit
-            # before growing down, so the walk ends
-            if _sigma_compare(self.p, d, self.p * pn) != "less":
+            # alpha_sup decreases to its limit as i -> -infinity: alpha is at or
+            # below it when 1/(p^2 alpha) = d/(p*pn) is at or above sigma_p
+            if _above_sigma(self.pp, d, self.p * pn):
                 return None
             while pn * self[i - 1] < d * v[i]:
                 i -= 1
@@ -408,7 +416,7 @@ class Sigma(_Record):
         p, not assumed), so sigma_p is irrational.
         """
         r = Fraction(r)
-        return _sigma_compare(self.p, r.numerator, r.denominator)
+        return "greater" if _above_sigma(self.p * self.p, r.numerator, r.denominator) else "less"
 
     def decimal(self, digits: int, rounded: bool = False) -> str:
         """Decimal expansion to `digits` places, truncated (or rounded)."""
@@ -429,15 +437,12 @@ class Sigma(_Record):
         return (3 * self.p + sqrt(9 * self.p * self.p - 4)) / (2 * self.p)
 
 
-def _sigma_compare(p: int, n: int, d: int) -> str:
-    """Sigma.compare for r = n/d, d > 0: p^2*d^2*(r^2 - 3r + 1/p^2) in integers."""
-    v = p * p * n * (n - 3 * d) + d * d
-    if v == 0:
-        return "equal"  # unreachable for rational r; kept for honesty
-    if v < 0:
-        return "less"  # strictly between the two roots
-    # outside the roots: below the smaller one or above sigma_p
-    return "less" if 2 * n <= 3 * d else "greater"
+def _above_sigma(pp: int, n: int, d: int) -> bool:
+    """Whether n/d > sigma_p, for pp = p^2 and d > 0.  The sign of
+    p^2*d^2*(r^2 - 3r + 1/p^2) for r = n/d is negative strictly between the
+    two roots and positive outside them; it is never 0, as sigma_p is
+    irrational, and r lies above the larger root only when it is above 3/2."""
+    return 2 * n > 3 * d and pp * n * (n - 3 * d) + d * d > 0
 
 
 def sigma_p(p: int) -> Sigma:

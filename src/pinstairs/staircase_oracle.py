@@ -10,21 +10,28 @@ alpha_sup(i) increases strictly to sigma_p, so the minimal box whose width
 exceeds alpha decides the verdict, and on failure the dominated inner corner
 is an exact obstruction.  With alpha = n/d and beta = n'/d', the search runs
 in integers on the family's cached branch: alpha < alpha_sup(i) iff
-n*p*m_i < d*m_{i+1}, beta < beta_sup(i) iff n'*p*m_{i+1} < d'*m_i, and
-n/d < sigma_p iff p^2*n^2 - 3p^2*n*d + d^2 < 0, or it is > 0 and 2n <= 3d.
+n*p*m_i < d*m_{i+1}, and beta < beta_sup(i) iff n'*p*m_{i+1} < d'*m_i.
 `_Branch.first_wider` finds the minimal box by bisecting the terms the branch
-holds; it grows the branch only when alpha lies beyond every held box, and
-grows it down only once alpha is known to lie above the limit 1/(p^2 sigma_p)
-of alpha_sup at -infinity.  At or below that limit every box is wide enough,
-and the witness is the largest i <= 0 whose box is tall enough; on the volume
-curve beta < beta_sup(i) iff 1/(p^2 beta) > alpha_sup(i), so the same search
-finds it.  A verdict decided inside the held terms reads no other term.
+holds; it grows the branch only when alpha lies beyond every held box, after
+testing alpha against the limit on that side (sigma_p above, 1/(p^2 sigma_p)
+below), so the walk ends.  At or below the lower limit every box is wide
+enough, and the witness is the largest i <= 0 whose box is tall enough; on the
+volume curve beta < beta_sup(i) iff 1/(p^2 beta) > alpha_sup(i), so the same
+search finds it, and finds none when beta lies above sigma_p.
+The family is looked up first, so a p that is not Markov or a q that is not
+its companion is refused wherever the point lies.  Every box lies inside
+(0, sigma_p)^2, so a box wider than alpha, or one taller than beta, shows that
+the point is visible: only a beta taller than every held box is searched for
+on the DoesNotEmbed path, which also grows the branch to a box that tall.
 The verdict at an index, Embeds with box i or DoesNotEmbed at the inner corner
 (m_i/(p*m_{i-1}), m_i/(p*m_{i+1})), depends only on the family and i, so each
 box and corner is built and self-checked (Markov equation, volume curve) once
-per family and kept on its branch; a repeated verdict is served from there
-with no Fraction built.  The dominance of the corner is checked on every call,
-in integers: n*p*m_{i-1} >= d*m_i and n'*p*m_{i+1} >= d'*m_i.
+per family and kept on its branch, in one dict keyed by i for boxes and one
+for corners.  A repeated verdict, decided inside the held terms, is one frame
+of `embeds` and one of `first_wider`: it reads the numerator and denominator
+slots of each Fraction, bisects, and reads its verdict from the dict, with no
+Fraction built and no sigma_p test.  The dominance of the corner is checked
+on every call, in integers: n*p*m_{i-1} >= d*m_i and n'*p*m_{i+1} >= d'*m_i.
 The packing checks are the strict linear inequalities cut out by the triple
 completing (p1, p2).
 """
@@ -43,7 +50,6 @@ from .markov import (
     _family,
     _girdle,
     _require_companion,
-    _sigma_compare,
     canonical_triple,
     is_markov_triple,
     validate_triple,
@@ -113,18 +119,20 @@ _OUTSIDE = EmbeddingVerdict("OutsideVisibleRange")
 
 def _verdict(p: int, br: _Branch, i: int, answer: str) -> EmbeddingVerdict:
     """The verdict `answer` decided at index i of the branch: Embeds with box i,
-    or DoesNotEmbed at the inner corner (m_i/(p*m_{i-1}), m_i/(p*m_{i+1})).
-    Each is built and self-checked on first use and kept on the branch; a
-    frozen verdict is safe to share."""
-    v = br.verdicts.get((i, answer))
-    if v is None:
-        if answer == "Embeds":
-            v = EmbeddingVerdict(answer, witness=_box(p, br, i))
-        else:
-            v = EmbeddingVerdict(answer, obstruction=(_corner(p, br[i], br[i - 1]),
-                                                      _corner(p, br[i], br[i + 1])))
-        br.verdicts[i, answer] = v
-    return v
+    kept in `box_verdicts`, or DoesNotEmbed at the inner corner
+    (m_i/(p*m_{i-1}), m_i/(p*m_{i+1})), kept in `corner_verdicts`.  Each is
+    built and self-checked on first use; a frozen verdict is safe to share.
+    embeds reads the two dicts itself and comes here on a miss."""
+    if answer == "Embeds":
+        kept = br.box_verdicts
+        if i not in kept:
+            kept[i] = EmbeddingVerdict(answer, witness=_box(p, br, i))
+    else:
+        kept = br.corner_verdicts
+        if i not in kept:
+            kept[i] = EmbeddingVerdict(answer, obstruction=(_corner(p, br[i], br[i - 1]),
+                                                            _corner(p, br[i], br[i + 1])))
+    return kept[i]
 
 
 def stair_boxes(p: int, q: int, i_lo: int, i_hi: int) -> list[StairBox]:
@@ -143,35 +151,46 @@ def embeds(p: int, q: int, alpha: Rational, beta: Rational) -> EmbeddingVerdict:
         alpha = Fraction(alpha)
     if type(beta) is not Fraction:
         beta = Fraction(beta)
-    n, d = alpha.numerator, alpha.denominator
-    nb, db = beta.numerator, beta.denominator
+    # the slots behind the numerator and denominator properties
+    n, d = alpha._numerator, alpha._denominator
+    nb, db = beta._numerator, beta._denominator
     if n <= 0 or nb <= 0:
         raise DomainError("alpha and beta must be positive")
     if p < 1:
         raise DomainError(f"p must be positive: {p}")
-    if _sigma_compare(p, n, d) != "less" or _sigma_compare(p, nb, db) != "less":
-        return _OUTSIDE
-    m = _family(p, q)
+    m = _family(p, q)  # a p that is not Markov, or a q not its companion, is refused here
     v, pn, pnb = m.values, p * n, p * nb
     i = m.first_wider(pn, d)
     if i is None:
+        if 2 * n > 3 * d:  # alpha above sigma_p: no box is wide enough
+            return _OUTSIDE
         # alpha at or below the limit of alpha_sup: every box is wide enough.
         # The witness is the largest i <= 0 with beta < beta_sup(i).  If box 0
         # is too short, the first j with beta_sup(j) < beta, that is
         # 1/(p^2 beta) < alpha_sup(j), is at most 1, and the witness is j - 1,
-        # or j - 2 when beta_sup(j - 1) = beta
+        # or j - 2 when beta_sup(j - 1) = beta; there is no j when beta is
+        # above sigma_p, the limit of beta_sup at -infinity
         i = 0
         if pnb * v[1] >= db * v[0]:
-            i = m.first_wider(db, pnb) - 1
+            i = m.first_wider(db, pnb)
+            if i is None:
+                return _OUTSIDE
+            i -= 1
             if pnb * v[i + 1] >= db * v[i]:
                 i -= 1
-        return _verdict(p, m, i, "Embeds")
+        return m.box_verdicts.get(i) or _verdict(p, m, i, "Embeds")
     if pnb * v[i + 1] < db * v[i]:
-        return _verdict(p, m, i, "Embeds")
+        return m.box_verdicts.get(i) or _verdict(p, m, i, "Embeds")
+    # beta >= beta_sup(i).  It lies below sigma_p when the tallest held box is
+    # as tall; otherwise the search for 1/(p^2 beta), as above, decides it and
+    # holds a box that tall for the next query
+    lo = m._lo
+    if pnb * v[lo + 1] > db * v[lo] and m.first_wider(db, pnb) is None:
+        return _OUTSIDE
     # (alpha, beta) dominates the inner corner i, checked in integers
     if not (pn * v[i - 1] >= d * v[i] and pnb * v[i + 1] >= db * v[i]):
         raise AssertionError("obstruction corner is not dominated")
-    return _verdict(p, m, i, "DoesNotEmbed")
+    return m.corner_verdicts.get(i) or _verdict(p, m, i, "DoesNotEmbed")
 
 
 def pin_ball_capacity(p: int, q: int) -> Rational:

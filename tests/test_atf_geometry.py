@@ -348,6 +348,17 @@ def test_vianna_triangles_to_depth_7_match_pinned_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == VIANNA_DIGEST_7
 
 
+def test_a_signature_derives_the_sides_once_and_equals_the_accessors():
+    for e in enumerate_tree(5):
+        for triple in _rotations(e.triple):
+            t = vianna_triangle(*triple)
+            derived, signature = calls_made(atf._edges.__code__, lambda: triangle_signature(t))
+            assert derived == 1
+            assert signature == (tuple(sorted(t.vertex_determinant(k) for k in range(3))),
+                                 tuple(sorted(t.edge_length(k) for k in range(3))),
+                                 t.area())
+
+
 @pytest.mark.parametrize("triple", [(2, 1, 1), (5, 29, 433), (1, 89, 233)])
 def test_a_mutation_does_no_fraction_arithmetic(triple):
     t = vianna_triangle(*triple)

@@ -293,6 +293,34 @@ def test_answers_past_the_digit_limit_exit_one_with_nothing_printed(capsys, argv
                    "PYTHONINTMAXSTRDIGITS=0 lifts it\n")
 
 
+@pytest.mark.parametrize("pq, error", [
+    (("3", "1"), "3 is not a Markov number"),
+    (("5", "3"), "3 is not a companion of 5 (pair {1, 4})"),
+])
+@pytest.mark.parametrize("point", [("1/10", "1/10"), ("10", "10"), ("1/10", "10"), ("10", "1/10")])
+def test_stair_refuses_a_bad_pair_wherever_the_point_lies(capsys, pq, error, point):
+    code, out, err = invoke(capsys, "stair", *pq, "--alpha", point[0], "--beta", point[1])
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.startswith(f"error: {error}")
+
+
+def _past_the_float_range():
+    """SVG commands on p = F_1553 (325 digits), whose drawing needs floats past
+    1.8e308."""
+    _, u, p = fibonacci_markov_triple(1553)
+    return [("stair", str(p), str(3 * u % p), "--steps", "3", "--svg"),
+            ("atf", "vianna", "1", str(u), str(p), "--svg")]
+
+
+@pytest.mark.parametrize("argv", _past_the_float_range(), ids=["stair", "atf-vianna"])
+def test_a_drawing_past_the_float_range_exits_one_and_writes_no_file(capsys, tmp_path, argv):
+    path = tmp_path / "f.svg"
+    code, out, err = invoke(capsys, *argv, str(path))
+    assert code == 1 and out == "" and not path.exists()
+    assert err == ("error: a number is too large to draw: SVG coordinates are floats, "
+                   "which end near 1.8e308\n")
+
+
 @pytest.mark.parametrize("argv, error", [
     (("5", "1", "--lo", "12000", "--hi", "11990"), "empty window: lo=12000 > hi=11990"),
     (("5", "3", "--lo", "0", "--hi", "12000"), "3 is not a companion of 5 (pair {1, 4})"),
@@ -352,6 +380,19 @@ def test_wahl_refuses_tables_of_overlong_chains(capsys, monkeypatch):
     assert code == 0 and len(json.loads(out)["chain"]) == 5
     code, out, _ = invoke(capsys, "wahl", "7", "1", "--json")
     assert code == 1 and out == ""
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("wahl", "1000001", "1"), "the chain of (1000001,1) has 1000000 entries"),
+    (("wahl", str(10**400 + 1), "1"), f"the chain of ({10**400 + 1},1) has {10**400} entries"),
+    (("atf", "delta", "1000001", "1", "1/2", "1/3", "--pavilion", "1/100"),
+     "need 1000000 offsets for (1000001,1), got 1"),
+])
+def test_a_long_chain_is_refused_before_it_is_built(capsys, argv, error):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out == "" and err.startswith(f"error: {error}")
 
 
 def test_markov_tree_refuses_depths_beyond_the_printed_limit(capsys, monkeypatch):

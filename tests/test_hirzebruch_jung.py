@@ -4,12 +4,13 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinstairs.exact_core import DomainError
 from pinstairs.hirzebruch_jung import (
     INFINITY,
+    _chain_length,
     dual_chain,
     hj_eval,
     hj_eval_projective,
@@ -193,3 +194,35 @@ def test_expand_entries_at_least_two_iff_proper(n):
         if gcd(n, a) != 1:
             continue
         assert all(b >= 2 for b in hj_expand(n, a))
+
+
+@st.composite
+def coprime_pairs(draw):
+    """A coprime pair 0 < a < n, built from the regular continued fraction
+    [c_1; c_2, ..., c_k] of n/a, so its chain stays short enough to expand."""
+    cs = draw(st.lists(st.integers(1, 60), min_size=1, max_size=40))
+    if cs[-1] == 1:
+        cs[-1] = 2  # the last quotient of a value above 1 is at least 2
+    n, a = cs[-1], 1
+    for c in reversed(cs[:-1]):
+        n, a = c * n + a, n
+    return n, a
+
+
+@settings(max_examples=500)
+@given(coprime_pairs())
+def test_chain_length_is_the_length_of_the_expansion(pair):
+    assert _chain_length(*pair) == len(hj_expand(*pair))
+
+
+def test_chain_length_of_every_wahl_pair_up_to_60():
+    for p in range(1, 60):
+        for q in range(1, p + 1):
+            if gcd(p, q) == 1:
+                assert _chain_length(p * p, p * q - 1) == wahl_data(p, q).m
+
+
+def test_chain_length_of_a_huge_pair_takes_a_few_steps():
+    # the chain of (p, 1) has p - 1 entries; its continued fraction two terms
+    p = 10**400 + 1
+    assert _chain_length(p * p, p - 1) == p - 1

@@ -400,6 +400,17 @@ def test_first_wider_matches_a_walk_from_zero_and_grows_only_to_its_neighbours(q
         assert (br._lo, br._hi) == (min(br.values), max(br.values))
 
 
+@pytest.mark.parametrize("pq", [(1, 1), (2, 1), (5, 1), (29, 7), (433, 104)])
+def test_first_wider_finds_no_box_above_sigma_and_grows_nothing(pq):
+    p = pq[0]
+    s = Fraction(sigma_p(p).decimal(45))  # sigma_p - 10^-45 < s < sigma_p
+    for alpha in (s + Fraction(1, 10**44), Fraction(3), Fraction(10**9)):
+        br = markov._Branch(*pq)
+        held = dict(br.values)
+        assert br.first_wider(p * alpha.numerator, alpha.denominator) is None
+        assert br.values == held
+
+
 def test_branch_sequence_window_validation():
     with pytest.raises(DomainError):
         branch_sequence(2, 1, 3, 1)

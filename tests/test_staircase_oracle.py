@@ -2,7 +2,9 @@
 
 import random
 import sys
+import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -186,6 +188,87 @@ def test_a_warm_verdict_reads_no_term_through_getitem(p, q, alpha, beta, answer,
     assert cold.answer == answer and getattr(cold.witness, "index", None) == index
     reads, warm = calls_made(getitem, lambda: embeds(p, q, alpha, beta))
     assert reads == 0 and warm is cold
+
+
+def python_calls(call):
+    """The code objects of the Python-level calls made while `call()` runs, in
+    order, and its result."""
+    codes = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return codes, result
+
+
+@pytest.mark.parametrize("p,q,alpha,beta,answer", [
+    (2, 1, Fraction(49, 100), Fraction(49, 100), "Embeds"),
+    (433, 104, Fraction(2999998222, 10**9), Fraction(1, 10**12), "Embeds"),
+    (5, 1, Fraction(3, 10), Fraction(1, 5), "DoesNotEmbed"),
+    (1, 1, Fraction(2), Fraction(51, 20), "DoesNotEmbed"),  # beta above every box held at first
+    (29, 7, Fraction(3, 2), Fraction(2), "DoesNotEmbed"),
+])
+def test_a_warm_verdict_is_one_frame_and_one_search(p, q, alpha, beta, answer):
+    markov._family.cache_clear()
+    cold = embeds(p, q, alpha, beta)
+    assert cold.answer == answer
+    codes, warm = python_calls(partial(embeds, p, q, alpha, beta))
+    assert codes == [embeds.__code__, markov._Branch.first_wider.__code__]
+    assert warm is cold
+
+
+@st.composite
+def points_near_sigma(draw):
+    """A family and a point whose coordinates are any rationals up to 4, or lie
+    within 10^-40 of sigma_p on either side."""
+    pq = draw(st.sampled_from(GRID_PAIRS + [(433, 104)]))
+    s = Fraction(sigma_p(pq[0]).decimal(60))  # sigma_p - 10^-60 < s < sigma_p
+
+    def coordinate():
+        if draw(st.booleans()):
+            return draw(st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(4),
+                                     max_denominator=10**6))
+        return s + Fraction(draw(st.integers(-10**6, 10**6).filter(bool)), 10**46)
+
+    return pq, coordinate(), coordinate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(points_near_sigma())
+def test_outside_the_visible_range_exactly_when_a_coordinate_exceeds_sigma(query):
+    (p, q), alpha, beta = query
+    verdict = embeds(p, q, alpha, beta)
+    sigma = sigma_p(p)
+    above = sigma.compare(alpha) == "greater" or sigma.compare(beta) == "greater"
+    assert (verdict.answer == "OutsideVisibleRange") == above
+    if verdict.answer == "Embeds":
+        assert verdict.witness.contains(alpha, beta)
+    elif verdict.answer == "DoesNotEmbed":
+        assert alpha >= verdict.obstruction[0] and beta >= verdict.obstruction[1]
+
+
+@pytest.mark.parametrize("p,q,error", [
+    (3, 1, "3 is not a Markov number"),
+    (5, 3, "3 is not a companion of 5"),
+    (10**30 + 1, 1, f"{10**30 + 1} is not a Markov number"),
+])
+@pytest.mark.parametrize("alpha,beta", [
+    (Fraction(1, 10), Fraction(1, 10)),
+    (Fraction(10), Fraction(10)),
+    (Fraction(1, 10), Fraction(10)),
+    (Fraction(10), Fraction(1, 10)),
+])
+def test_a_bad_pair_is_refused_wherever_the_point_lies(p, q, error, alpha, beta):
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=error):
+        embeds(p, q, alpha, beta)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("p,q", BENCHMARK_PAIRS)
