@@ -30,6 +30,7 @@ from .exact_core import (
     Rational,
     RationalPoint,
     _clear_denominators,
+    _continuants,
     _Record,
     _primitive_direction,
     affine_length,
@@ -170,9 +171,7 @@ def delta_triangle(p: int, q: int, alpha: Rational, beta: Rational) -> GirdledTr
 def fan_rays(p: int, q: int) -> list[LatticeVector]:
     """Inward normals rho_0 .. rho_{m+1} of the subdivided fan."""
     w = wahl_data(p, q)
-    rays = [LatticeVector(1, 0), LatticeVector(0, 1)]
-    for b in w.chain:
-        rays.append(b * rays[-1] - rays[-2])
+    rays = _continuants(w.chain, LatticeVector(1, 0), LatticeVector(0, 1))
     if p >= 2 and rays[-1] != LatticeVector(1 - p * q, p * p):
         raise AssertionError(f"terminal ray mismatch for ({p},{q})")
     for u, v in zip(rays, rays[1:]):

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .exact_core import DomainError, _Record, format_rational, parse_rational
+from .exact_core import DomainError, _continuants, _Record, format_rational, parse_rational
 
 __all__ = ["run", "main", "RenderSpec", "render_staircase", "render_base_diagram"]
 
@@ -354,9 +354,7 @@ def _branch_reach(p: int, digits: int) -> int:
     2^a <= r^1024, read off the bit lengths of num^1024 and den^1024, and
     10^digits < 2^B, a term with a(|i| - 9) >= 1024 B exceeds 10^digits.
     """
-    num, den = 1, 1  # r_0
-    for _ in range(8):
-        num, den = 3 * p * num - den, num
+    den, num = _continuants([3 * p] * 8, 1, 1)[-2:]  # r_8, from r_0 = 1/1
     shift = den.bit_length() - 64
     if shift > 0:  # r rounded down to about 64 bits
         num, den = num >> shift, (den >> shift) + 1

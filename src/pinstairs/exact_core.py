@@ -204,6 +204,17 @@ def _primitive_direction(a: RationalPoint, b: RationalPoint) -> tuple[LatticeVec
     return u, Fraction(k, n)
 
 
+def _continuants(entries, x0, x1) -> list:
+    """[x_0, x_1, ..., x_{m+1}] for x_{k+1} = b_k x_k - x_{k-1} over the
+    entries b_1..b_m: the one recurrence behind chain values, the Wahl e/f
+    sequences and the fan rays.  The seeds are ints or LatticeVectors."""
+    xs = [x0, x1]
+    for b in entries:
+        x0, x1 = x1, b * x1 - x0
+        xs.append(x1)
+    return xs
+
+
 _new_object = object.__new__  # bound once: the lookup is a fifth of a call's time
 
 

@@ -1,9 +1,10 @@
 """Hirzebruch-Jung continued fractions, Wahl chains, duals, and e/f sequences.
 
 The chain [b1,...,bm] stands for b1 - 1/(b2 - 1/(... - 1/bm)).  Evaluation is
-projective (numerator/denominator pairs), so chains that pass through an
-intermediate infinity evaluate totally; that matters for the zero
-continued fractions, which are exactly the chains evaluating to 0.
+projective (numerator/denominator pairs, the continuants of
+exact_core._continuants), so chains that pass through an intermediate
+infinity evaluate totally; that matters for the zero continued fractions,
+which are exactly the chains evaluating to 0.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .exact_core import DomainError, _Record
+from .exact_core import DomainError, _continuants, _Record
 
 __all__ = [
     "INFINITY",
@@ -68,14 +69,11 @@ def hj_expand(n: int, a: int) -> HJChain:
 def hj_eval_projective(entries: HJChain) -> tuple[int, int]:
     """Right-to-left evaluation as a normalized projective pair (num, den).
 
-    The empty chain is (1, 0), i.e. infinity.
+    The pair is the last two continuants of the reversed chain, which are
+    coprime, as any two consecutive continuants are.  The empty chain is
+    (1, 0), i.e. infinity.
     """
-    num, den = 1, 0
-    for b in reversed(entries):
-        num, den = b * num - den, num
-    g = gcd(num, den)
-    if g:
-        num, den = num // g, den // g
+    den, num = _continuants(reversed(entries), 0, 1)[-2:]
     if den < 0:
         num, den = -num, -den
     return num, den
@@ -103,22 +101,17 @@ def is_zero_continued_fraction(entries: HJChain) -> bool:
     """
     if any(b < 1 for b in entries):
         raise DomainError(f"chain entries must be >= 1: {entries}")
-    if not entries:
-        return False
-    num, den = entries[-1], 1  # the suffix value num/den, den > 0
-    for b in reversed(entries[:-1]):
-        if num <= 0:
-            return False
-        num, den = b * num - den, num
-    return num == 0
+    xs = _continuants(reversed(entries), 0, 1)  # the last k entries are xs[k + 1]/xs[k]
+    return xs[-1] == 0 and min(xs[1:-1]) > 0
 
 
 class WahlData(_Record):
     """The chain of p^2/(pq-1) together with its e/f companion sequences.
 
-    e and f satisfy the same three-term recursion x_{i+1} = b_i*x_i - x_{i-1}
-    with seeds e_0=0, e_1=1 and f_0=p^2, f_1=pq-1; then e_{m+1}=p^2, f_{m+1}=0
-    and e_i*f_{i-1} - e_{i-1}*f_i = p^2 throughout.
+    e and f are continuants of the chain (exact_core._continuants), the
+    recursion x_{i+1} = b_i*x_i - x_{i-1} with seeds e_0=0, e_1=1 and
+    f_0=p^2, f_1=pq-1; then e_{m+1}=p^2, f_{m+1}=0 and
+    e_i*f_{i-1} - e_{i-1}*f_i = p^2 throughout.
     """
 
     __slots__ = ("p", "q", "chain", "e", "f")
@@ -167,11 +160,8 @@ def _wahl(p: int, q: int) -> WahlData:
     if p == 1:
         return WahlData(1, 1, (), (0, 1), (1, 0))
     chain = hj_expand(p * p, p * q - 1)
-    e = [0, 1]
-    f = [p * p, p * q - 1]
-    for b in chain:
-        e.append(b * e[-1] - e[-2])
-        f.append(b * f[-1] - f[-2])
+    e = _continuants(chain, 0, 1)
+    f = _continuants(chain, p * p, p * q - 1)
     if e[-1] != p * p or f[-1] != 0:
         raise AssertionError(f"e/f recursion endpoints wrong for (p,q)=({p},{q})")
     for i in range(1, len(e)):

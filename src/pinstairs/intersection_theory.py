@@ -106,8 +106,15 @@ def inverse_closed_form(w: WahlData) -> list[list[Rational]]:
 
 
 def is_negative_definite(matrix: list[list[int]]) -> bool:
-    """Leading principal minors alternate in sign: (-1)^k * minor_k > 0."""
+    """Whether a square, symmetric, tridiagonal matrix, such as
+    intersection_matrix returns, is negative definite: its leading principal
+    minors alternate in sign, (-1)^k * minor_k > 0, by the O(m) recurrence of
+    a tridiagonal determinant.  Any other matrix is a DomainError."""
     m = len(matrix)
+    if any(len(row) != m for row in matrix) or any(
+            matrix[i][j] != (matrix[j][i] if abs(i - j) == 1 else 0)
+            for i in range(m) for j in range(m) if i != j):
+        raise DomainError("need a square, symmetric, tridiagonal matrix")
     prev2, prev1 = 1, 1  # D_{-1}, D_0
     for k in range(m):
         d = matrix[k][k] * prev1 - (matrix[k][k - 1] * matrix[k - 1][k] * prev2 if k else 0)
@@ -208,7 +215,7 @@ def coefficients_from_intersections(w: WahlData, chi) -> list[Rational]:
     for i in range(w.m):
         prefix += e[i] * chi[i]
         total = f[i] * prefix + e[i] * suffix[i + 1]
-        out.append(Fraction(-total, p2) if isinstance(total, int) else -total / p2)
+        out.append(Fraction(-total, p2))
     return out
 
 

@@ -82,6 +82,8 @@ def validate_triple(t: MarkovTriple) -> MarkovTriple:
 
 def mutate(t: MarkovTriple, index: int) -> MarkovTriple:
     """Replace entry `index` (1-based) by 3*(product of the others) - entry."""
+    if len(t) != 3:
+        raise DomainError(f"a triple has 3 entries: {t}")
     if index not in (1, 2, 3):
         raise DomainError(f"mutation index must be 1, 2 or 3: {index}")
     out = list(t)

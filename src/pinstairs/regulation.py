@@ -29,19 +29,20 @@ decided so at once, with no contraction.
 
 For a Wahl chain of weight 7 or 10 the flanking dual Wahl subchains each
 admit exactly one vertex where an extra -1 sphere makes them degenerate,
-which pins the predicted rulings.  Their entries are >= 2, so the hung -1
-is the only contractible vertex; contracting it leaves the flank with b_k - 1
-at the site k.  attach_position decides every site of such a chain as a
-zero continued fraction in one linear pass of continuants, without building
-a graph (see _zero_sites), and the self-check on each predicted ruling costs
-one contraction and one path test.
+which pins the predicted rulings.  Contracting the hung -1 leaves the chain
+with b_k - 1 at the site k.  attach_position finds, for any chain, the sites
+where that chain evaluates to 0 in one linear pass of continuants, without
+building a graph (see _zero_sites), and confirms each as a zero continued
+fraction.  Flank entries are >= 2, so the hung -1 is the only contractible
+vertex, and the self-check on each predicted ruling costs one contraction
+and one path test.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Union
 
-from .exact_core import DomainError, _Record
+from .exact_core import DomainError, _continuants, _Record
 from .hirzebruch_jung import is_zero_continued_fraction, recognize_dual_wahl
 from .intersection_theory import culet_report
 from .markov import _require_companion
@@ -245,49 +246,34 @@ def is_ruling_degeneration(g: DualGraph) -> bool:
 
 
 def _zero_sites(chain: list[int]) -> list[int]:
-    """The 1-based sites k of a chain with every entry >= 2 at which
-    chain[:k-1] + [b_k - 1] + chain[k:] is a zero continued fraction, found
-    in one right-to-left and one left-to-right pass.
+    """The 1-based sites k of a chain with entries >= 1 at which
+    chain[:k-1] + [b_k - 1] + chain[k:] evaluates to exactly 0, from one
+    left-to-right and one right-to-left pass of continuants.
 
-    Hanging a -1 at site k and contracting it, the only contractible vertex,
-    leaves exactly that chain.  With c_j the continuant of chain[j:] (c_m = 1,
-    c_{m+1} = 0), the suffix chain[k-1:] has value c_{k-1}/c_k > 1, so the
-    changed suffix has the positive value (c_{k-1} - c_k)/c_k.  The chain
-    evaluates to the prefix matrix of chain[:k-1] (the product of the maps
-    x -> b - 1/x) applied to that pair; its top row (x, y) gives the
-    numerator, and site k is a hit iff x (c_{k-1} - c_k) + y c_k = 0.  The
-    matrix has determinant 1, so the denominator is then nonzero.  No
-    positivity check of is_zero_continued_fraction can fail on a hit: run
-    backwards from the value 0, each earlier partial value is 1/(b - x) with
-    b >= 2 and 0 <= x < 1, so it lies in (0, 1), and the values after the
-    site are those of suffixes of the chain, all > 1.
+    With P_j the continuant of chain[:j] and S_j that of chain[j-1:], the
+    numerator of the chain's value is P_m, and lowering b_k by one lowers it
+    by P_{k-1} S_{k+1}.  So site k is a hit iff P_{k-1} S_{k+1} = P_m.  The
+    denominator is the continuant next to that numerator, coprime to it, so
+    it is then +-1 and the value is 0, not a pole.  That is algebra alone,
+    for any entries; attach_position checks on each hit that the changed
+    chain is a zero continued fraction, through positive partial values.
     """
     m = len(chain)
-    c = [0] * (m + 2)
-    c[m] = 1
-    for j in range(m - 1, -1, -1):
-        c[j] = chain[j] * c[j + 1] - c[j + 2]
-    hits = []
-    x, y = 1, 0  # top row of the prefix matrix of chain[:k-1]
-    for k in range(1, m + 1):
-        if x * (c[k - 1] - c[k]) + y * c[k] == 0:
-            hits.append(k)
-        x, y = chain[k - 1] * x + y, -x
-    return hits
+    prefix = _continuants(chain, 0, 1)  # prefix[j + 1] = P_j
+    suffix = _continuants(reversed(chain), 0, 1)  # suffix[m + 1 - j] = S_{j + 1}
+    return [k for k in range(1, m + 1) if prefix[k] * suffix[m + 1 - k] == prefix[-1]]
 
 
 def attach_position(chain) -> int:
     """The unique 1-based chain position where hanging a -1 vertex makes the
-    chain a ruling degeneration."""
+    chain a ruling degeneration: by the lemma in the module docstring, the
+    site k where the chain with b_k - 1 is the 0-vertex (for the chain [1])
+    or a zero continued fraction with no 0 entry."""
     chain = list(chain)
     if not chain or any(not isinstance(b, int) or b < 1 for b in chain):
         raise DomainError(f"bad chain {chain}")
-    if all(b >= 2 for b in chain):
-        hits = _zero_sites(chain)
-    else:
-        g = chain_graph(chain)
-        hits = [k for k in range(1, len(chain) + 1)
-                if is_ruling_degeneration(DualGraph(g.vertices + ((0, -1),), g.edges + ((0, k),)))]
+    hits = [k for k in _zero_sites(chain) if chain == [1] or chain[k - 1] > 1
+            and is_zero_continued_fraction(chain[:k - 1] + [chain[k - 1] - 1] + chain[k:])]
     if not hits:
         note = "" if recognize_dual_wahl(chain) else " (not a dual Wahl chain)"
         raise NoPosition(f"no attach position for {chain}{note}")

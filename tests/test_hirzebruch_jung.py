@@ -74,6 +74,7 @@ def test_eval_agrees_with_plain_fraction_oracle(entries):
         assert den == 0
     else:
         assert den != 0 and Fraction(num, den) == oracle
+    assert gcd(num, den) == 1
 
 
 @pytest.mark.parametrize("entries", ZCF_TRUE)

@@ -181,6 +181,10 @@ def test_negative_definiteness():
     assert not is_negative_definite([[1]])
     assert not is_negative_definite([[-1, 2], [2, -1]])
     assert is_negative_definite([[-2, 1], [1, -2]])
+    # not tridiagonal (third leading minor 24), not symmetric, not square
+    for matrix in ([[-1, 0, 5], [0, -1, 0], [5, 0, -1]], [[-1, 3], [0, -1]], [[-2, 1, 7], [1, -2]]):
+        with pytest.raises(DomainError):
+            is_negative_definite(matrix)
 
 
 @pytest.mark.parametrize("pq,expected", sorted(DISCREPANCIES.items()))

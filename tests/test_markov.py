@@ -101,6 +101,12 @@ def test_mutation_is_an_involution(k):
     assert tuple(sorted(mutate(mutate(t, k), k))) == tuple(sorted(t))
 
 
+@pytest.mark.parametrize("t", [(), (1, 2), (1, 1, 1, 1)])
+def test_mutate_refuses_a_tuple_that_is_not_a_triple(t):
+    with pytest.raises(DomainError, match="3 entries"):
+        mutate(t, 1)
+
+
 @pytest.mark.parametrize("p,pair", sorted(COMPANIONS.items()))
 def test_companions_match_frozen_table(p, pair):
     assert companions(p).pair == frozenset(pair)

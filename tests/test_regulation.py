@@ -232,7 +232,7 @@ def test_ruling_check_matches_exhaustive_search_on_every_short_chain():
 
 def test_attach_position_matches_exhaustive_search_on_every_short_chain():
     for k in range(1, 7):
-        for chain in itertools.product((2, 3, 4, 5), repeat=k):
+        for chain in itertools.product((1, 2, 3, 4, 5), repeat=k):
             g = chain_graph(chain)
             hits = [s for s in range(1, k + 1) if exhaustive_is_degeneration(
                 DualGraph(g.vertices + ((0, -1),), g.edges + ((0, s),)))]
