@@ -11,30 +11,30 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# the public names of each module; importing the package loads none of them,
-# and each module is imported when one of its names is first read (PEP 562)
+# the public names that each module defines; importing the package loads none of
+# them, and each module is imported when one of its names is first read (PEP 562)
 _EXPORTS = {
     "exact_core": (
         "DomainError", "LatticeVector", "Rational", "RationalPoint", "affine_length",
         "dot", "format_rational", "parse_rational", "primitive_part", "wedge",
     ),
     "markov": (
-        "BranchSequence", "CompanionMismatch", "CompanionPair", "NotFound", "NotMarkov",
-        "Sigma", "TreeEntry", "branch_sequence", "canonical_triple", "companions",
-        "compare_to_sigma", "enumerate_tree", "is_companion", "is_markov_number",
-        "is_markov_triple", "mutate", "sigma_p", "tree_to_json",
+        "BranchSequence", "CompanionMismatch", "CompanionPair", "MarkovTriple",
+        "NoCommonTriple", "NotFound", "NotMarkov", "Sigma", "TreeEntry", "branch_sequence",
+        "canonical_triple", "companions", "compare_to_sigma", "enumerate_tree",
+        "is_companion", "is_markov_number", "is_markov_triple", "mutate", "sigma_p",
+        "tree_to_json", "two_ball_degree", "validate_triple",
     ),
     "hirzebruch_jung": (
-        "INFINITY", "HJChain", "WahlData", "dual_chain", "hj_eval", "hj_expand",
-        "is_zero_continued_fraction", "recognize_dual_wahl", "wahl_data",
+        "INFINITY", "HJChain", "WahlData", "dual_chain", "hj_eval", "hj_eval_projective",
+        "hj_expand", "is_zero_continued_fraction", "recognize_dual_wahl", "wahl_data",
     ),
     "intersection_theory": (
-        "CuletReport", "HomologyClass", "IntersectionLattice", "MultipleCulets",
-        "NoCommonTriple", "NoCulet", "canonical_class", "class_pairing", "class_square",
+        "CuletReport", "HomologyClass", "IntersectionLattice", "MultipleCulets", "NoCulet",
+        "canonical_class", "class_pairing", "class_square",
         "coefficients_from_intersections", "culet_report", "discrepancies",
         "enumerate_adjunction_solutions", "exceptional_class", "intersection_matrix",
         "inverse_closed_form", "is_negative_definite", "square_zero_class_search",
-        "two_ball_degree",
     ),
     "staircase_oracle": (
         "EmbeddingVerdict", "ObstructionCertificate", "StairBox", "ThreeBallReport",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from .exact_core import (
     DomainError,
@@ -39,11 +39,13 @@ from .exact_core import (
     primitive_part,
     wedge,
 )
-from .hirzebruch_jung import _chain_length, wahl_data
-from .markov import CompanionMismatch, _corner, _girdle, _q_from_triple, mutate, validate_triple
+from .hirzebruch_jung import _chain_length, _require_wahl_pair, wahl_data
+from .markov import (CompanionMismatch, _corner, _descend, _girdle, _q_from_triple, mutate,
+                     validate_triple)
 
 __all__ = [
     "GirdledTriangle",
+    "PavilionEdge",
     "PavilionPolygon",
     "ViannaTriangle",
     "GirdleViolated",
@@ -148,8 +150,7 @@ class GirdledTriangle(_Record):
 
 def delta_triangle(p: int, q: int, alpha: Rational, beta: Rational) -> GirdledTriangle:
     alpha, beta = Fraction(alpha), Fraction(beta)
-    if p < 1 or not 1 <= q <= p or gcd(p, q) != 1:
-        raise DomainError(f"need 1 <= q <= p coprime: got ({p},{q})")
+    _require_wahl_pair(p, q)
     if alpha <= 0 or beta <= 0:
         raise DomainError("sizes must be positive")
     t = GirdledTriangle(p, q, alpha, beta)
@@ -215,9 +216,6 @@ class PavilionPolygon(_Record):
     offsets: tuple[Rational, ...]
     vertices: tuple[RationalPoint, ...]
     edges: tuple[PavilionEdge, ...]
-
-    def edge_lengths(self) -> dict:
-        return {e.label: e.length for e in self.edges}
 
     def to_json(self) -> dict:
         return {
@@ -448,15 +446,6 @@ def vianna_triangle(p1: int, p2: int, p3: int) -> ViannaTriangle:
     for triple in reversed(path):
         t = _vianna(*triple)
     return t
-
-
-def _descend(triple: tuple[int, int, int]) -> tuple[int, tuple[int, int, int]]:
-    """(k, parent): the parent mutates the largest number, at position k."""
-    k = triple.index(max(triple))
-    parent = mutate(triple, k + 1)
-    if not 0 < parent[k] < triple[k]:
-        raise AssertionError(f"no descent from {triple}")
-    return k, parent
 
 
 @lru_cache(maxsize=_VIANNA_CACHE_SIZE)

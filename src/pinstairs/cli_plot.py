@@ -16,7 +16,6 @@ import argparse
 import re
 import sys
 from fractions import Fraction
-from typing import Optional
 
 from .exact_core import DomainError, _continuants, _Record, format_rational, parse_rational
 
@@ -79,46 +78,42 @@ def _float(x) -> float:
 
 
 class RenderSpec(_Record):
-    """What to draw and how: world window, pixel scale, staircase steps."""
+    """What to draw: world window and staircase steps."""
 
-    __slots__ = ("kind", "window", "path", "scale", "steps")
-    kind: str  # "staircase" | "base_diagram" | "markov_tree"
+    __slots__ = ("kind", "window", "steps")
+    kind: str  # "staircase" | "base_diagram"
     window: tuple[Fraction, Fraction, Fraction, Fraction]  # xmin,xmax,ymin,ymax
-    path: Optional[str]
-    scale: int
     steps: int
 
     def __init__(self, kind: str, window: tuple[Fraction, Fraction, Fraction, Fraction],
-                 path: Optional[str] = None, scale: int = 160, steps: int = 1):
+                 steps: int = 1):
         xmin, xmax, ymin, ymax = window
         if not (xmax > xmin and ymax > ymin):
             raise DomainError("render window must have positive extent")
         if steps < 1:
             raise DomainError("step count must be >= 1")
-        if scale < 1:
-            raise DomainError("scale must be >= 1")
-        super().__init__(kind, window, path, scale, steps)
+        super().__init__(kind, window, steps)
 
 
 class _Canvas:
     """Accumulates SVG elements over an exact world-coordinate window."""
 
     MARGIN = 40
+    SCALE = 160  # pixels per world unit
 
     def __init__(self, spec: RenderSpec):
-        self.spec = spec
         xmin, xmax, ymin, ymax = spec.window
         self.xmin, self.ymin, self.ymax = xmin, ymin, ymax
-        self.w = _float(Fraction(spec.scale) * (xmax - xmin)) + 2 * self.MARGIN
-        self.h = _float(Fraction(spec.scale) * (ymax - ymin)) + 2 * self.MARGIN
+        self.w = _float(self.SCALE * (xmax - xmin)) + 2 * self.MARGIN
+        self.h = _float(self.SCALE * (ymax - ymin)) + 2 * self.MARGIN
         self.rows: list[str] = [
             '<svg xmlns="http://www.w3.org/2000/svg" width="%s" height="%s">'
             % (FMT % self.w, FMT % self.h)
         ]
 
     def px(self, x, y) -> tuple[str, str]:
-        hx = self.MARGIN + Fraction(self.spec.scale) * (Fraction(x) - self.xmin)
-        hy = self.MARGIN + Fraction(self.spec.scale) * (self.ymax - Fraction(y))
+        hx = self.MARGIN + self.SCALE * (Fraction(x) - self.xmin)
+        hy = self.MARGIN + self.SCALE * (self.ymax - Fraction(y))
         return FMT % _float(hx), FMT % _float(hy)
 
     DASH = {"solid": "", "girdle": ' stroke-dasharray="12,6"',
@@ -261,7 +256,7 @@ def _bbox(points, pad=Fraction(1, 10)) -> tuple[Fraction, Fraction, Fraction, Fr
             min(ys) - pad * spany, max(ys) + pad * spany)
 
 
-def render_base_diagram(shape, spec: Optional[RenderSpec] = None, scale: int = 160) -> str:
+def render_base_diagram(shape) -> str:
     """SVG for a girdled triangle, a pavilion polygon, or a Vianna triangle.
 
     Toric edges are solid, girdles long-dashed, branch cuts short-dashed
@@ -287,9 +282,7 @@ def render_base_diagram(shape, spec: Optional[RenderSpec] = None, scale: int = 1
         raise DomainError(f"cannot render {type(shape).__name__}")
     corners = [a for a, _, _ in edges] + [b for _, b, _ in edges]
     corners += [b for _, b in cuts]
-    if spec is None:
-        spec = RenderSpec("base_diagram", _bbox(corners), scale=scale)
-    canvas = _Canvas(spec)
+    canvas = _Canvas(RenderSpec("base_diagram", _bbox(corners)))
     for a, b, style in edges:
         canvas.line((a.x, a.y), (b.x, b.y), style=style)
     for a, node in cuts:
@@ -404,7 +397,7 @@ def cmd_wahl(args) -> int:
     w = wahl_data(p, q)
     matrix = intersection_matrix(w)
     inverse = inverse_closed_form(w)
-    disc = discrepancies(w) if w.m else []
+    disc = discrepancies(w)
     try:
         culet = culet_report(args.p, args.q)
     except NoCulet:
@@ -447,8 +440,7 @@ def cmd_stair(args) -> int:
     if args.svg:
         sig = sigma_p(args.p)
         hi = Fraction(_float(sig)) * Fraction(21, 20)
-        spec = RenderSpec("staircase", (Fraction(0), hi, Fraction(0), hi),
-                          path=args.svg, steps=args.steps)
+        spec = RenderSpec("staircase", (Fraction(0), hi, Fraction(0), hi), steps=args.steps)
         _write(args.svg, render_staircase(args.p, args.q, spec))
         return 0
     if args.alpha is None or args.beta is None:
@@ -480,6 +472,18 @@ def cmd_capacity(args) -> int:
 _PACK_SHOW = {"alpha1": "alpha1", "alpha2": "alpha2", "sum": "alpha1+alpha2"}
 
 
+def _pack_text(answer: str, rows, binding) -> str:
+    """The answer line and the bounds line of a packing report, over rows of
+    (name, value, sup): `answer` when no name is in `binding`, else each
+    binding row."""
+    if binding:
+        answer = "infeasible, binding: " + ", ".join(
+            f"{name} = {format_rational(value)} not < {format_rational(sup)}"
+            for name, value, sup in rows if name in binding)
+    return f"{answer}\nbounds: " + ", ".join(
+        f"{name} < {format_rational(sup)}" for name, _, sup in rows)
+
+
 def cmd_pack_two(args) -> int:
     from .staircase_oracle import two_ball_feasible
 
@@ -489,20 +493,10 @@ def cmd_pack_two(args) -> int:
               "outside this oracle's scope)")
         return 0
     values = {"alpha1": args.a1, "alpha2": args.a2, "sum": args.a1 + args.a2}
-    if rep.answer == "feasible":
-        lines = [f"feasible (p3 = {format_rational(rep.p3)})"]
-    else:
-        parts = ", ".join(
-            f"{_PACK_SHOW[k]} = {format_rational(values[k])} "
-            f"not < {format_rational(rep.bounds[k])}"
-            for k in rep.binding
-        )
-        lines = [f"infeasible, binding: {parts}"]
-    lines.append("bounds: " + ", ".join(
-        f"{_PACK_SHOW[k]} < {format_rational(rep.bounds[k])}"
-        for k in ("alpha1", "alpha2", "sum")))
-    lines.append(f"implied: {_PACK_SHOW[rep.implied]}")
-    print("\n".join(lines))
+    rows = [(_PACK_SHOW[k], values[k], rep.bounds[k]) for k in values]
+    text = _pack_text(f"feasible (p3 = {format_rational(rep.p3)})", rows,
+                      {_PACK_SHOW[k] for k in rep.binding})
+    print(f"{text}\nimplied: {_PACK_SHOW[rep.implied]}")
     return 0
 
 
@@ -513,19 +507,9 @@ def cmd_pack_three(args) -> int:
                               (args.a1, args.a2, args.a3),
                               (args.q1, args.q2, args.q3))
     alphas = {1: args.a1, 2: args.a2, 3: args.a3}
-    if rep.answer == "feasible":
-        lines = ["feasible"]
-    else:
-        parts = ", ".join(
-            f"alpha{i}+alpha{j} = {format_rational(alphas[i] + alphas[j])} "
-            f"not < {format_rational(rep.bounds[(i, j)])}"
-            for i, j in rep.binding
-        )
-        lines = [f"infeasible, binding: {parts}"]
-    lines.append("bounds: " + ", ".join(
-        f"alpha{i}+alpha{j} < {format_rational(v)}"
-        for (i, j), v in sorted(rep.bounds.items())))
-    print("\n".join(lines))
+    rows = [(f"alpha{i}+alpha{j}", alphas[i] + alphas[j], sup)
+            for (i, j), sup in sorted(rep.bounds.items())]
+    print(_pack_text("feasible", rows, {f"alpha{i}+alpha{j}" for i, j in rep.binding}))
     return 0
 
 

@@ -8,7 +8,7 @@ point is allowed only at display boundaries (CLI formatting, SVG emission).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from operator import attrgetter
 
 Rational = Fraction
@@ -154,9 +154,6 @@ class RationalPoint(_Record):
     def scale(self, k: Rational) -> "RationalPoint":
         return RationalPoint(self.x * k, self.y * k)
 
-    def translate(self, v: LatticeVector, t: Rational = Fraction(1)) -> "RationalPoint":
-        return RationalPoint(self.x + t * v.x, self.y + t * v.y)
-
     def as_tuple(self) -> tuple[Rational, Rational]:
         return (self.x, self.y)
 
@@ -202,6 +199,14 @@ def _primitive_direction(a: RationalPoint, b: RationalPoint) -> tuple[LatticeVec
     v, n = _clear_denominators(d.x, d.y)
     u, k = primitive_part(v)
     return u, Fraction(k, n)
+
+
+def isqrt_exact(n: int) -> int | None:
+    """Integer square root if n is a perfect square, else None."""
+    if n < 0:
+        return None
+    r = isqrt(n)
+    return r if r * r == n else None
 
 
 def _continuants(entries, x0, x1) -> list:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
-from .exact_core import DomainError, _continuants, _Record
+from .exact_core import DomainError, _continuants, _Record, isqrt_exact
 
 __all__ = [
     "INFINITY",
@@ -207,11 +207,3 @@ def recognize_dual_wahl(entries: HJChain) -> tuple[int, int] | None:
     if hj_expand(num, den) != list(entries):
         return None
     return s, q
-
-
-def isqrt_exact(n: int) -> int | None:
-    """Integer square root if n is a perfect square, else None."""
-    if n < 0:
-        return None
-    r = isqrt(n)
-    return r if r * r == n else None

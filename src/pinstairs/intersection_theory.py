@@ -32,9 +32,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, prod
 
-from .exact_core import DomainError, Rational, _coprime_fraction, _Record
-from .hirzebruch_jung import WahlData, isqrt_exact, recognize_dual_wahl, wahl_data
-from .markov import _require_companion, companions, is_markov_triple
+from .exact_core import DomainError, Rational, _coprime_fraction, _Record, isqrt_exact
+from .hirzebruch_jung import WahlData, recognize_dual_wahl, wahl_data
+from .markov import (NoCommonTriple, _require_companion, companions, is_markov_triple,
+                     two_ball_degree)
 
 __all__ = [
     "IntersectionLattice",
@@ -67,10 +68,6 @@ class NoCulet(DomainError):
 
 class MultipleCulets(AssertionError):
     """More than one culet index: contradicts theory, so an internal failure."""
-
-
-class NoCommonTriple(DomainError):
-    """The quadratic for the third entry has no integer root."""
 
 
 def intersection_matrix(w: WahlData) -> list[list[int]]:
@@ -188,15 +185,14 @@ def class_square(lattice: IntersectionLattice, A: HomologyClass) -> Rational:
 
 
 def exceptional_class(lattice: IntersectionLattice) -> HomologyClass:
-    return HomologyClass(Fraction(1), tuple(() if w.m == 0 else (Fraction(0),) * w.m
-                                            for w in lattice.chains))
+    return HomologyClass(Fraction(1), tuple((Fraction(0),) * w.m for w in lattice.chains))
 
 
 def canonical_class(lattice: IntersectionLattice) -> HomologyClass:
     """K = -3*Delta*E + sum of discrepancy multiples of the chain curves."""
     return HomologyClass(
         Fraction(-3 * lattice.delta),
-        tuple(tuple(discrepancies(w)) if w.m else () for w in lattice.chains),
+        tuple(tuple(discrepancies(w)) for w in lattice.chains),
     )
 
 
@@ -395,19 +391,3 @@ def square_zero_class_search(p: int, q: int) -> tuple[int, tuple[int, ...]]:
         raise AssertionError(f"p^2 + e + f != 3*p*c0 at culet of ({p},{q})")
     return c0, chi
 
-
-def two_ball_degree(p1: int, p2: int) -> int:
-    """Smaller root of x^2 - 3*p1*p2*x + p1^2 + p2^2; the two roots are the
-    two Markov completions of the pair."""
-    disc = 9 * p1 * p1 * p2 * p2 - 4 * (p1 * p1 + p2 * p2)
-    r = isqrt_exact(disc)
-    if r is None or (3 * p1 * p2 - r) % 2 != 0:
-        raise NoCommonTriple(f"{p1} and {p2} do not appear in a common triple")
-    lo = (3 * p1 * p2 - r) // 2
-    hi = (3 * p1 * p2 + r) // 2
-    for c in (lo, hi):
-        if c < 1 or not is_markov_triple(p1, p2, c):
-            raise NoCommonTriple(f"completion {c} of ({p1},{p2}) is not Markov")
-    if 1 < p1 < p2 and not 3 * lo < p2:
-        raise AssertionError(f"degree bound c0 < p2/3 fails for ({p1},{p2})")
-    return lo

@@ -17,7 +17,7 @@ from itertools import islice
 from math import isqrt
 from typing import Iterator, Optional
 
-from .exact_core import DomainError, Rational, _Record
+from .exact_core import DomainError, Rational, _Record, isqrt_exact
 
 __all__ = [
     "MarkovTriple",
@@ -28,6 +28,7 @@ __all__ = [
     "NotFound",
     "NotMarkov",
     "CompanionMismatch",
+    "NoCommonTriple",
     "is_markov_triple",
     "validate_triple",
     "mutate",
@@ -39,6 +40,8 @@ __all__ = [
     "canonical_triple",
     "branch_sequence",
     "sigma_p",
+    "compare_to_sigma",
+    "two_ball_degree",
 ]
 
 MarkovTriple = tuple[int, int, int]
@@ -59,6 +62,10 @@ class NotMarkov(NotFound):
 
 class CompanionMismatch(DomainError):
     """A supplied q is not in the companion pair of its p."""
+
+
+class NoCommonTriple(DomainError):
+    """The quadratic for the third entry has no integer root."""
 
 
 def is_markov_triple(a: int, b: int, c: int) -> bool:
@@ -90,6 +97,32 @@ def mutate(t: MarkovTriple, index: int) -> MarkovTriple:
     others = [x for k, x in enumerate(t, start=1) if k != index]
     out[index - 1] = 3 * others[0] * others[1] - t[index - 1]
     return tuple(out)
+
+
+def _descend(triple: MarkovTriple) -> tuple[int, MarkovTriple]:
+    """(k, parent): the parent mutates the largest number, at position k."""
+    k = triple.index(max(triple))
+    parent = mutate(triple, k + 1)
+    if not 0 < parent[k] < triple[k]:
+        raise AssertionError(f"no descent from {triple}")
+    return k, parent
+
+
+def two_ball_degree(p1: int, p2: int) -> int:
+    """Smaller root of x^2 - 3*p1*p2*x + p1^2 + p2^2; the two roots are the
+    two Markov completions of the pair."""
+    disc = 9 * p1 * p1 * p2 * p2 - 4 * (p1 * p1 + p2 * p2)
+    r = isqrt_exact(disc)
+    if r is None or (3 * p1 * p2 - r) % 2 != 0:
+        raise NoCommonTriple(f"{p1} and {p2} do not appear in a common triple")
+    lo = (3 * p1 * p2 - r) // 2
+    hi = (3 * p1 * p2 + r) // 2
+    for c in (lo, hi):
+        if c < 1 or not is_markov_triple(p1, p2, c):
+            raise NoCommonTriple(f"completion {c} of ({p1},{p2}) is not Markov")
+    if 1 < p1 < p2 and not 3 * lo < p2:
+        raise AssertionError(f"degree bound c0 < p2/3 fails for ({p1},{p2})")
+    return lo
 
 
 class TreeEntry(_Record):
@@ -197,10 +230,7 @@ class CompanionPair(_Record):
 
 def _q_from_triple(p: int, u: int, v: int) -> int:
     """3*u*v^{-1} mod p, normalized to [1, p]."""
-    if p <= 2:
-        return 1
-    r = (3 * u * pow(v, -1, p)) % p
-    return r if r != 0 else p
+    return (3 * u * pow(v, -1, p)) % p or p
 
 
 def _co_entries(p: int, t: MarkovTriple) -> tuple[int, int]:
@@ -210,20 +240,23 @@ def _co_entries(p: int, t: MarkovTriple) -> tuple[int, int]:
     return min(co), max(co)
 
 
-def _companions_from(p: int, search_depth: Optional[int]) -> tuple[CompanionPair, MarkovTriple]:
-    """The companion pair of p and the triple containing p it was read from."""
+def _companions_from(p: int, search_depth: Optional[int]) -> tuple[CompanionPair, tuple[int, int]]:
+    """The companion pair (q, p - q) of p, and the co-entries (x, y) of the
+    triple containing p it was read from, ordered so q = 3*x*y^{-1} mod p.
+    Then p - q = 3*y*x^{-1} mod p, as x^2 + y^2 = 0 mod p."""
     t = _search_triple_with(p, search_depth)
     if t is None:
         raise NotMarkov(f"{p} is not a Markov number (proved by exhaustive tree search)")
-    if p <= 2:
-        return CompanionPair(p, 1, 1), t
-    q = _q_from_triple(p, *_co_entries(p, t))
+    if p == 1:
+        return CompanionPair(1, 1, 1), (1, 1)
+    x, y = _co_entries(p, t)
+    q = _q_from_triple(p, x, y)
     # mutation invariance: recompute from a second triple containing p
-    k = next(i for i, x in enumerate(t) if x != p)
+    k = next(i for i, v in enumerate(t) if v != p)
     q2 = _q_from_triple(p, *_co_entries(p, mutate(t, k + 1)))
     if {q2, p - q2} != {q, p - q}:
         raise AssertionError(f"companion pair not mutation-invariant for p={p}")
-    return CompanionPair(p, q, p - q), t
+    return CompanionPair(p, q, p - q), (x, y)
 
 
 def companions(p: int, search_depth: Optional[int] = None) -> CompanionPair:
@@ -249,17 +282,10 @@ def canonical_triple(p: int, q: int, search_depth: Optional[int] = None) -> Mark
     kept from the parent, are below p, and replacing a co-entry x < p by
     3*p*y - x = (p^2 + y^2)/x > p only goes up.
     """
-    pair, t = _companions_from(p, search_depth)
+    pair, (x, y) = _companions_from(p, search_depth)
     if q not in pair:
         raise CompanionMismatch(f"{q} is not a companion of {p} (pair {set(pair.pair)})")
-    if p <= 2:
-        return (p, 1, 1)
-    x, y = _co_entries(p, t)
-    if _q_from_triple(p, x, y) == q:
-        return (p, x, y)
-    if _q_from_triple(p, y, x) == q:
-        return (p, y, x)
-    raise AssertionError(f"co-entries {x},{y} match neither companion of {p}")
+    return (p, x, y) if q == pair.q_plus else (p, y, x)
 
 
 def _corner(pi: int, pj: int, pk: int) -> Fraction:
@@ -436,7 +462,8 @@ class Sigma(_Record):
     def __float__(self) -> float:
         from math import sqrt
 
-        return (3 * self.p + sqrt(9 * self.p * self.p - 4)) / (2 * self.p)
+        # 4 / p^2 divides ints: correctly rounded, it cannot overflow
+        return (3 + sqrt(9 - 4 / (self.p * self.p))) / 2
 
 
 def _above_sigma(pp: int, n: int, d: int) -> bool:

@@ -42,9 +42,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .exact_core import DomainError, Rational, _Record, format_rational
-from .intersection_theory import NoCommonTriple, two_ball_degree
 from .markov import (
     CompanionMismatch,
+    NoCommonTriple,
     _Branch,
     _corner,
     _family,
@@ -52,6 +52,7 @@ from .markov import (
     _require_companion,
     canonical_triple,
     is_markov_triple,
+    two_ball_degree,
     validate_triple,
 )
 

@@ -231,7 +231,8 @@ PUBLIC_API = {
         "BranchSequence", "CompanionMismatch", "CompanionPair", "CuletReport",
         "DomainError", "DualGraph", "EmbeddingVerdict", "GirdleViolated",
         "GirdledTriangle", "HJChain", "HomologyClass", "INFINITY",
-        "IntersectionLattice", "LatticeVector", "MultipleCulets", "MultiplePositions",
+        "IntersectionLattice", "LatticeVector", "MarkovTriple", "MultipleCulets",
+        "MultiplePositions",
         "NoCommonTriple", "NoCulet", "NoPosition", "NotDelzant", "NotFound",
         "NotMarkov", "ObstructionCertificate", "PavilionEdge", "PavilionPolygon",
         "Rational", "RationalPoint", "RegulationPrediction", "Sigma", "StairBox",
@@ -243,7 +244,7 @@ PUBLIC_API = {
         "culet_report", "cut_segment", "delta_triangle", "discrepancies", "dot",
         "dual_chain", "embeds", "enumerate_adjunction_solutions", "enumerate_tree",
         "exact_core", "exceptional_class", "fan_rays", "format_rational", "girdle_data",
-        "hirzebruch_jung", "hj_eval", "hj_expand", "intersection_matrix",
+        "hirzebruch_jung", "hj_eval", "hj_eval_projective", "hj_expand", "intersection_matrix",
         "intersection_theory", "inverse_closed_form", "is_companion",
         "is_markov_number", "is_markov_triple", "is_negative_definite",
         "is_ruling_degeneration", "is_zero_continued_fraction", "markov", "mutate",
@@ -252,7 +253,7 @@ PUBLIC_API = {
         "recognize_dual_wahl", "regulation", "sigma_p", "square_zero_class_search",
         "stair_boxes", "staircase_oracle", "standard_triangle", "three_ball_feasible",
         "tree_to_json", "triangle_signature", "two_ball_degree", "two_ball_feasible",
-        "vianna_triangle", "visible_ellipsoid_bounds", "wahl_data", "wedge",
+        "validate_triple", "vianna_triangle", "visible_ellipsoid_bounds", "wahl_data", "wedge",
         "zero_sphere"
     }),
     "pinstairs.exact_core": frozenset({
@@ -261,10 +262,10 @@ PUBLIC_API = {
     }),
     "pinstairs.markov": frozenset({
         "BranchSequence", "CompanionMismatch", "CompanionPair", "MarkovTriple",
-        "NotFound", "NotMarkov", "Sigma", "TreeEntry", "branch_sequence",
-        "canonical_triple", "companions", "enumerate_tree", "is_companion",
-        "is_markov_number", "is_markov_triple", "mutate", "sigma_p", "tree_to_json",
-        "validate_triple"
+        "NoCommonTriple", "NotFound", "NotMarkov", "Sigma", "TreeEntry", "branch_sequence",
+        "canonical_triple", "companions", "compare_to_sigma", "enumerate_tree",
+        "is_companion", "is_markov_number", "is_markov_triple", "mutate", "sigma_p",
+        "tree_to_json", "two_ball_degree", "validate_triple"
     }),
     "pinstairs.hirzebruch_jung": frozenset({
         "HJChain", "INFINITY", "WahlData", "dual_chain", "hj_eval",
@@ -285,7 +286,7 @@ PUBLIC_API = {
         "pin_ball_capacity", "stair_boxes", "three_ball_feasible", "two_ball_feasible"
     }),
     "pinstairs.atf_geometry": frozenset({
-        "GirdleViolated", "GirdledTriangle", "NotDelzant", "PavilionPolygon",
+        "GirdleViolated", "GirdledTriangle", "NotDelzant", "PavilionEdge", "PavilionPolygon",
         "ViannaTriangle", "cut_segment", "delta_triangle", "fan_rays", "girdle_data",
         "mutate_triangle", "pavilion_polygon", "standard_triangle",
         "triangle_signature", "vianna_triangle", "visible_ellipsoid_bounds"

@@ -139,6 +139,31 @@ def test_a_markov_tree_command_loads_only_what_it_uses():
     assert loaded.isdisjoint({"dataclasses", "pinstairs.regulation", "pinstairs.atf_geometry"})
 
 
+@pytest.mark.parametrize("argv", [
+    ("stair", "5", "1", "--alpha", "3/10", "--beta", "1/5"),
+    ("stair", "2", "1", "--svg", os.devnull, "--steps", "5"),
+    ("capacity", "5", "1"),
+    ("pack", "two", "2", "1", "1/100", "5", "1", "1/100"),
+    ("pack", "three", "5", "1", "1/100", "2", "1", "1/100", "1", "1", "1/100"),
+], ids=["stair", "stair-svg", "capacity", "pack-two", "pack-three"])
+def test_a_staircase_or_packing_command_loads_no_chain_module(argv):
+    loaded = _imported("-m", "pinstairs.cli_plot", *argv)
+    assert "pinstairs.staircase_oracle" in loaded
+    assert loaded.isdisjoint({"pinstairs.hirzebruch_jung", "pinstairs.intersection_theory"})
+
+
+def _reexported(path: Path) -> set[str]:
+    """The names the module at `path` imports from a sibling module."""
+    return {a.asname or a.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 for a in node.names}
+
+
+def test_the_package_table_lists_what_each_module_defines():
+    for module, names in pinstairs._EXPORTS.items():
+        mod = importlib.import_module(f"pinstairs.{module}")
+        assert set(names) == set(mod.__all__) - _reexported(Path(mod.__file__)), module
+
+
 def test_every_public_name_resolves_on_every_path():
     names = PUBLIC_API["pinstairs"]
     for name in sorted(names):

@@ -64,6 +64,7 @@ def test_eval_projective_handles_infinity():
     assert hj_eval_projective((2, 2)) == (3, 2)
     num, den = hj_eval_projective((1, 1))
     assert num == 0
+    assert hj_eval_projective((1, 1, 1, 1)) == (1, 1)  # the raw pair is (-1, -1)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=6), max_size=7))

@@ -287,11 +287,13 @@ def test_canonical_triples_match_frozen(pq, triple):
 
 
 def test_canonical_triple_is_markov_and_companion_consistent():
-    for p in MARKOV_NUMBERS_1000:
+    # every Markov number to depth 10, which include those below 1000
+    for p in sorted({x for e in enumerate_tree(10) for x in e.triple}):
         for q in companions(p).pair:
             t = canonical_triple(p, q)
             assert t[0] == p
             assert is_markov_triple(*t)
+            assert q % p == 3 * t[1] * pow(t[2], -1, p) % p, (p, q, t)
 
 
 @pytest.mark.parametrize("pq,window", sorted(BRANCH_WINDOWS.items()))
@@ -439,6 +441,11 @@ def test_sigma_is_a_root_of_its_polynomial():
         x = Fraction(float(s))
         # float approximation nearly kills the polynomial
         assert abs(a * x * x + b * x + c) < Fraction(1, 10**6)
+
+
+def test_the_float_of_sigma_does_not_overflow():
+    # the nearest double to sigma_p is 3.0 for every p above about 4*10^7
+    assert 2.6 < float(sigma_p(10**200)) <= 3
 
 
 def test_compare_to_sigma_brackets_the_root():

@@ -1,5 +1,6 @@
 """Dual graphs, combinatorial blow-ups/downs, ruling degenerations."""
 
+import functools
 import itertools
 import warnings
 
@@ -187,31 +188,28 @@ def test_prediction_rejects_p_one():
 
 
 def exhaustive_is_degeneration(g: DualGraph) -> bool:
-    # plain recursive search over all blow-down orders, no memo
-    labels, adj = g.labels(), g.adjacency()
-    if len(labels) == 1:
-        return next(iter(labels.values())) == 0
-    ok = False
-    for v, s in labels.items():
-        if s != -1 or len(adj[v]) > 2:
+    # a search over all blow-down orders that assumes no lemma
+    return _exhaustive(tuple(sorted(g.vertices)), tuple(sorted(g.edges)))
+
+
+# bounded: the short-chain sweeps meet about 430 000 trees, which unbounded
+# would hold some 300 MB for the rest of the session, at little gain in time
+@functools.lru_cache(maxsize=1 << 14)
+def _exhaustive(vertices: tuple, edges: tuple) -> bool:
+    """Whether some order of blow-downs takes the tree of the sorted (id, label)
+    vertices and sorted edges to the single 0-vertex.  Vertex ids are kept, so a
+    tree met on several orders is searched once while it stays cached."""
+    if len(vertices) == 1:
+        return vertices[0][1] == 0
+    for v, s in vertices:
+        nb = sorted(u for e in edges if v in e for u in e if u != v)
+        if s != -1 or len(nb) > 2:
             continue
-        nl = dict(labels)
-        na = {k: set(x) for k, x in adj.items()}
-        nb = sorted(na.pop(v))
-        del nl[v]
-        for u in nb:
-            na[u].discard(v)
-            nl[u] += 1
-        if len(nb) == 2:
-            a, b = nb
-            na[a].add(b)
-            na[b].add(a)
-        sub = DualGraph(tuple(sorted(nl.items())),
-                        tuple(sorted(tuple(sorted((u, w))) for u in na for w in na[u] if u < w)))
-        if exhaustive_is_degeneration(sub):
-            ok = True
-            break
-    return ok
+        rest = tuple((u, t + (u in nb)) for u, t in vertices if u != v)
+        kept = [e for e in edges if v not in e] + ([tuple(nb)] if len(nb) == 2 else [])
+        if _exhaustive(rest, tuple(sorted(kept))):
+            return True
+    return False
 
 
 @settings(max_examples=50, deadline=None)
