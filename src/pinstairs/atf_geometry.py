@@ -21,7 +21,6 @@ needs D*|wedge(u, v2 - v1)|, and Fractions are built just for the result.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 from .exact_core import (
@@ -64,6 +63,7 @@ __all__ = [
 
 
 _VIANNA_CACHE_SIZE = 1024  # validated Vianna triangles kept, keyed on the ordered triple
+_vianna_kept: dict = {}  # those triangles, least recently used first
 
 
 class GirdleViolated(DomainError):
@@ -80,14 +80,6 @@ def _meet(n1: LatticeVector, c1: Rational, n2: LatticeVector, c2: Rational) -> R
     if det == 0:
         raise DomainError("parallel lines do not meet")
     return RationalPoint(Fraction(c1 * n2.y - c2 * n1.y, det), Fraction(n1.x * c2 - n2.x * c1, det))
-
-
-def _direction(a: RationalPoint, b: RationalPoint) -> LatticeVector:
-    """Primitive integer direction of the segment a -> b."""
-    v, length = _primitive_direction(a, b)
-    if length == 0:
-        raise DomainError("zero segment has no direction")
-    return v
 
 
 class GirdledTriangle(_Record):
@@ -136,16 +128,6 @@ class GirdledTriangle(_Record):
 
     def girdle(self) -> tuple[RationalPoint, RationalPoint]:
         return (self.apex, self.top)
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "alpha": format_rational(self.alpha),
-            "beta": format_rational(self.beta),
-            "vertices": [[format_rational(v.x), format_rational(v.y)]
-                         for v in self.loop()],
-        }
 
 
 def delta_triangle(p: int, q: int, alpha: Rational, beta: Rational) -> GirdledTriangle:
@@ -216,15 +198,6 @@ class PavilionPolygon(_Record):
     offsets: tuple[Rational, ...]
     vertices: tuple[RationalPoint, ...]
     edges: tuple[PavilionEdge, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "offsets": [format_rational(x) for x in self.offsets],
-            "vertices": [[format_rational(v.x), format_rational(v.y)]
-                         for v in self.vertices],
-            "edges": [{"label": e.label, "length": format_rational(e.length)}
-                      for e in self.edges],
-        }
 
 
 def pavilion_polygon(base: GirdledTriangle, offsets) -> PavilionPolygon:
@@ -438,27 +411,22 @@ def mutate_triangle(t: ViannaTriangle, vertex: int) -> ViannaTriangle:
 
 def vianna_triangle(p1: int, p2: int, p3: int) -> ViannaTriangle:
     """A concrete base diagram for the ordered triple, built by mutations.
-    The cached triangle of each triple on the descent is asked for from
-    (1, 1, 1) upward, so the stack stays one mutation deep at any depth."""
-    path = [validate_triple((p1, p2, p3))]
-    while path[-1] != (1, 1, 1):
-        path.append(_descend(path[-1])[1])
-    for triple in reversed(path):
-        t = _vianna(*triple)
-    return t
-
-
-@lru_cache(maxsize=_VIANNA_CACHE_SIZE)
-def _vianna(p1: int, p2: int, p3: int) -> ViannaTriangle:
-    """vianna_triangle for a Markov triple: the cached triangle of its
-    parent, mutated at the largest number.  Each ordered triple is mutated
-    and validated once while it stays cached; the triangles are frozen, so
-    every caller can share them."""
-    triple = (p1, p2, p3)
-    if triple == (1, 1, 1):
-        return standard_triangle()
-    k, parent = _descend(triple)
-    return mutate_triangle(_vianna(*parent), k + 1)
+    The descent is walked down to the first kept triangle, or to (1, 1, 1),
+    and mutated upward one level at a time, so the stack stays flat.  Each
+    kept triangle was mutated and validated once; it is frozen, so callers
+    share it."""
+    triple, cuts = validate_triple((p1, p2, p3)), []
+    while (t := _vianna_kept.pop(triple, None)) is None and triple != (1, 1, 1):
+        k, triple = _descend(triple)
+        cuts.append(k + 1)
+    t = t or standard_triangle()
+    while True:  # keep t as the most recently used, then mutate it one level up
+        _vianna_kept[t.triple] = t
+        if len(_vianna_kept) > _VIANNA_CACHE_SIZE:
+            del _vianna_kept[next(iter(_vianna_kept))]
+        if not cuts:
+            return t
+        t = mutate_triangle(t, cuts.pop())
 
 
 def triangle_signature(t: ViannaTriangle) -> tuple:
@@ -485,10 +453,10 @@ def girdle_data(triple, q1: int) -> tuple[LatticeVector, Rational, Rational]:
     vec = LatticeVector(p3p, num // p1)
     # independent re-derivation from the concrete moment triangle
     tri = delta_triangle(p1, q1, Fraction(p3, p1 * p2), Fraction(p3, p1 * p3p))
-    a, b = tri.top, tri.apex
-    if _direction(a, b) != vec:
+    direction, tri_length = _primitive_direction(tri.top, tri.apex)
+    if direction != vec:
         raise AssertionError("girdle vector disagrees with vertex arithmetic")
-    if affine_length(a, b) != length:
+    if tri_length != length:
         raise AssertionError("girdle length disagrees with vertex arithmetic")
     if Fraction(vec.x) * tri.beta != disp:
         raise AssertionError("displacement disagrees with vertex arithmetic")
@@ -496,7 +464,9 @@ def girdle_data(triple, q1: int) -> tuple[LatticeVector, Rational, Rational]:
 
 
 def visible_ellipsoid_bounds(triple, vertex: int) -> tuple[Rational, Rational, int]:
-    """Open bounds (alpha_max, beta_max) and companion q at a triangle vertex."""
+    """Open bounds (alpha_max, beta_max) and companion q at a triangle vertex, whose
+    corner is Delta_{p,q}(alpha_max, beta_max) up to GL2(Z), the edge to the next vertex
+    on the apex edge: at vertex 1 of (p, m_{i+1}, m_i), (beta_sup(i), alpha_sup(i), q)."""
     if vertex not in (1, 2, 3):
         raise DomainError("vertex must be 1, 2 or 3")
     validate_triple(triple)

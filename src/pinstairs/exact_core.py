@@ -238,18 +238,18 @@ def _coprime_fraction(n: int, d: int) -> Rational:
 
 
 def parse_rational(text: str) -> Rational:
-    """Parse 'a/b' or 'n' (exact integers only; decimal notation is rejected)."""
+    """Parse 'a/b' or 'n' (exact integers only); decimals and other text are a DomainError."""
     s = text.strip()
     if "/" in s:
         num, _, den = s.partition("/")
         try:
             return Fraction(int(num), int(den))
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {text!r}") from exc
+            raise DomainError(f"not a rational: {text!r}") from exc
     try:
         return Fraction(int(s))
     except ValueError as exc:
-        raise ValueError(f"not a rational: {text!r} (use a/b, not decimals)") from exc
+        raise DomainError(f"not a rational: {text!r} (use a/b, not decimals)") from exc
 
 
 def format_rational(r: Rational) -> str:

@@ -193,17 +193,16 @@ def recognize_dual_wahl(entries: HJChain) -> tuple[int, int] | None:
         return (1, 1)
     if any(b < 2 for b in entries):
         return None
+    # entries >= 2 give num > den >= 1, whose one such expansion is the chain: s >= 2
     num, den = hj_eval_projective(entries)
     s = isqrt_exact(num)
     if s is None:
         return None
     # den = s^2 - sq + 1  =>  q = (s^2 - den + 1)/s
     qnum = s * s - den + 1
-    if s == 0 or qnum % s != 0:
+    if qnum % s != 0:
         return None
     q = qnum // s
     if not (1 <= q <= s) or gcd(s, q) != 1:
-        return None
-    if hj_expand(num, den) != list(entries):
         return None
     return s, q

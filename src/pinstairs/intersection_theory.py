@@ -142,9 +142,6 @@ class IntersectionLattice(_Record):
     def delta(self) -> int:
         return prod(w.p for w in self.chains)
 
-    def matrices(self) -> list[list[list[int]]]:
-        return [intersection_matrix(w) for w in self.chains]
-
 
 class HomologyClass(_Record):
     """a0 * E + per-chain curve combinations, E = (1/Delta) * line class."""

@@ -33,7 +33,10 @@ slots of each Fraction, bisects, and reads its verdict from the dict, with no
 Fraction built and no sigma_p test.  The dominance of the corner is checked
 on every call, in integers: n*p*m_{i-1} >= d*m_i and n'*p*m_{i+1} >= d'*m_i.
 The packing checks are the strict linear inequalities cut out by the triple
-completing (p1, p2).
+completing (p1, p2).  Box i is the corner at p of the Vianna triangle of
+(p, m_{i+1}, m_i); up to GL2(Z) it is Delta_{p,q}(beta_sup(i), alpha_sup(i)) =
+Delta_{p,p-q}(alpha_sup(i), beta_sup(i)), so atf_geometry's alpha is this
+module's beta, for the same q.
 """
 
 from __future__ import annotations
@@ -212,15 +215,6 @@ class TwoBallReport(_Record):
     def feasible(self) -> Optional[bool]:
         return None if self.answer == "unknown" else self.answer == "feasible"
 
-    def to_json(self) -> dict:
-        return {
-            "answer": self.answer,
-            "p3": self.p3,
-            "bounds": {k: format_rational(v) for k, v in self.bounds.items()},
-            "binding": list(self.binding),
-            "implied": self.implied,
-        }
-
 
 def two_ball_feasible(p1: int, q1: int, alpha1: Rational,
                       p2: int, q2: int, alpha2: Rational) -> TwoBallReport:
@@ -262,14 +256,6 @@ class ThreeBallReport(_Record):
     def feasible(self) -> bool:
         return self.answer == "feasible"
 
-    def to_json(self) -> dict:
-        return {
-            "answer": self.answer,
-            "bounds": {f"alpha{i}+alpha{j}": format_rational(v)
-                       for (i, j), v in self.bounds.items()},
-            "binding": [f"alpha{i}+alpha{j}" for i, j in self.binding],
-        }
-
 
 def three_ball_feasible(triple, alphas, qs=None) -> ThreeBallReport:
     p1, p2, p3 = validate_triple(triple)
@@ -299,16 +285,6 @@ class ObstructionCertificate(_Record):
     s: Rational  # self-pairing witness  -p2*p3'/p1^2
     girdle_length: Rational  # p1*p3/(p2*p3')
     displacement: Rational  # p3/p1
-
-    def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "triple": list(self.triple),
-            "p3_prime": self.p3_prime,
-            "s": format_rational(self.s),
-            "girdle_length": format_rational(self.girdle_length),
-            "displacement": format_rational(self.displacement),
-        }
 
 
 def obstruction_certificate(p: int, q: int, i: int) -> ObstructionCertificate:

@@ -24,11 +24,11 @@ from pinstairs.atf_geometry import (
     vianna_triangle,
     visible_ellipsoid_bounds,
 )
-from pinstairs.exact_core import DomainError, LatticeVector, affine_length, wedge
+from pinstairs.exact_core import DomainError, LatticeVector, affine_length, point, wedge
 from pinstairs.intersection_theory import culet_report
-from pinstairs.markov import enumerate_tree
+from pinstairs.markov import _descend, branch_sequence, companions, enumerate_tree
 from pinstairs.regulation import predict_regulation
-from pinstairs.staircase_oracle import CompanionMismatch, three_ball_feasible
+from pinstairs.staircase_oracle import CompanionMismatch, stair_boxes, three_ball_feasible
 
 from .frozen import FAN_RAYS, GIRDLES, VIANNA_DIGEST_7, VISIBLE_BOUNDS
 from .oracles import fibonacci_markov_triple
@@ -243,7 +243,7 @@ def _cold_build(triple):
 
 
 def test_vianna_cache_validates_each_ordered_triple_once(monkeypatch):
-    atf._vianna.cache_clear()
+    atf._vianna_kept.clear()
     seen = []
 
     def counting(t):
@@ -265,31 +265,30 @@ def test_vianna_cache_matches_a_cold_build():
     triples = [r for e in enumerate_tree(5) for r in
                (e.triple, e.triple[1:] + e.triple[:1], e.triple[2:] + e.triple[:2])]
     warm = [vianna_triangle(*t) for t in triples]
-    atf._vianna.cache_clear()
+    atf._vianna_kept.clear()
     assert [vianna_triangle(*t) for t in triples] == warm
     assert [_cold_build(t) for t in triples] == warm
 
 
 def test_vianna_cache_keeps_no_failed_input():
     vianna_triangle(5, 2, 1)
-    before = atf._vianna.cache_info().currsize
+    before = len(atf._vianna_kept)
     for _ in range(3):
         for bad in [(3, 1, 1), (2, 2, 1), (0, 1, 1), (29, 5, 3)]:
             with pytest.raises(DomainError, match="is not a Markov triple"):
                 vianna_triangle(*bad)
-    assert atf._vianna.cache_info().currsize == before
+    assert len(atf._vianna_kept) == before
 
 
 def test_vianna_cache_stays_within_its_bound():
     bound = atf._VIANNA_CACHE_SIZE
-    assert atf._vianna.cache_info().maxsize == bound
     entries = enumerate_tree(10)
     ordered = {r for e in entries for r in
                (e.triple, e.triple[1:] + e.triple[:1], e.triple[2:] + e.triple[:2])}
     assert len(ordered) > bound
     for t in ordered:
         assert vianna_triangle(*t).triple == t
-    assert atf._vianna.cache_info().currsize == bound
+    assert len(atf._vianna_kept) == bound
 
 
 def test_cut_segments_stay_inside_the_triangle():
@@ -376,7 +375,7 @@ def test_a_triple_600_levels_deep_is_built_and_each_ancestor_validated_once(monk
     triple = fibonacci_markov_triple(1201)  # (1, F_1199, F_1201), 251 digits
     path = _descent(triple)
     assert len(path) == 601
-    atf._vianna.cache_clear()
+    atf._vianna_kept.clear()
     seen = []
 
     def counting(t):
@@ -392,11 +391,33 @@ def test_a_triple_600_levels_deep_is_built_and_each_ancestor_validated_once(monk
 
 def test_a_descent_longer_than_the_cache_is_built_from_the_root():
     triple = fibonacci_markov_triple(2 * atf._VIANNA_CACHE_SIZE + 101)
-    atf._vianna.cache_clear()
+    atf._vianna_kept.clear()
     t = vianna_triangle(*triple)
     assert t.triple == triple and len(t.history) == atf._VIANNA_CACHE_SIZE + 50
-    assert atf._vianna.cache_info().currsize == atf._VIANNA_CACHE_SIZE
+    assert len(atf._vianna_kept) == atf._VIANNA_CACHE_SIZE
     assert t == _cold_build(triple)
+
+
+def test_a_warm_vianna_triangle_walks_no_descent(monkeypatch):
+    triple = (433, 29, 5)
+    atf._vianna_kept.clear()
+    seen = []
+
+    def counting(t):
+        seen.append(t)
+        return _descend(t)
+
+    monkeypatch.setattr(atf, "_descend", counting)
+    t = vianna_triangle(*triple)
+    assert seen == _descent(triple)[:-1]  # cold: one step per level
+    seen.clear()
+    vianna_triangle(1, 1, 1)
+    assert list(atf._vianna_kept)[-1] == (1, 1, 1)  # a hit is the most recently used
+    assert vianna_triangle(*triple) is t and seen == []
+    assert list(atf._vianna_kept)[-1] == triple
+    child = (433, 29, 3 * 433 * 29 - 5)
+    assert vianna_triangle(*child) == mutate_triangle(t, 3)
+    assert seen == [child]  # the walk stops at the first kept triangle
 
 
 @pytest.mark.parametrize("key,expected", sorted(GIRDLES.items()))
@@ -441,3 +462,64 @@ def test_visible_bounds_product_identity():
             p = t[vertex - 1]
             assert a_max * b_max == F(1, p * p)
             assert 1 <= q <= max(p, 1)
+
+
+def _in_gl2z(src, dst) -> bool:
+    """Whether the linear map taking the vectors src[k] to dst[k] (k = 0, 1)
+    is an integer matrix of determinant +-1."""
+    (s0, s1), (t0, t1) = src, dst
+    det = s0.x * s1.y - s0.y * s1.x
+    m = [(t0.x * s1.y - t1.x * s0.y) / det, (t1.x * s0.x - t0.x * s1.x) / det,
+         (t0.y * s1.y - t1.y * s0.y) / det, (t1.y * s0.x - t0.y * s1.x) / det]
+    return all(x.denominator == 1 for x in m) and abs(m[0] * m[3] - m[1] * m[2]) == 1
+
+
+def _corner_maps(t, k, first, second) -> bool:
+    """Whether a GL2(Z) map takes the corner of t at vertex k onto a corner at
+    the origin: the edge to vertex k + 1 onto `first`, the other onto `second`."""
+    v = t.points
+    return _in_gl2z((v[(k + 1) % 3] - v[k], v[(k + 2) % 3] - v[k]), (first, second))
+
+
+@pytest.mark.parametrize("p", [2, 5, 13, 29, 34, 89, 169, 194, 433])
+def test_box_i_is_the_corner_of_delta_at_beta_sup_alpha_sup(p):
+    """Box i of Stair(p, q) is the p-corner of the Vianna triangle of
+    (p, m_{i+1}, m_i), which is Delta_{p,q}(beta_sup(i), alpha_sup(i)) =
+    Delta_{p,p-q}(alpha_sup(i), beta_sup(i)): delta_triangle's alpha, the
+    apex edge, is the staircase's beta for the family's own q.  The cones
+    match only that way round, except for p = 2, where q = p - q."""
+    for q in sorted(companions(p).pair):
+        m = branch_sequence(p, q, -4, 5)
+        for i in range(-4, 5):
+            box = stair_boxes(p, q, i, i)[0]
+            a, b = box.alpha_sup, box.beta_sup
+            triple = (p, m.value(i + 1), m.value(i))
+            t = vianna_triangle(*triple)
+            own, other = delta_triangle(p, q, b, a), delta_triangle(p, p - q, a, b)
+            assert _corner_maps(t, 0, own.apex, own.top)
+            assert _corner_maps(t, 0, other.top, other.apex)
+            own, other = delta_triangle(p, q, a, b), delta_triangle(p, p - q, b, a)
+            assert _corner_maps(t, 0, own.top, own.apex) == (p == 2)
+            assert _corner_maps(t, 0, other.apex, other.top) == (p == 2)
+            assert visible_ellipsoid_bounds(triple, 1) == (b, a, q)
+
+
+def test_visible_bounds_name_the_widths_as_delta_triangle_does():
+    for e in enumerate_tree(5):
+        a, b, c = e.triple
+        for triple in {(a, b, c), (b, c, a), (c, a, b), (a, c, b), (c, b, a), (b, a, c)}:
+            t = vianna_triangle(*triple)
+            for k in range(3):
+                a_max, b_max, q = visible_ellipsoid_bounds(triple, k + 1)
+                d = delta_triangle(triple[k], q, a_max, b_max)
+                assert _corner_maps(t, k, d.apex, d.top)
+
+
+@pytest.mark.parametrize("loop,clipped", [
+    ([(0, 0), (2, 0)], [(1, 0), (2, 0)]),
+    ([(2, 0), (0, 0)], [(2, 0), (1, 0)]),
+])
+def test_clip_drops_the_wrap_around_repeat(loop, clipped):
+    # the crossing on the closing edge repeats the first point kept
+    out = atf._clip([point(x, y) for x, y in loop], LatticeVector(1, 0), F(1))
+    assert out == [point(x, y) for x, y in clipped]

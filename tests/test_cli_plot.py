@@ -190,6 +190,22 @@ def int_str_digits(n):
             sys.set_int_max_str_digits(limit)
 
 
+def test_a_branch_term_past_the_digit_limit_inside_the_reach_is_one_error_line(capsys):
+    # the reach bound is a lower bound on the growth of the branch, so the
+    # window 3660..3672 passes the pre-check and still holds m[3662], the
+    # first term of the (5, 1) branch with more than 4 300 digits
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int/str digit limit")
+    assert cli._branch_reach(5, 4300) == 3673
+    m = branch_sequence(5, 1, 3661, 3662)
+    assert m.value(3661) < 10**4300 <= m.value(3662)
+    with int_str_digits(4300):
+        code, out, err = invoke(capsys, "markov", "branch", "5", "1", "--lo", "3660", "--hi", "3672")
+    assert code == 1 and out == ""
+    assert err == ("error: a branch term exceeds Python's int/str digit limit; "
+                   "PYTHONINTMAXSTRDIGITS=0 lifts it\n")
+
+
 def assert_steps_refused(capsys, path, p, q, steps):
     start = time.perf_counter()
     code, out, err = invoke(capsys, "stair", str(p), str(q), "--svg", str(path),

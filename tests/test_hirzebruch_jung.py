@@ -78,6 +78,19 @@ def test_eval_agrees_with_plain_fraction_oracle(entries):
     assert gcd(num, den) == 1
 
 
+@given(st.lists(st.integers(min_value=2, max_value=6), min_size=1, max_size=7))
+def test_a_chain_of_entries_at_least_two_is_the_expansion_of_its_value(entries):
+    # expansions with entries >= 2 are unique, so recognize_dual_wahl reads
+    # (s, q) off the value alone: a square numerator has s >= 2
+    num, den = hj_eval_projective(entries)
+    assert num > den >= 1
+    assert hj_expand(num, den) == entries
+    found = recognize_dual_wahl(entries)
+    if found is not None:
+        s, q = found
+        assert s >= 2 and hj_expand(s * s, s * s - s * q + 1) == entries
+
+
 @pytest.mark.parametrize("entries", ZCF_TRUE)
 def test_zero_chains_recognized(entries):
     assert is_zero_continued_fraction(entries)
