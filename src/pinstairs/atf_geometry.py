@@ -271,12 +271,13 @@ class ViannaTriangle(_Record):
         return _area(*_edges(self))
 
     def vertex_determinant(self, k: int) -> int:
-        return _vertex_determinant(_edges(self)[1], k)
+        """Determinant at vertex k, numbered 0, 1, 2."""
+        return _vertex_determinant(_edges(self)[1], _position(k, 0))
 
     def edge_length(self, k: int) -> Rational:
-        """Affine length of the edge opposite vertex k."""
+        """Affine length of the edge opposite vertex k, numbered 0, 1, 2."""
         d, edges = _edges(self)
-        return Fraction(edges[(k + 1) % 3][1], d)
+        return Fraction(edges[(_position(k, 0) + 1) % 3][1], d)
 
     def to_json(self) -> dict:
         return {
@@ -286,6 +287,14 @@ class ViannaTriangle(_Record):
             "cuts": [list(c.as_tuple()) for c in self.cuts],
             "history": list(self.history),
         }
+
+
+def _position(vertex: int, first: int) -> int:
+    """The position 0..2 of a vertex of a triangle whose vertices are numbered
+    from `first`; a DomainError for a number that names no vertex."""
+    if vertex not in range(first, first + 3):
+        raise DomainError(f"vertex must be {first}, {first + 1} or {first + 2}: {vertex}")
+    return vertex - first
 
 
 def _over_one_denominator(t: ViannaTriangle) -> tuple[int, list[tuple[int, int]]]:
@@ -373,9 +382,7 @@ def _ray_exit(t: ViannaTriangle, k: int) -> tuple[int, list[tuple[int, int]], in
 def cut_segment(t: ViannaTriangle, vertex: int) -> tuple[RationalPoint, RationalPoint]:
     """Branch-cut segment drawn in diagrams: the vertex and the node point
     halfway to the opposite edge."""
-    if vertex not in (1, 2, 3):
-        raise DomainError("vertex must be 1, 2 or 3")
-    k = vertex - 1
+    k = _position(vertex, 1)
     d, pts, w, (ex, ey) = _ray_exit(t, k)
     (xk, yk), m = pts[k], 2 * d * w
     return t.points[k], RationalPoint(Fraction(xk * w + ex, m), Fraction(yk * w + ey, m))
@@ -384,9 +391,7 @@ def cut_segment(t: ViannaTriangle, vertex: int) -> tuple[RationalPoint, Rational
 def mutate_triangle(t: ViannaTriangle, vertex: int) -> ViannaTriangle:
     """Cut along the node ray at the chosen vertex (1, 2 or 3), shear one
     half straight, and reassemble; the number at that position mutates."""
-    if vertex not in (1, 2, 3):
-        raise DomainError("vertex must be 1, 2 or 3")
-    k = vertex - 1
+    k = _position(vertex, 1)
     j1, j2 = (k + 1) % 3, (k + 2) % 3
     d, pts, w, (ex, ey) = _ray_exit(t, k)
     (xk, yk), (x1, y1), (x2, y2) = pts[k], pts[j1], pts[j2]
@@ -467,10 +472,8 @@ def visible_ellipsoid_bounds(triple, vertex: int) -> tuple[Rational, Rational, i
     """Open bounds (alpha_max, beta_max) and companion q at a triangle vertex, whose
     corner is Delta_{p,q}(alpha_max, beta_max) up to GL2(Z), the edge to the next vertex
     on the apex edge: at vertex 1 of (p, m_{i+1}, m_i), (beta_sup(i), alpha_sup(i), q)."""
-    if vertex not in (1, 2, 3):
-        raise DomainError("vertex must be 1, 2 or 3")
+    k = _position(vertex, 1)
     validate_triple(triple)
-    k = vertex - 1
     pi = triple[k]
     pnext = triple[(k + 1) % 3]
     pprev = triple[(k + 2) % 3]

@@ -171,49 +171,6 @@ def tree_to_json(entries: list[TreeEntry]) -> list[dict]:
     ]
 
 
-@lru_cache(maxsize=SEARCH_CACHE_SIZE)
-def _tree_search(p: int, max_depth: Optional[int]) -> tuple[Optional[MarkovTriple], bool]:
-    """The first triple containing p met by BFS over triples with max entry < p
-    (None if there is none), and whether max_depth cut the search short.
-
-    The parent chain of any triple containing p only passes through triples
-    whose maximum is smaller than p, so the pruned search is exhaustive; with
-    max_depth=None it terminates because there are finitely many such triples.
-    """
-    for depth, level in enumerate(_tree_levels(lambda t: t[2] < p)):
-        if max_depth is not None and depth >= max_depth:
-            return None, True
-        for child, _, _ in level:
-            if p in child:
-                return child, False
-    return None, False
-
-
-def _search_triple_with(p: int, max_depth: Optional[int]) -> Optional[MarkovTriple]:
-    """A triple containing p, or None when the exhaustive search proves there is
-    none.  A max_depth that stops the search before it finds p or runs dry
-    raises NotFound.
-    """
-    if max_depth is not None and max_depth < 0:
-        raise DomainError(f"search depth must be >= 0: {max_depth}")
-    if p == 1:
-        return (1, 1, 1)
-    t, cut = _tree_search(p, max_depth)
-    if cut:
-        raise NotFound(
-            f"{p} not encountered within {max_depth} tree levels (the depth limit "
-            f"cut the search short; this does not prove {p} is not a Markov number)"
-        )
-    return t
-
-
-def is_markov_number(p: int) -> bool:
-    """Exact membership test by exhaustive pruned search (no depth cutoff)."""
-    if p < 1:
-        return False
-    return _search_triple_with(p, None) is not None
-
-
 class CompanionPair(_Record):
     __slots__ = ("p", "q_plus", "q_minus")
     p: int
@@ -240,15 +197,33 @@ def _co_entries(p: int, t: MarkovTriple) -> tuple[int, int]:
     return min(co), max(co)
 
 
-def _companions_from(p: int, search_depth: Optional[int]) -> tuple[CompanionPair, tuple[int, int]]:
-    """The companion pair (q, p - q) of p, and the co-entries (x, y) of the
-    triple containing p it was read from, ordered so q = 3*x*y^{-1} mod p.
-    Then p - q = 3*y*x^{-1} mod p, as x^2 + y^2 = 0 mod p."""
-    t = _search_triple_with(p, search_depth)
-    if t is None:
-        raise NotMarkov(f"{p} is not a Markov number (proved by exhaustive tree search)")
+@lru_cache(maxsize=SEARCH_CACHE_SIZE)
+def _search(p: int, max_depth: Optional[int]) -> Optional[tuple[CompanionPair, tuple[int, int]]]:
+    """The companion pair (q, p - q) of p and the co-entries (x, y) of the first
+    triple containing p met by BFS over triples with max entry < p, ordered so
+    q = 3*x*y^{-1} mod p; then p - q = 3*y*x^{-1} mod p, as x^2 + y^2 = 0 mod p.
+    None when the exhaustive search proves there is no such triple.  A max_depth
+    that stops the search before it finds p or runs dry raises NotFound.
+
+    The parent chain of any triple containing p only passes through triples
+    whose maximum is smaller than p, so the pruned search is exhaustive; with
+    max_depth=None it terminates because there are finitely many such triples.
+    """
+    if max_depth is not None and max_depth < 0:
+        raise DomainError(f"search depth must be >= 0: {max_depth}")
     if p == 1:
         return CompanionPair(1, 1, 1), (1, 1)
+    for depth, level in enumerate(_tree_levels(lambda t: t[2] < p)):
+        if max_depth is not None and depth >= max_depth:
+            raise NotFound(
+                f"{p} not encountered within {max_depth} tree levels (the depth limit "
+                f"cut the search short; this does not prove {p} is not a Markov number)"
+            )
+        t = next((child for child, _, _ in level if p in child), None)
+        if t is not None:
+            break
+    else:
+        return None
     x, y = _co_entries(p, t)
     q = _q_from_triple(p, x, y)
     # mutation invariance: recompute from a second triple containing p
@@ -259,19 +234,21 @@ def _companions_from(p: int, search_depth: Optional[int]) -> tuple[CompanionPair
     return CompanionPair(p, q, p - q), (x, y)
 
 
+def is_markov_number(p: int) -> bool:
+    """Exact membership test by exhaustive pruned search (no depth cutoff)."""
+    return p >= 1 and _search(p, None) is not None
+
+
 def companions(p: int, search_depth: Optional[int] = None) -> CompanionPair:
     """The companion pair {q, p-q} of a Markov number, from any containing triple."""
-    return _companions_from(p, search_depth)[0]
+    found = _search(p, search_depth)
+    if found is None:
+        raise NotMarkov(f"{p} is not a Markov number (proved by exhaustive tree search)")
+    return found[0]
 
 
 def is_companion(p: int, q: int, search_depth: Optional[int] = None) -> bool:
     return q in companions(p, search_depth)
-
-
-def _require_companion(p: int, q: int) -> None:
-    """Raise CompanionMismatch unless q is in the companion pair of p."""
-    if q not in companions(p):
-        raise CompanionMismatch(f"{q} is not a companion of {p}")
 
 
 def canonical_triple(p: int, q: int, search_depth: Optional[int] = None) -> MarkovTriple:
@@ -282,10 +259,16 @@ def canonical_triple(p: int, q: int, search_depth: Optional[int] = None) -> Mark
     kept from the parent, are below p, and replacing a co-entry x < p by
     3*p*y - x = (p^2 + y^2)/x > p only goes up.
     """
-    pair, (x, y) = _companions_from(p, search_depth)
+    pair = companions(p, search_depth)
     if q not in pair:
         raise CompanionMismatch(f"{q} is not a companion of {p} (pair {set(pair.pair)})")
+    x, y = _search(p, search_depth)[1]
     return (p, x, y) if q == pair.q_plus else (p, y, x)
+
+
+def _require_companion(p: int, q: int) -> None:
+    """Raise CompanionMismatch unless q is in the companion pair of p."""
+    canonical_triple(p, q)
 
 
 def _corner(pi: int, pj: int, pk: int) -> Fraction:
@@ -435,6 +418,8 @@ class Sigma(_Record):
     polynomial: tuple[Rational, Rational, Rational]
 
     def __init__(self, p: int):
+        if p < 1:
+            raise DomainError(f"p must be positive: {p}")
         super().__init__(p, (Fraction(1), Fraction(-3), Fraction(1, p * p)))
 
     def compare(self, r: Rational) -> str:
@@ -447,7 +432,10 @@ class Sigma(_Record):
         return "greater" if _above_sigma(self.p * self.p, r.numerator, r.denominator) else "less"
 
     def decimal(self, digits: int, rounded: bool = False) -> str:
-        """Decimal expansion to `digits` places, truncated (or rounded)."""
+        """Decimal expansion to `digits` places, truncated (or rounded); the
+        whole part alone, with no point, for 0 places."""
+        if digits < 0:
+            raise DomainError(f"digit count must be >= 0: {digits}")
         guard = 12
         k = digits + guard
         p = self.p
@@ -457,7 +445,7 @@ class Sigma(_Record):
             t += 5 * 10 ** (guard - 1)
         t //= 10**guard
         whole, frac = divmod(t, 10**digits)
-        return f"{whole}.{frac:0{digits}d}"
+        return f"{whole}.{frac:0{digits}d}" if digits else str(whole)
 
     def __float__(self) -> float:
         from math import sqrt
@@ -475,8 +463,6 @@ def _above_sigma(pp: int, n: int, d: int) -> bool:
 
 
 def sigma_p(p: int) -> Sigma:
-    if p < 1:
-        raise DomainError(f"p must be positive: {p}")
     return Sigma(p)
 
 

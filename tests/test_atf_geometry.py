@@ -187,6 +187,19 @@ def test_vianna_invariants_along_a_tree_walk():
             assert c.is_primitive()
 
 
+@pytest.mark.parametrize("k", (-1, 3, 5, 7))
+def test_a_vertex_that_names_no_corner_is_a_domain_error(k):
+    # the methods number the vertices 0, 1, 2; the functions 1, 2, 3
+    t = vianna_triangle(433, 29, 5)
+    for method in (t.vertex_determinant, t.edge_length):
+        with pytest.raises(DomainError, match=f"^vertex must be 0, 1 or 2: {k}$"):
+            method(k)
+    for call in (lambda v: cut_segment(t, v), lambda v: mutate_triangle(t, v),
+                 lambda v: visible_ellipsoid_bounds(t.triple, v)):
+        with pytest.raises(DomainError, match=f"^vertex must be 1, 2 or 3: {k + 1}$"):
+            call(k + 1)
+
+
 def test_vianna_triangle_signature_is_order_insensitive():
     s1 = triangle_signature(vianna_triangle(5, 2, 1))
     s2 = triangle_signature(vianna_triangle(1, 5, 2))

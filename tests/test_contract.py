@@ -122,6 +122,9 @@ CALLS = {
     "canonical_triple": lambda d: (ps.canonical_triple, (*d(pairs), d(depths))),
     "branch_sequence": lambda d: (ps.branch_sequence, (*d(pairs), *d(windows))),
     "sigma_p": lambda d: (ps.sigma_p, (d(numbers),)),
+    "Sigma": lambda d: (ps.Sigma, (d(numbers),)),
+    "Sigma.decimal": lambda d: (ps.Sigma(d(st.integers(1, 10**6))).decimal, (
+        d(st.integers(-3, 40)), d(st.booleans()))),
     "compare_to_sigma": lambda d: (ps.compare_to_sigma, (d(numbers), d(rationals))),
     "two_ball_degree": lambda d: (ps.two_ball_degree, (d(numbers), d(numbers))),
     "hj_expand": lambda d: (ps.hj_expand, (d(numbers), d(numbers))),
@@ -164,6 +167,8 @@ CALLS = {
     "mutate_triangle": lambda d: (ps.mutate_triangle, (_vianna(d), d(vertices))),
     "cut_segment": lambda d: (ps.cut_segment, (_vianna(d), d(vertices))),
     "triangle_signature": lambda d: (ps.triangle_signature, (_vianna(d),)),
+    "vertex_determinant": lambda d: (_vianna(d).vertex_determinant, (d(vertices),)),
+    "edge_length": lambda d: (_vianna(d).edge_length, (d(vertices),)),
     "girdle_data": lambda d: (ps.girdle_data, (d(triples), d(st.integers(-1, 100)))),
     "visible_ellipsoid_bounds": lambda d: (ps.visible_ellipsoid_bounds, (d(triples),
                                                                          d(vertices))),

@@ -161,7 +161,7 @@ def _outcome(call, *args):
 
 
 def test_kept_search_answers_as_a_cold_search_would():
-    markov._tree_search.cache_clear()
+    markov._search.cache_clear()
     assert companions(433).pair == {104, 329}
     with pytest.raises(NotFound) as exc:
         companions(433, 2)
@@ -171,20 +171,20 @@ def test_kept_search_answers_as_a_cold_search_would():
     rng = random.Random(4)
     calls = [("companions", p, d) for p in numbers for d in depths]
     calls += [("is_markov_number", p, None) for p in numbers]
-    # the other two read the same search through `_companions_from`: a sample
+    # the other two read the same kept search: a sample
     calls += rng.sample([(fn, p, d) for p in numbers for d in depths
                          for fn in ("is_companion", "canonical_triple")], 3000)
     rng.shuffle(calls)
-    markov._tree_search.cache_clear()
+    markov._search.cache_clear()
     warm = []
     for fn, p, d in calls:
         args = (p,) if fn in ("companions", "is_markov_number") else (p, 7)
         args += () if fn == "is_markov_number" else (d,)
         warm.append((fn, args, _outcome(getattr(markov, fn), *args)))
-    assert markov._tree_search.cache_info().currsize == markov.SEARCH_CACHE_SIZE
+    assert markov._search.cache_info().currsize == markov.SEARCH_CACHE_SIZE
     # warm and cold calls take the same path, so a sample of the cold replay suffices
     for fn, args, got in rng.sample(warm, 1000):
-        markov._tree_search.cache_clear()
+        markov._search.cache_clear()
         assert _outcome(getattr(markov, fn), *args) == got, (fn, args)
     brute = set(brute_markov_numbers(2000))
     for fn, args, got in warm:
@@ -208,8 +208,8 @@ def test_a_depth_limit_bounds_the_search_of_a_huge_number(monkeypatch):
             starts.append(len(level))
             yield level
 
+    markov._search.cache_clear()
     monkeypatch.setattr(markov, "_tree_levels", counted)
-    markov._tree_search.cache_clear()
     with pytest.raises(NotFound, match="within 3 tree levels") as exc:
         companions(10**300 + 1, search_depth=3)
     assert not isinstance(exc.value, NotMarkov)
@@ -226,8 +226,8 @@ def test_one_tree_search_per_number_across_a_unit_of_work(monkeypatch):
     from pinstairs.regulation import predict_regulation
     from pinstairs.staircase_oracle import embeds, obstruction_certificate, pin_ball_capacity
 
-    starts, searched, calls = [], set(), [0]
-    levels, search = markov._tree_levels, markov._search_triple_with
+    starts, searched, calls, q_reads = [], set(), [0], [0]
+    levels, search, q_from_triple = markov._tree_levels, markov._search, markov._q_from_triple
 
     def counted_levels(*args):
         starts.append(1)
@@ -239,10 +239,15 @@ def test_one_tree_search_per_number_across_a_unit_of_work(monkeypatch):
             searched.add(p)
         return search(p, max_depth)
 
-    monkeypatch.setattr(markov, "_tree_levels", counted_levels)
-    monkeypatch.setattr(markov, "_search_triple_with", recorded_search)
-    markov._tree_search.cache_clear()
+    def counted_q(*args):
+        q_reads[0] += 1
+        return q_from_triple(*args)
+
+    markov._search.cache_clear()
     markov._family.cache_clear()
+    monkeypatch.setattr(markov, "_tree_levels", counted_levels)
+    monkeypatch.setattr(markov, "_search", recorded_search)
+    monkeypatch.setattr(markov, "_q_from_triple", counted_q)
     for p, q in ((29, 7), (433, 104)):
         companions(p)
         w = wahl_data(p, q)
@@ -258,6 +263,8 @@ def test_one_tree_search_per_number_across_a_unit_of_work(monkeypatch):
         obstruction_certificate(p, q, 2)
         embeds(p, q, Fraction(1, 3), Fraction(1, 5))
     assert len(starts) == len(searched)
+    # one companion derivation and one mutation-invariance check per number
+    assert q_reads[0] == 2 * len(searched)
     assert calls[0] > 2 * len(searched)
 
 
@@ -434,6 +441,24 @@ def test_sigma_decimal_prefixes():
     assert sigma_p(5).decimal(3, rounded=True) == "2.987"
 
 
+def test_sigma_refuses_a_p_below_1_and_a_negative_digit_count():
+    for p in (0, -1, -7):
+        for build in (markov.Sigma, sigma_p):
+            with pytest.raises(DomainError, match=f"^p must be positive: {p}$"):
+                build(p)
+    for digits in (-1, -12):
+        with pytest.raises(DomainError, match=f"^digit count must be >= 0: {digits}$"):
+            sigma_p(5).decimal(digits)
+
+
+def test_sigma_to_0_places_is_its_whole_part():
+    # sigma_5 = 2.9866..., sigma_1 = 2.6180...
+    for p in (1, 5):
+        assert sigma_p(p).decimal(0) == "2"
+        assert sigma_p(p).decimal(0, rounded=True) == "3"
+    assert sigma_p(5).decimal(1) == "2.9" and sigma_p(5).decimal(1, rounded=True) == "3.0"
+
+
 def test_sigma_is_a_root_of_its_polynomial():
     for p in (1, 2, 5, 13, 29):
         s = sigma_p(p)
@@ -489,10 +514,8 @@ def test_the_search_meets_each_markov_number_at_the_valley_of_its_mutations():
     numbers = sorted({x for e in enumerate_tree(10) for x in e.triple if x > 2})
     assert len(numbers) == 511
     for p in numbers:
-        t, cut = markov._tree_search(p, None)
-        co = list(t)
-        co.remove(p)
-        assert not cut and max(co) < p
+        _, (x, y) = markov._search(p, None)
+        assert max(x, y) < p
         for q in companions(p).pair:
             _, x, y = canonical_triple(p, q)
             assert 3 * p * y - x > x and 3 * p * x - y > y
