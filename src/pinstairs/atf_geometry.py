@@ -30,6 +30,7 @@ from .exact_core import (
     RationalPoint,
     _clear_denominators,
     _continuants,
+    _fraction,
     _Record,
     _primitive_direction,
     affine_length,
@@ -152,15 +153,20 @@ def delta_triangle(p: int, q: int, alpha: Rational, beta: Rational) -> GirdledTr
 
 
 def fan_rays(p: int, q: int) -> list[LatticeVector]:
-    """Inward normals rho_0 .. rho_{m+1} of the subdivided fan."""
+    """Inward normals rho_0 .. rho_{m+1} of the subdivided fan.
+
+    rho_{k+1} = b_k rho_k - rho_{k-1} from (1, 0), (0, 1) runs the recurrence
+    in each coordinate: the x are the continuants seeded 1, 0 and the y those
+    seeded 0, 1, which are e.  Both checks run on those ints, and each ray is
+    built once."""
     w = wahl_data(p, q)
-    rays = _continuants(w.chain, LatticeVector(1, 0), LatticeVector(0, 1))
-    if p >= 2 and rays[-1] != LatticeVector(1 - p * q, p * p):
+    xs, ys = _continuants(w.chain, 1, 0), w.e
+    if p >= 2 and (xs[-1], ys[-1]) != (1 - p * q, p * p):
         raise AssertionError(f"terminal ray mismatch for ({p},{q})")
-    for u, v in zip(rays, rays[1:]):
-        if wedge(u, v) != 1:
+    for k in range(len(xs) - 1):
+        if xs[k] * ys[k + 1] - ys[k] * xs[k + 1] != 1:
             raise AssertionError("consecutive rays not unimodular")
-    return rays
+    return [LatticeVector(x, y) for x, y in zip(xs, ys)]
 
 
 def _clip(loop: list[RationalPoint], n: LatticeVector, c: Rational) -> list[RationalPoint]:
@@ -406,8 +412,8 @@ def mutate_triangle(t: ViannaTriangle, vertex: int) -> ViannaTriangle:
     else:
         raise AssertionError("no unimodular shear straightens the cut vertex")
     points, cuts = list(t.points), list(t.cuts)
-    points[k] = RationalPoint(Fraction(ex, d * w), Fraction(ey, d * w))
-    points[j1] = RationalPoint(Fraction(xk + sx, d), Fraction(yk + sy, d))
+    points[k] = RationalPoint(_fraction(ex, d * w), _fraction(ey, d * w))
+    points[j1] = RationalPoint(_fraction(xk + sx, d), _fraction(yk + sy, d))
     cuts[k], cuts[j1] = -u, cuts[j1] + wedge(u, cuts[j1]) * eps * u
     return _validate_vianna(ViannaTriangle(
         mutate(t.triple, vertex), tuple(points), tuple(cuts), t.history + (vertex,)

@@ -237,6 +237,12 @@ def _coprime_fraction(n: int, d: int) -> Rational:
     return r
 
 
+def _fraction(n: int, d: int) -> Rational:
+    """Fraction(n, d) for integers with d > 0: one gcd, then the two slots."""
+    g = gcd(n, d)
+    return _coprime_fraction(n // g, d // g)
+
+
 def parse_rational(text: str) -> Rational:
     """Parse 'a/b' or 'n' (exact integers only); decimals and other text are a DomainError."""
     s = text.strip()

@@ -31,6 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, prod
+from operator import add
 
 from .exact_core import DomainError, Rational, _coprime_fraction, _Record, isqrt_exact
 from .hirzebruch_jung import WahlData, recognize_dual_wahl, wahl_data
@@ -122,13 +123,15 @@ def is_negative_definite(matrix: list[list[int]]) -> bool:
 
 
 def discrepancies(w: WahlData) -> list[Rational]:
+    """k_i = (e_i + f_i - p^2)/p^2, each range-checked in integers and built
+    once in lowest terms."""
     p2 = w.p * w.p
     out = []
-    for i in range(1, w.m + 1):
-        k = Fraction(-p2 + w.e[i] + w.f[i], p2)
-        if not 0 < w.e[i] + w.f[i] < p2:  # -1 < k < 0, in integers
-            raise AssertionError(f"discrepancy {k} outside (-1,0) for ({w.p},{w.q})")
-        out.append(k)
+    for n in map(add, w.e[1:-1], w.f[1:-1]):
+        if not 0 < n < p2:  # -1 < k_i < 0, in integers
+            raise AssertionError(f"discrepancy {n - p2}/{p2} outside (-1,0) for ({w.p},{w.q})")
+        k = gcd(n, p2)  # = gcd(n - p^2, p^2)
+        out.append(_coprime_fraction((n - p2) // k, p2 // k))
     return out
 
 
@@ -269,8 +272,10 @@ def _culet(p: int, q: int) -> CuletReport:
     hits = []
     for i in range(1, w.m + 1):
         s2 = isqrt_exact(w.e[i])
+        if s2 is None:  # f_i is looked at only where e_i is a square
+            continue
         s3 = isqrt_exact(w.f[i])
-        if s2 is not None and s3 is not None and is_markov_triple(p, s2, s3):
+        if s3 is not None and is_markov_triple(p, s2, s3):
             hits.append((i, s2, s3))
     if not hits:
         raise AssertionError(f"no culet index found for ({p},{q})")

@@ -261,7 +261,8 @@ def canonical_triple(p: int, q: int, search_depth: Optional[int] = None) -> Mark
     """
     pair = companions(p, search_depth)
     if q not in pair:
-        raise CompanionMismatch(f"{q} is not a companion of {p} (pair {set(pair.pair)})")
+        shown = ", ".join(map(str, sorted(pair.pair)))
+        raise CompanionMismatch(f"{q} is not a companion of {p} (pair {{{shown}}})")
     x, y = _search(p, search_depth)[1]
     return (p, x, y) if q == pair.q_plus else (p, y, x)
 

@@ -87,7 +87,7 @@ class DualGraph(_Record):
         for a, b in edges:
             if a == b or a not in idset or b not in idset:
                 raise DomainError(f"bad edge ({a},{b})")
-            norm.append((min(a, b), max(a, b)))
+            norm.append((a, b) if a < b else (b, a))
         if len(set(norm)) != len(norm):
             raise DomainError("duplicate edges")
         super().__init__(vertices, tuple(norm))
@@ -173,9 +173,13 @@ def _down_moves(labels: dict, adj: dict) -> list[int]:
 
 
 def _apply_down(labels: dict, adj: dict, vid: int) -> tuple[dict, dict]:
-    nbrs = sorted(adj[vid])
-    labels = {v: s + (1 if v in nbrs else 0) for v, s in labels.items() if v != vid}
-    adj = {v: {u for u in us if u != vid} for v, us in adj.items() if v != vid}
+    """Contract the move vid in O(its degree), editing and returning the two
+    dicts; every caller passes copies of its own."""
+    del labels[vid]
+    nbrs = adj.pop(vid)
+    for u in nbrs:
+        labels[u] += 1
+        adj[u].discard(vid)
     if len(nbrs) == 2:
         a, b = nbrs
         adj[a].add(b)
@@ -217,11 +221,15 @@ def blow_down_all(g: DualGraph) -> tuple[DualGraph, list[int]]:
 def _path_entries(labels: dict, adj: dict) -> list[int]:
     """Negated labels of a path, read from one end to the other."""
     prev, v = None, next(v for v, us in adj.items() if len(us) == 1)
-    out = []
-    while v is not None:
+    out = [-labels[v]]
+    while True:
+        for u in adj[v]:
+            if u != prev:
+                break
+        else:  # the far end: its one neighbour is the vertex before it
+            return out
+        prev, v = v, u
         out.append(-labels[v])
-        prev, v = v, next((u for u in adj[v] if u != prev), None)
-    return out
 
 
 def is_ruling_degeneration(g: DualGraph) -> bool:
@@ -235,9 +243,9 @@ def is_ruling_degeneration(g: DualGraph) -> bool:
     while True:
         if len(labels) == 1:
             return next(iter(labels.values())) == 0
-        if any(s >= 0 for s in labels.values()):
+        if max(labels.values()) >= 0:
             return False
-        if all(len(us) <= 2 for us in adj.values()):
+        if max(map(len, adj.values())) <= 2:  # a path
             return is_zero_continued_fraction(_path_entries(labels, adj))
         moves = _down_moves(labels, adj)
         if not moves:

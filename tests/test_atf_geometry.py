@@ -95,6 +95,37 @@ def test_fan_rays_second_coordinates_are_e_sequence():
     assert [r.y for r in rays[1:]] == list(w.e[1:])
 
 
+def _pairs_to_depth(depth):
+    numbers = sorted({x for e in enumerate_tree(depth) for x in e.triple if x >= 2})
+    return [(p, q) for p in numbers for q in sorted(set(companions(p).pair))]
+
+
+def test_fan_rays_equal_the_lattice_vector_recurrence_to_depth_7():
+    # the integer kernel against the recurrence run on LatticeVectors
+    from pinstairs.exact_core import _continuants
+    from pinstairs.hirzebruch_jung import wahl_data
+
+    pairs = [(1, 1)] + _pairs_to_depth(7)
+    assert len(pairs) == 128
+    for p, q in pairs:
+        want = _continuants(wahl_data(p, q).chain, LatticeVector(1, 0), LatticeVector(0, 1))
+        got = fan_rays(p, q)
+        assert got == want and all(type(r) is LatticeVector for r in got)
+
+
+def test_fan_ray_self_checks_fire_on_a_corrupted_e(monkeypatch):
+    from pinstairs.hirzebruch_jung import WahlData, wahl_data
+
+    w = wahl_data(29, 7)
+    for k, message in ((w.m + 1, "terminal ray mismatch for (29,7)"),
+                       (3, "consecutive rays not unimodular")):
+        e = list(w.e)
+        e[k] += 1
+        monkeypatch.setattr(atf, "wahl_data", lambda p, q: WahlData(p, q, w.chain, tuple(e), w.f))
+        with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+            fan_rays(29, 7)
+
+
 # discretely convex offsets (b_i*l_i > l_{i-1} + l_{i+1} against chain (7,2,2,2))
 PAVILION_51 = [F(1, 100), F(19, 1000), F(17, 1000), F(1, 100)]
 

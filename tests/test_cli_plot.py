@@ -4,10 +4,13 @@ import contextlib
 import io
 import itertools
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -312,6 +315,7 @@ def test_answers_past_the_digit_limit_exit_one_with_nothing_printed(capsys, argv
 @pytest.mark.parametrize("pq, error", [
     (("3", "1"), "3 is not a Markov number"),
     (("5", "3"), "3 is not a companion of 5 (pair {1, 4})"),
+    (("29", "8"), "8 is not a companion of 29 (pair {7, 22})"),
 ])
 @pytest.mark.parametrize("point", [("1/10", "1/10"), ("10", "10"), ("1/10", "10"), ("10", "1/10")])
 def test_stair_refuses_a_bad_pair_wherever_the_point_lies(capsys, pq, error, point):
@@ -753,3 +757,24 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(argv):
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert elapsed < FUZZ_SECONDS, (argv, elapsed)
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_exit_1_and_no_traceback():
+    # depth 12 prints 233 kB, past any pipe buffer, so the command is still
+    # writing when the reader goes
+    env = dict(os.environ)
+    path = [str(Path(cli.__file__).parent.parent), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    proc = subprocess.Popen([sys.executable, "-m", "pinstairs.cli_plot", "markov", "tree",
+                             "--depth", "12"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    try:
+        assert proc.stdout.readline() == b"d0: (1, 1, 1)\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert "Traceback" not in err and err == ""
+    assert code == 1

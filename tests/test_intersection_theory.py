@@ -1,7 +1,7 @@
 """Intersection matrices, discrepancies, culets, adjunction, two-ball degrees."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -379,6 +379,68 @@ def test_two_ball_degree_symmetry():
 def test_chain_length_small_iff_small_markov():
     short = {p for p, q in reachable_pairs() if wahl_data(p, q).m <= 12}
     assert short == {1, 2, 5, 13, 29, 34}
+
+
+def test_discrepancies_equal_the_normalising_constructor_to_depth_7():
+    # built from a coprime pair with no Fraction.__new__: compare each entry
+    # with the normalising constructor, hash included
+    for p, q in pairs_to_depth(7):
+        w = wahl_data(p, q)
+        ks = discrepancies(w)
+        assert len(ks) == w.m
+        for k, e, f in zip(ks, w.e[1:-1], w.f[1:-1]):
+            want = Fraction(e + f - p * p, p * p)
+            assert type(k) is Fraction
+            assert (k.numerator, k.denominator, hash(k)) == \
+                (want.numerator, want.denominator, hash(want))
+
+
+def test_the_discrepancy_range_check_runs():
+    w = wahl_data(29, 7)
+    f = list(w.f)
+    f[2] = w.p * w.p - w.e[2]  # e_2 + f_2 = p^2: k_2 = 0
+    with pytest.raises(AssertionError, match=r"^discrepancy 0/841 outside \(-1,0\) for \(29,7\)$"):
+        discrepancies(WahlData(w.p, w.q, w.chain, w.e, tuple(f)))
+
+
+def test_culet_index_and_triple_match_a_scan_of_both_squares_to_depth_9():
+    # the reference tests every index for e_i and f_i both square, as the
+    # scan did before it skipped f_i where e_i is not a square
+    intersection_theory._culet.cache_clear()
+    for p, q in pairs_to_depth(9):
+        w = wahl_data(p, q)
+        hits = []
+        for i in range(1, w.m + 1):
+            s2, s3 = isqrt(w.e[i]), isqrt(w.f[i])
+            if s2 * s2 == w.e[i] and s3 * s3 == w.f[i] and is_markov_triple(p, s2, s3):
+                hits.append((i, (p, s2, s3)))
+        report = culet_report(p, q)
+        assert hits == [(report.culet_index, report.triple)]
+
+
+def test_culet_uniqueness_and_trichotomy_checks_run(monkeypatch):
+    intersection_theory._culet.cache_clear()
+    monkeypatch.setattr(intersection_theory, "is_markov_triple", lambda *t: True)
+    monkeypatch.setattr(intersection_theory, "isqrt_exact", lambda n: 1)
+    with pytest.raises(intersection_theory.MultipleCulets):
+        culet_report(29, 7)
+    intersection_theory._culet.cache_clear()
+    monkeypatch.setattr(intersection_theory, "isqrt_exact", lambda n: 1 if n == 1 else None)
+    with pytest.raises(AssertionError, match="no culet index"):
+        culet_report(29, 7)
+    monkeypatch.undo()
+    w = wahl_data(29, 7)
+    for weight, message in ((4, "weight-4 trichotomy"), (7, "weight-7 trichotomy")):
+        intersection_theory._culet.cache_clear()
+        chain = list(w.chain)
+        chain[culet_report(29, 7).culet_index - 1] = weight
+        broken = WahlData(w.p, w.q, tuple(chain), w.e, w.f)
+        with monkeypatch.context() as patch:
+            patch.setattr(intersection_theory, "wahl_data", lambda p, q: broken)
+            intersection_theory._culet.cache_clear()
+            with pytest.raises(AssertionError, match=message):
+                culet_report(29, 7)
+    intersection_theory._culet.cache_clear()
 
 
 def test_square_zero_certificate_holds_to_depth_9():

@@ -389,6 +389,26 @@ def test_every_move_of_a_degeneration_leaves_a_degeneration(g):
         assert is_ruling_degeneration(blow_down(g, v))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_random_trees(), _blow_up_trees(max_size=30)))
+def test_blowing_down_leaves_the_given_graph_as_it_was(g):
+    # _apply_down edits its dicts in place; the callers hand it copies
+    copy = DualGraph(g.vertices, g.edges)
+    labels, adj = g.labels(), g.adjacency()
+    moves = [v for v, s in labels.items() if s == -1 and 1 <= len(adj[v]) <= 2]
+    for v in moves:
+        blow_down(g, v)
+    blow_down_all(g)
+    is_ruling_degeneration(g)
+    assert g == copy and g.labels() == labels and g.adjacency() == adj
+
+
+def test_the_degeneration_self_check_of_a_predicted_ruling_runs(monkeypatch):
+    monkeypatch.setattr(regulation, "is_ruling_degeneration", lambda g: False)
+    with pytest.raises(AssertionError, match="fails to degenerate"):
+        predict_regulation(29, 7)
+
+
 def assert_attach_matches_per_site_reference(chain):
     hits = attach_sites(list(chain))
     if len(hits) == 1:
