@@ -32,6 +32,7 @@ from pinstairs.staircase_oracle import CompanionMismatch, stair_boxes, three_bal
 
 from .frozen import FAN_RAYS, GIRDLES, VIANNA_DIGEST_7, VISIBLE_BOUNDS
 from .oracles import fibonacci_markov_triple
+from .test_intersection_theory import pairs_to_depth
 from .test_staircase_oracle import calls_made
 
 F = Fraction
@@ -95,17 +96,12 @@ def test_fan_rays_second_coordinates_are_e_sequence():
     assert [r.y for r in rays[1:]] == list(w.e[1:])
 
 
-def _pairs_to_depth(depth):
-    numbers = sorted({x for e in enumerate_tree(depth) for x in e.triple if x >= 2})
-    return [(p, q) for p in numbers for q in sorted(set(companions(p).pair))]
-
-
 def test_fan_rays_equal_the_lattice_vector_recurrence_to_depth_7():
     # the integer kernel against the recurrence run on LatticeVectors
     from pinstairs.exact_core import _continuants
     from pinstairs.hirzebruch_jung import wahl_data
 
-    pairs = [(1, 1)] + _pairs_to_depth(7)
+    pairs = [(1, 1)] + pairs_to_depth(7)
     assert len(pairs) == 128
     for p, q in pairs:
         want = _continuants(wahl_data(p, q).chain, LatticeVector(1, 0), LatticeVector(0, 1))

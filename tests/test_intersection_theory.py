@@ -429,15 +429,14 @@ def test_culet_uniqueness_and_trichotomy_checks_run(monkeypatch):
     with pytest.raises(AssertionError, match="no culet index"):
         culet_report(29, 7)
     monkeypatch.undo()
-    w = wahl_data(29, 7)
+    w, i = wahl_data(29, 7), culet_report(29, 7).culet_index
     for weight, message in ((4, "weight-4 trichotomy"), (7, "weight-7 trichotomy")):
-        intersection_theory._culet.cache_clear()
         chain = list(w.chain)
-        chain[culet_report(29, 7).culet_index - 1] = weight
+        chain[i - 1] = weight  # 10 at (29, 7)
         broken = WahlData(w.p, w.q, tuple(chain), w.e, w.f)
+        intersection_theory._culet.cache_clear()
         with monkeypatch.context() as patch:
             patch.setattr(intersection_theory, "wahl_data", lambda p, q: broken)
-            intersection_theory._culet.cache_clear()
             with pytest.raises(AssertionError, match=message):
                 culet_report(29, 7)
     intersection_theory._culet.cache_clear()
