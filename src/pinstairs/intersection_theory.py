@@ -14,16 +14,20 @@ Prime by prime, gcd(ab, n) = gcd(gcd(a, n) gcd(b, n), n), so e_i f_j / p^2
 reduces by gcd(g_i g_j, p^2), which is 1 unless g_i > 1 or g_j > 1.  The
 table checks gcd(f_i, p^2) = g_i on every input, in O(m), and builds each
 entry from its coprime pair with no gcd of its own.
-The discrepancies are k_i = -1 + (e_i + f_i)/p^2, and scanning e_i, f_i for
-simultaneous perfect squares locates the culet index, whose weight b_i is 4,
-7 or 10; each pair's culet is scanned and self-checked once while it stays
-in a bounded cache.  The square-zero class search solves the adjunction
-identity
+The discrepancies are k_i = -1 + (e_i + f_i)/p^2.  The square-zero class
+solves the adjunction identity
 
     2p^2 = 3p c0 - c0^2 + T(chi) + sum_i chi_i (p^2 - e_i - f_i),
     c0^2 = T(chi) := sum_{i,j} chi_i chi_j e_min(i,j) f_max(i,j)
 
-over 0/1 vectors chi exactly, which forces the Markov relation.
+over 0/1 vectors chi exactly, which forces the Markov relation.  With chi
+the unit vector at i, c0^2 = e_i f_i turns the identity into
+p^2 + e_i + f_i = 3p c0; a culet, the index with (e_i, f_i) = (s2^2, s3^2)
+and (p, s2, s3) a Markov triple, solves both with c0 = s2 s3.  So one scan
+locates the culet: it tests 3p | p^2 + e_i + f_i at every index and
+c0^2 = e_i f_i only where that holds, and takes the square roots of e_i and
+f_i at its one hit.  The culet's weight b_i is 4, 7 or 10; each pair's culet
+is scanned and self-checked once while it stays in a bounded cache.
 """
 
 from __future__ import annotations
@@ -271,17 +275,20 @@ def _culet(p: int, q: int) -> CuletReport:
     w = wahl_data(p, q)
     hits = []
     for i in range(1, w.m + 1):
-        s2 = isqrt_exact(w.e[i])
-        if s2 is None:  # f_i is looked at only where e_i is a square
-            continue
-        s3 = isqrt_exact(w.f[i])
-        if s3 is not None and is_markov_triple(p, s2, s3):
-            hits.append((i, s2, s3))
-    if not hits:
-        raise AssertionError(f"no culet index found for ({p},{q})")
+        e, f = w.e[i], w.f[i]
+        c0, r = divmod(p * p + e + f, 3 * p)
+        if not r and c0 * c0 == e * f:  # i alone solves square-zero + adjunction
+            hits.append(i)
     if len(hits) > 1:
         raise MultipleCulets(f"multiple culet indices for ({p},{q}): {hits}")
-    i, p2, p3 = hits[0]
+    s2 = s3 = None
+    if hits:
+        i = hits[0]
+        s2, s3 = isqrt_exact(w.e[i]), isqrt_exact(w.f[i])
+    if s2 is None or s3 is None or not is_markov_triple(p, s2, s3):
+        raise AssertionError(f"no culet index found for ({p},{q})")
+    # (p^2 + e_i + f_i)^2 = 9 p^2 e_i f_i needs no check: it is the square of
+    # the Markov equation p^2 + s2^2 + s3^2 = 3p s2 s3 just accepted
     weight = w.chain[i - 1]
     left = w.chain[: i - 1]
     right = w.chain[i:]
@@ -289,15 +296,11 @@ def _culet(p: int, q: int) -> CuletReport:
         raise AssertionError(f"weight {weight} outside {{4,7,10}} for ({p},{q})")
     if (weight == 4) != ((p, q) == (2, 1)):
         raise AssertionError(f"weight-4 trichotomy violated for ({p},{q})")
-    if (weight == 7) != ((1 in (p2, p3)) and weight != 4):
+    if (weight == 7) != ((1 in (s2, s3)) and weight != 4):
         raise AssertionError(f"weight-7 trichotomy violated for ({p},{q})")
-    # Markov forcing ratio at the culet
-    w0, w1, w2 = p * p, w.e[i], w.f[i]
-    if (w0 + w1 + w2) ** 2 != 9 * w0 * w1 * w2:
-        raise AssertionError(f"forcing ratio not 9 at culet of ({p},{q})")
     return CuletReport(
-        p, q, i, p2, p3, weight, left, right,
-        _match_flank(left, p2), _match_flank(right, p3),
+        p, q, i, s2, s3, weight, left, right,
+        _match_flank(left, s2), _match_flank(right, s3),
     )
 
 
@@ -341,7 +344,7 @@ def enumerate_adjunction_solutions(w: WahlData, chi_max: int = 1) -> list[tuple[
 def square_zero_class_search(p: int, q: int) -> tuple[int, tuple[int, ...]]:
     """The unique (c0, chi) solving square-zero + adjunction, chi in {0,1}^m.
 
-    Only supports of size 1 can solve it, so the search tries those m
+    Only supports of size 1 can solve it, and the culet scan solves those m
     alone.  With T(chi) + sum_i chi_i (p^2 - e_i - f_i) moved to the right,
     a solution needs that sum to equal 2p^2 - c0(3p - c0), which is at most
     the budget 2p^2 - 3p + 1 over c0 in [1, p].  Every cross term e_i f_j is
@@ -351,7 +354,10 @@ def square_zero_class_search(p: int, q: int) -> tuple[int, tuple[int, ...]]:
     twice) therefore costs at least 2p^2 - 2, which exceeds the budget
     exactly when 3p > 3, that is for every p >= 2.  The argument is checked
     on each input: the two smallest single contributions must already
-    exceed the budget, or the search raises AssertionError.
+    exceed the budget, or the search raises AssertionError.  Index i alone
+    solves it exactly when 3p | p^2 + e_i + f_i and c0^2 = e_i f_i (module
+    docstring), the test of the culet scan; its one hit is the culet, with
+    c0 = s2 s3, and chi is the unit vector there.
     enumerate_adjunction_solutions is the brute oracle for the tests.
     """
     if p < 2:
@@ -361,35 +367,9 @@ def square_zero_class_search(p: int, q: int) -> tuple[int, tuple[int, ...]]:
     e, f, lin = _adjunction_terms(w)
     budget = 2 * p * p - (3 * p - 1)  # max of 2p^2 - c0(3p - c0) over c0 in [1, p]
     singles = sorted(e[i] * f[i] + lin[i] for i in range(w.m))
-    solutions = []
-    # supports of size exactly 1, chi_i = 1
-    for i in range(w.m):
-        t = e[i] * f[i]
-        c0 = isqrt(t)
-        if c0 * c0 != t or not (1 <= c0 <= p):
-            continue
-        if 2 * p * p == 3 * p * c0 - c0 * c0 + t + lin[i]:
-            chi = tuple(int(j == i) for j in range(w.m))
-            solutions.append((c0, chi))
     # supports of size >= 2 (or a doubled entry) are over budget, as argued above
-    pair_floor = singles[0] + singles[1] if w.m >= 2 else None
-    if pair_floor is not None and pair_floor <= budget:
-        raise AssertionError(f"two-index adjunction floor {pair_floor} within budget "
-                             f"{budget} for ({p},{q})")
-    if not solutions:
-        raise AssertionError(f"no square-zero class found for ({p},{q})")
-    if len(solutions) > 1:
-        raise AssertionError(f"multiple square-zero classes for ({p},{q}): {solutions}")
-    c0, chi = solutions[0]
-    # cross-checks: support at the culet, and the Markov-forcing linear form
+    if w.m >= 2 and singles[0] + singles[1] <= budget:
+        raise AssertionError(f"two-index adjunction floor {singles[0] + singles[1]} within "
+                             f"budget {budget} for ({p},{q})")
     culet = culet_report(p, q)
-    support = tuple(i + 1 for i, x in enumerate(chi) if x)
-    if support != (culet.culet_index,):
-        raise AssertionError(
-            f"chi support {support} is not the culet index {culet.culet_index}"
-        )
-    i = culet.culet_index
-    if p * p + w.e[i] + w.f[i] != 3 * p * c0:
-        raise AssertionError(f"p^2 + e + f != 3*p*c0 at culet of ({p},{q})")
-    return c0, chi
-
+    return culet.p2 * culet.p3, tuple(int(j == culet.culet_index - 1) for j in range(w.m))

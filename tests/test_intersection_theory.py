@@ -404,8 +404,8 @@ def test_the_discrepancy_range_check_runs():
 
 
 def test_culet_index_and_triple_match_a_scan_of_both_squares_to_depth_9():
-    # the reference tests every index for e_i and f_i both square, as the
-    # scan did before it skipped f_i where e_i is not a square
+    # the reference tests every index for e_i and f_i both square; the scan
+    # tests 3p | p^2 + e_i + f_i and one square, and takes roots at its hit
     intersection_theory._culet.cache_clear()
     for p, q in pairs_to_depth(9):
         w = wahl_data(p, q)
@@ -418,31 +418,51 @@ def test_culet_index_and_triple_match_a_scan_of_both_squares_to_depth_9():
         assert hits == [(report.culet_index, report.triple)]
 
 
+def _culet_of(broken, monkeypatch):
+    # culet_report(29, 7) as scanned on a corrupted chain, with no cached report
+    intersection_theory._culet.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(intersection_theory, "wahl_data", lambda p, q: broken)
+        try:
+            return culet_report(29, 7)
+        finally:
+            intersection_theory._culet.cache_clear()
+
+
 def test_culet_uniqueness_and_trichotomy_checks_run(monkeypatch):
-    intersection_theory._culet.cache_clear()
-    monkeypatch.setattr(intersection_theory, "is_markov_triple", lambda *t: True)
-    monkeypatch.setattr(intersection_theory, "isqrt_exact", lambda n: 1)
-    with pytest.raises(intersection_theory.MultipleCulets):
-        culet_report(29, 7)
-    intersection_theory._culet.cache_clear()
-    monkeypatch.setattr(intersection_theory, "isqrt_exact", lambda n: 1 if n == 1 else None)
-    with pytest.raises(AssertionError, match="no culet index"):
-        culet_report(29, 7)
-    monkeypatch.undo()
     w, i = wahl_data(29, 7), culet_report(29, 7).culet_index
-    for weight, message in ((4, "weight-4 trichotomy"), (7, "weight-7 trichotomy")):
+    e, f = list(w.e), list(w.f)
+    e[1], f[1] = e[i], f[i]  # a second index that solves square-zero + adjunction
+    with pytest.raises(intersection_theory.MultipleCulets):
+        _culet_of(WahlData(w.p, w.q, w.chain, tuple(e), tuple(f)), monkeypatch)
+    f = list(w.f)
+    f[i] += 1  # the culet no longer solves them: no index does
+    with pytest.raises(AssertionError, match="no culet index"):
+        _culet_of(WahlData(w.p, w.q, w.chain, w.e, tuple(f)), monkeypatch)
+    with monkeypatch.context() as patch:  # one hit, whose roots are refused
+        patch.setattr(intersection_theory, "is_markov_triple", lambda *t: False)
+        with pytest.raises(AssertionError, match="no culet index"):
+            _culet_of(w, monkeypatch)
+    for weight, message in ((4, "weight-4 trichotomy"), (7, "weight-7 trichotomy"),
+                            (5, "weight 5 outside")):
         chain = list(w.chain)
         chain[i - 1] = weight  # 10 at (29, 7)
-        broken = WahlData(w.p, w.q, tuple(chain), w.e, w.f)
-        intersection_theory._culet.cache_clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(intersection_theory, "wahl_data", lambda p, q: broken)
-            with pytest.raises(AssertionError, match=message):
-                culet_report(29, 7)
-    intersection_theory._culet.cache_clear()
+        with pytest.raises(AssertionError, match=message):
+            _culet_of(WahlData(w.p, w.q, tuple(chain), w.e, w.f), monkeypatch)
 
 
-def test_square_zero_certificate_holds_to_depth_9():
+def test_the_culet_scan_tests_divisibility_before_the_square(monkeypatch):
+    # (9, 9): e f = 81 = floor((841 + 18)/87)^2, but 87 does not divide 859
+    w = wahl_data(29, 7)
+    report = culet_report(29, 7)
+    j = next(j for j in range(1, w.m + 1) if j != report.culet_index)
+    e, f = list(w.e), list(w.f)
+    e[j] = f[j] = 9
+    assert (29 * 29 + 18) % 87 and ((29 * 29 + 18) // 87) ** 2 == 81
+    assert _culet_of(WahlData(w.p, w.q, w.chain, tuple(e), tuple(f)), monkeypatch) == report
+
+
+def test_square_zero_certificate_holds_to_depth_9(monkeypatch):
     # a support of two or more indices costs at least 2p^2 - 2, over the
     # budget 2p^2 - 3p + 1; the search raises if this ever failed
     for p, q in pairs_to_depth(9):
@@ -451,6 +471,15 @@ def test_square_zero_certificate_holds_to_depth_9():
         assert min(singles) >= p * p - 1
         if w.m >= 2:
             assert singles[0] + singles[1] > 2 * p * p - 3 * p + 1
+    w = wahl_data(29, 7)
+    e, f = list(w.e), list(w.f)
+    e[1] = e[2] = 0  # (e, f) = (0, 43) contributes p^2 - 43 = 798 at each of two
+    f[1] = f[2] = 43  # indices, so the floor meets the budget
+    monkeypatch.setattr(intersection_theory, "wahl_data",
+                        lambda p, q: WahlData(w.p, w.q, w.chain, tuple(e), tuple(f)))
+    with pytest.raises(AssertionError, match=r"^two-index adjunction floor 1596 within budget "
+                                             r"1596 for \(29,7\)$"):
+        square_zero_class_search(29, 7)
 
 
 def test_one_chain_and_one_culet_scan_per_pair_across_a_unit_of_work(monkeypatch):
@@ -459,8 +488,9 @@ def test_one_chain_and_one_culet_scan_per_pair_across_a_unit_of_work(monkeypatch
     from pinstairs.staircase_oracle import embeds, obstruction_certificate, pin_ball_capacity
 
     pairs = ((29, 7), (433, 104))
-    expansions, scans = [], []
+    expansions, scans, roots = [], [], []
     expand, match = hirzebruch_jung.hj_expand, intersection_theory._match_flank
+    root = intersection_theory.isqrt_exact
 
     def counted_expand(n, a):
         if (n, a) in {(p * p, p * q - 1) for p, q in pairs}:
@@ -471,18 +501,25 @@ def test_one_chain_and_one_culet_scan_per_pair_across_a_unit_of_work(monkeypatch
         scans.append(1)
         return match(flank, s)
 
+    def counted_root(n):
+        roots.append(n)
+        return root(n)
+
     monkeypatch.setattr(hirzebruch_jung, "hj_expand", counted_expand)
     monkeypatch.setattr(intersection_theory, "_match_flank", counted_match)
+    monkeypatch.setattr(intersection_theory, "isqrt_exact", counted_root)
     hirzebruch_jung._wahl.cache_clear()
     intersection_theory._culet.cache_clear()
-    for p, q in pairs:
+    for n, (p, q) in enumerate(pairs, 1):
         companions(p)
         w = wahl_data(p, q)
         intersection_matrix(w)
         inverse_closed_form(w)
         discrepancies(w)
         culet = culet_report(p, q)
+        assert len(roots) == 2 * n  # the two roots at the one hit of the scan
         square_zero_class_search(p, q)
+        assert len(roots) == 2 * n
         predict_regulation(p, q)
         fan_rays(p, q)
         vianna_triangle(*culet.triple)
@@ -491,6 +528,7 @@ def test_one_chain_and_one_culet_scan_per_pair_across_a_unit_of_work(monkeypatch
         embeds(p, q, Fraction(1, 3), Fraction(1, 5))
     assert len(expansions) == len(set(expansions)) == len(pairs)
     assert len(scans) == 2 * len(pairs)  # each culet scan matches its two flanks
+    assert len(roots) == 2 * len(pairs)
 
 
 def test_refused_inputs_leave_no_cache_entry_and_caches_stay_bounded():
