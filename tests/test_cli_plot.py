@@ -109,12 +109,12 @@ def test_markov_branch_window(capsys):
 
 def test_failed_self_check_exits_three_without_traceback(capsys, monkeypatch):
     def broken(args):
-        raise AssertionError("contracted-curve count is not m - 1")
+        raise AssertionError("weight-7 trichotomy violated for (29,7)")
 
     monkeypatch.setattr(cli, "cmd_regulation", broken)
     code, out, err = invoke(capsys, "regulation", "29", "7")
     assert code == 3 and out == ""
-    assert err == "internal error: contracted-curve count is not m - 1 (argv: regulation 29 7)\n"
+    assert err == "internal error: weight-7 trichotomy violated for (29,7) (argv: regulation 29 7)\n"
     assert "Traceback" not in err
 
 

@@ -175,11 +175,16 @@ def test_prediction_weight_ten_two_rulings():
 
 
 def test_predicted_rulings_all_degenerate():
-    for p, q in [(5, 1), (5, 4), (13, 2), (29, 7), (29, 22), (34, 5)]:
+    # predict_regulation derives these three properties and checks none of
+    # them (see _flank_ruling and predict_regulation); here they are checked
+    numbers = sorted({x for e in enumerate_tree(9) for x in e.triple if x >= 2})
+    pairs = [(p, q) for p in numbers for q in sorted(set(companions(p).pair))]
+    assert len(pairs) == 511
+    for p, q in pairs:
         pred = predict_regulation(p, q)
-        for g in pred.rulings:
-            assert is_ruling_degeneration(g)
+        assert all(is_ruling_degeneration(g) for g in pred.rulings)
         assert sum(pred.contracted_counts()) == len(pred.chain) - 1
+        assert len(pred.rulings) == {4: 0, 7: 1, 10: 2}[pred.weight]
 
 
 def test_prediction_rejects_p_one():
@@ -403,10 +408,14 @@ def test_blowing_down_leaves_the_given_graph_as_it_was(g):
     assert g == copy and g.labels() == labels and g.adjacency() == adj
 
 
-def test_the_degeneration_self_check_of_a_predicted_ruling_runs(monkeypatch):
-    monkeypatch.setattr(regulation, "is_ruling_degeneration", lambda g: False)
-    with pytest.raises(AssertionError, match="fails to degenerate"):
-        predict_regulation(29, 7)
+def test_the_multiple_positions_check_runs(monkeypatch):
+    # no chain with two attach sites is known; this one evaluates to 0 at two
+    # sites, and both pass once the zero-continued-fraction test accepts all
+    chain = [1, 2, 1, 1, 2, 1]
+    assert regulation._zero_sites(chain) == [2, 5]
+    monkeypatch.setattr(regulation, "is_zero_continued_fraction", lambda entries: True)
+    with pytest.raises(MultiplePositions, match=r"attach positions \[2, 5\]"):
+        attach_position(chain)
 
 
 def assert_attach_matches_per_site_reference(chain):
@@ -462,20 +471,32 @@ def test_one_pass_attach_position_matches_per_site_reference_on_long_chains(chai
 
 
 def test_flank_self_check_contracts_only_the_hung_vertex(monkeypatch):
-    # the hung -1 is the only contractible vertex; once it is down the flank
-    # is a path, decided in one pass with no further contraction
-    contracted = []
+    # predict_regulation contracts nothing and builds each ruling's neighbour
+    # sets once, when DualGraph validates it.  Checked on its own, a ruling
+    # contracts only the hung -1; once it is down the flank is a path, decided
+    # in one pass with no further contraction
+    contracted, built = [], []
     apply_down = regulation._apply_down
+    adjacency = DualGraph.adjacency
 
     def counting(labels, adj, vid):
         contracted.append(vid)
         return apply_down(labels, adj, vid)
 
+    def counting_adjacency(g):
+        built.append(g)
+        return adjacency(g)
+
     monkeypatch.setattr(regulation, "_apply_down", counting)
+    monkeypatch.setattr(DualGraph, "adjacency", counting_adjacency)
     for p, q in [(5, 1), (29, 7), (433, 104), (37666, 9047)]:
         contracted.clear()
+        built.clear()
         pred = predict_regulation(p, q)
+        assert pred.rulings and contracted == []
+        assert list(map(id, built)) == list(map(id, pred.rulings))
+        assert all(is_ruling_degeneration(g) for g in pred.rulings)
         # a -1 hung at an end of its flank leaves a path: nothing to contract
         flanks = [sorted(v for v, _ in g.vertices if v) for g in pred.rulings]
         interior = sum(f[0] < at < f[-1] for f, at in zip(flanks, pred.attach_positions))
-        assert pred.rulings and contracted == [0] * interior
+        assert contracted == [0] * interior
