@@ -400,9 +400,9 @@ def cmd_wahl(args) -> int:
     inverse = inverse_closed_form(w)
     disc = discrepancies(w)
     try:
-        culet = culet_report(args.p, args.q)
-    except NoCulet:
-        culet = None
+        culet, no_culet = culet_report(args.p, args.q), None
+    except NoCulet as exc:
+        culet, no_culet = None, exc
     if args.json:
         data = {
             "p": w.p,
@@ -430,7 +430,7 @@ def cmd_wahl(args) -> int:
         print(f"culet: index {culet.culet_index}, triple ({t[0]}, {t[1]}, {t[2]}), "
               f"weight {culet.manetti_weight}")
     else:
-        print("culet: none (not a Markov/companion pair)")
+        print(f"culet: none ({no_culet})")
     return 0
 
 

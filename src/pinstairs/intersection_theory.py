@@ -12,8 +12,10 @@ f_1 = pq - 1 = (pq - 1) e_1 (mod p^2), so f_i = (pq - 1) e_i (mod p^2) for
 every i.  As pq - 1 is prime to p, gcd(f_i, p^2) = gcd(e_i, p^2) =: g_i.
 Prime by prime, gcd(ab, n) = gcd(gcd(a, n) gcd(b, n), n), so e_i f_j / p^2
 reduces by gcd(g_i g_j, p^2), which is 1 unless g_i > 1 or g_j > 1.  The
-table checks gcd(f_i, p^2) = g_i on every input, in O(m), and builds each
-entry from its coprime pair with no gcd of its own.
+table checks gcd(f_i, p^2) = g_i on every input, in O(m).  Each entry is one
+allocation: a bare Fraction whose numerator and denominator slots are
+written in place with the coprime pair, with no gcd of its own where
+g_i = g_j = 1, no normalising constructor and no call.
 The discrepancies are k_i = -1 + (e_i + f_i)/p^2.  The square-zero class
 solves the adjunction identity
 
@@ -37,7 +39,8 @@ from functools import lru_cache
 from math import gcd, isqrt, prod
 from operator import add
 
-from .exact_core import DomainError, Rational, _coprime_fraction, _Record, isqrt_exact
+from .exact_core import (DomainError, Rational, _coprime_fraction, _new_object, _Record,
+                         isqrt_exact)
 from .hirzebruch_jung import WahlData, recognize_dual_wahl, wahl_data
 from .markov import (NoCommonTriple, _require_companion, companions, is_markov_triple,
                      two_ball_degree)
@@ -88,7 +91,8 @@ def intersection_matrix(w: WahlData) -> list[list[int]]:
 
 def inverse_closed_form(w: WahlData) -> list[list[Rational]]:
     """The table of -e_i f_j / p^2 (i <= j), each entry built once in lowest
-    terms and shared with its mirror; every row is a list of its own."""
+    terms, in place, and shared with its mirror; every row is a list of its
+    own."""
     m = w.m
     p2 = w.p * w.p
     e, f = w.e[1:-1], w.f[1:-1]
@@ -96,14 +100,20 @@ def inverse_closed_form(w: WahlData) -> list[list[Rational]]:
     if [gcd(x, p2) for x in f] != g:
         raise AssertionError(f"gcd(f_i, p^2) != gcd(e_i, p^2) for ({w.p},{w.q})")
     inv: list[list[Rational]] = [[0] * m for _ in range(m)]
-    for i in range(m):
-        ei, gi = e[i], g[i]
+    for i, row in enumerate(inv):
+        nei, gi = -e[i], g[i]
         for j in range(i, m):  # symmetric: build each entry once
-            n, d = -ei * f[j], p2
-            if gi != 1 or g[j] != 1:  # only where p^2 shares a factor with e_i or e_j
+            # _coprime_fraction inlined, with its contract: the two slots of
+            # one bare Fraction, written with a coprime pair and d > 0
+            r = _new_object(Fraction)
+            if gi == 1 == g[j]:  # p^2 shares no factor with e_i or e_j
+                r._numerator = nei * f[j]
+                r._denominator = p2
+            else:
                 k = gcd(gi * g[j], p2)
-                n, d = n // k, d // k
-            inv[i][j] = inv[j][i] = _coprime_fraction(n, d)
+                r._numerator = nei * f[j] // k
+                r._denominator = p2 // k
+            row[j] = inv[j][i] = r
     return inv
 
 

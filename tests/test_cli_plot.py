@@ -476,10 +476,18 @@ def test_wahl_json_round_trip(capsys):
 
 
 def test_wahl_without_culet_still_prints(capsys):
-    # (12,5) is a valid Wahl pair but 12 is not a Markov number
-    code, out, _ = invoke(capsys, "wahl", "12", "5")
-    assert code == 0
-    assert "culet: none" in out
+    # each is a valid Wahl pair with no culet, and the line names the reason:
+    # (1,1) is a Markov pair below the scan, 2 is no companion of 5, and 12
+    # is not a Markov number
+    for p, q, reason in (
+            ("1", "1", "culet scan needs p >= 2: got p=1"),
+            ("5", "2", "2 is not a companion of 5 (pair {1, 4})"),
+            ("12", "5", "12 is not a Markov number (proved by exhaustive tree search)")):
+        code, out, _ = invoke(capsys, "wahl", p, q)
+        assert code == 0
+        assert out.splitlines()[-1] == f"culet: none ({reason})"
+        code, out, _ = invoke(capsys, "wahl", p, q, "--json")
+        assert code == 0 and json.loads(out)["culet"] is None
 
 
 def test_capacity_command(capsys):

@@ -1,5 +1,6 @@
 """Intersection matrices, discrepancies, culets, adjunction, two-ball degrees."""
 
+import sys
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinstairs import hirzebruch_jung, intersection_theory
-from pinstairs.exact_core import DomainError
+from pinstairs.exact_core import DomainError, _coprime_fraction
 from pinstairs.hirzebruch_jung import WAHL_CACHE_SIZE, WahlData, wahl_data
 from pinstairs.intersection_theory import (
     CULET_CACHE_SIZE,
@@ -156,6 +157,60 @@ def test_inverse_refuses_f_that_breaks_the_gcd_premise():
     broken = WahlData(w.p, w.q, w.chain, w.e, tuple(f))
     with pytest.raises(AssertionError, match="gcd"):
         inverse_closed_form(broken)
+
+
+def _calls_while_building(w):
+    """The Python functions called, and the allocations by object.__new__
+    made, while inverse_closed_form(w) runs, and its result."""
+    codes, allocations = [], 0
+
+    def profile(frame, event, arg):
+        nonlocal allocations
+        if event == "call":
+            codes.append(frame.f_code)
+        elif event == "c_call" and arg is object.__new__:
+            allocations += 1
+
+    sys.setprofile(profile)
+    try:
+        inv = inverse_closed_form(w)
+    finally:
+        sys.setprofile(None)
+    return codes, allocations, inv
+
+
+def test_each_inverse_entry_is_one_allocation_and_no_call_to_depth_5():
+    # the entries' slots are written in place: neither the coprime helper nor
+    # the normalising constructor runs, and each entry i <= j is allocated once
+    banned = {_coprime_fraction.__code__, Fraction.__new__.__code__}
+    for p, q in pairs_to_depth(5):
+        w = wahl_data(p, q)
+        codes, allocations, inv = _calls_while_building(w)
+        assert not banned.intersection(codes), (p, q)
+        assert allocations == w.m * (w.m + 1) // 2, (p, q)
+        assert all(type(x) is Fraction for row in inv for x in row)
+
+
+def test_inverse_of_34_5_covers_every_reduction_case():
+    # g_i = gcd(e_i, p^2) over the chain of 34^2/169 has entries where only
+    # g_i > 1, where only g_j > 1, and where both are and gcd(g_i g_j, p^2)
+    # is below g_i g_j; each entry is compared with the normalising constructor
+    w = wahl_data(34, 5)
+    p2 = 34 * 34
+    g = [gcd(x, p2) for x in w.e[1:-1]]
+    assert w.m == 10 and g == [1, 1, 4, 1, 2, 1, 4, 1, 2, 1]
+    assert g[2] > 1 == g[3] and g[0] == 1 < g[2]
+    assert gcd(g[2] * g[6], p2) == 4 < g[2] * g[6] and gcd(g[4] * g[6], p2) == 4 < g[4] * g[6]
+    inv = inverse_closed_form(w)
+    assert len({id(row) for row in inv}) == w.m
+    for i in range(w.m):
+        assert len(inv[i]) == w.m
+        for j in range(i, w.m):
+            x, want = inv[i][j], Fraction(-w.e[i + 1] * w.f[j + 1], p2)
+            assert type(x) is Fraction and inv[j][i] is x
+            assert (x.numerator, x.denominator, hash(x)) == \
+                (want.numerator, want.denominator, hash(want)), (i, j)
+    assert inv[2][6].denominator == inv[4][6].denominator == p2 // 4
 
 
 _SMALL_TABLES = [(w, inverse_closed_form(w)) for w in (wahl_data(p, q) for p, q in pairs_to_depth(5))]
