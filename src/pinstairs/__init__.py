@@ -11,8 +11,10 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# the public names that each module defines; importing the package loads none of
-# them, and each module is imported when one of its names is first read (PEP 562)
+# the one list of each module's public names: every module here reads its
+# __all__ from its entry (two also list re-exports kept on old import paths).
+# Importing the package loads none of the modules; each is imported when one of
+# its names is first read (PEP 562)
 _EXPORTS = {
     "exact_core": (
         "DomainError", "LatticeVector", "Rational", "RationalPoint", "affine_length",

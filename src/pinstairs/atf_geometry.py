@@ -23,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from . import _EXPORTS
 from .exact_core import (
     DomainError,
     LatticeVector,
@@ -43,24 +44,7 @@ from .hirzebruch_jung import _chain_length, _require_wahl_pair, wahl_data
 from .markov import (CompanionMismatch, _corner, _descend, _girdle, _q_from_triple, mutate,
                      validate_triple)
 
-__all__ = [
-    "GirdledTriangle",
-    "PavilionEdge",
-    "PavilionPolygon",
-    "ViannaTriangle",
-    "GirdleViolated",
-    "NotDelzant",
-    "delta_triangle",
-    "fan_rays",
-    "pavilion_polygon",
-    "standard_triangle",
-    "vianna_triangle",
-    "mutate_triangle",
-    "cut_segment",
-    "triangle_signature",
-    "girdle_data",
-    "visible_ellipsoid_bounds",
-]
+__all__ = _EXPORTS["atf_geometry"]
 
 
 _VIANNA_CACHE_SIZE = 1024  # validated Vianna triangles kept, keyed on the ordered triple

@@ -11,20 +11,11 @@ from fractions import Fraction
 from math import gcd, isqrt
 from operator import attrgetter
 
+from . import _EXPORTS
+
 Rational = Fraction
 
-__all__ = [
-    "Rational",
-    "LatticeVector",
-    "RationalPoint",
-    "DomainError",
-    "wedge",
-    "dot",
-    "primitive_part",
-    "affine_length",
-    "parse_rational",
-    "format_rational",
-]
+__all__ = _EXPORTS["exact_core"]
 
 
 class DomainError(ValueError):

@@ -13,20 +13,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from . import _EXPORTS
 from .exact_core import DomainError, _continuants, _Record, isqrt_exact
 
-__all__ = [
-    "INFINITY",
-    "HJChain",
-    "WahlData",
-    "hj_expand",
-    "hj_eval",
-    "hj_eval_projective",
-    "wahl_data",
-    "dual_chain",
-    "is_zero_continued_fraction",
-    "recognize_dual_wahl",
-]
+__all__ = _EXPORTS["hirzebruch_jung"]
 
 HJChain = list[int]
 

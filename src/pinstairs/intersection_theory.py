@@ -39,33 +39,16 @@ from functools import lru_cache
 from math import gcd, isqrt, prod
 from operator import add
 
+from . import _EXPORTS
 from .exact_core import (DomainError, Rational, _coprime_fraction, _new_object, _Record,
                          isqrt_exact)
 from .hirzebruch_jung import WahlData, recognize_dual_wahl, wahl_data
 from .markov import (NoCommonTriple, _require_companion, companions, is_markov_triple,
                      two_ball_degree)
 
-__all__ = [
-    "IntersectionLattice",
-    "HomologyClass",
-    "CuletReport",
-    "NoCulet",
-    "MultipleCulets",
-    "NoCommonTriple",
-    "intersection_matrix",
-    "inverse_closed_form",
-    "is_negative_definite",
-    "discrepancies",
-    "class_pairing",
-    "class_square",
-    "canonical_class",
-    "exceptional_class",
-    "coefficients_from_intersections",
-    "culet_report",
-    "square_zero_class_search",
-    "enumerate_adjunction_solutions",
-    "two_ball_degree",
-]
+# markov's NoCommonTriple and two_ball_degree are also exported here, on their
+# old import paths
+__all__ = [*_EXPORTS["intersection_theory"], "NoCommonTriple", "two_ball_degree"]
 
 CULET_CACHE_SIZE = 256  # culet scans kept, keyed on (p, q)
 

@@ -17,32 +17,10 @@ from itertools import islice
 from math import isqrt
 from typing import Iterator, Optional
 
+from . import _EXPORTS
 from .exact_core import DomainError, Rational, _Record, isqrt_exact
 
-__all__ = [
-    "MarkovTriple",
-    "TreeEntry",
-    "CompanionPair",
-    "BranchSequence",
-    "Sigma",
-    "NotFound",
-    "NotMarkov",
-    "CompanionMismatch",
-    "NoCommonTriple",
-    "is_markov_triple",
-    "validate_triple",
-    "mutate",
-    "enumerate_tree",
-    "tree_to_json",
-    "is_markov_number",
-    "companions",
-    "is_companion",
-    "canonical_triple",
-    "branch_sequence",
-    "sigma_p",
-    "compare_to_sigma",
-    "two_ball_degree",
-]
+__all__ = _EXPORTS["markov"]
 
 MarkovTriple = tuple[int, int, int]
 

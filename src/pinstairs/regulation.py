@@ -42,25 +42,13 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Union
 
+from . import _EXPORTS
 from .exact_core import DomainError, _continuants, _Record
 from .hirzebruch_jung import is_zero_continued_fraction, recognize_dual_wahl
 from .intersection_theory import culet_report
 from .markov import _require_companion
 
-__all__ = [
-    "DualGraph",
-    "RegulationPrediction",
-    "NoPosition",
-    "MultiplePositions",
-    "zero_sphere",
-    "chain_graph",
-    "blow_up",
-    "blow_down",
-    "blow_down_all",
-    "is_ruling_degeneration",
-    "attach_position",
-    "predict_regulation",
-]
+__all__ = _EXPORTS["regulation"]
 
 
 class NoPosition(DomainError):

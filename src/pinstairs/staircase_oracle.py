@@ -44,6 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
+from . import _EXPORTS
 from .exact_core import DomainError, Rational, _Record, format_rational
 from .markov import (
     CompanionMismatch,
@@ -59,20 +60,8 @@ from .markov import (
     validate_triple,
 )
 
-__all__ = [
-    "StairBox",
-    "EmbeddingVerdict",
-    "TwoBallReport",
-    "ThreeBallReport",
-    "ObstructionCertificate",
-    "CompanionMismatch",
-    "stair_boxes",
-    "embeds",
-    "pin_ball_capacity",
-    "two_ball_feasible",
-    "three_ball_feasible",
-    "obstruction_certificate",
-]
+# markov's CompanionMismatch is also exported here, on its old import path
+__all__ = [*_EXPORTS["staircase_oracle"], "CompanionMismatch"]
 
 
 class StairBox(_Record):
@@ -263,6 +252,9 @@ def three_ball_feasible(triple, alphas, qs=None) -> ThreeBallReport:
     if len(a) != 3 or any(x <= 0 for x in a):
         raise DomainError("need three positive ball widths")
     if qs is not None:
+        qs = tuple(qs)
+        if len(qs) != 3:
+            raise DomainError(f"need three companions, one per ball: got {len(qs)}")
         for p, q in zip(triple, qs):
             _require_companion(p, q)
     bounds = {

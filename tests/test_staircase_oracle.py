@@ -499,6 +499,15 @@ def test_three_ball_binding_pairs():
     assert rep.feasible is False
 
 
+def test_three_ball_needs_one_companion_per_ball():
+    widths = (Fraction(1, 10),) * 3
+    assert three_ball_feasible((1, 1, 2), widths, (1, 1, 1)).answer == "feasible"
+    # two companions would leave the third ball unchecked, four would drop one
+    for qs in [(1, 1), (1, 1, 1, 7)]:
+        with pytest.raises(DomainError, match=f"one per ball: got {len(qs)}$"):
+            three_ball_feasible((1, 1, 2), widths, qs)
+
+
 @pytest.mark.parametrize("pq,expected", sorted(CERTIFICATES.items()))
 def test_obstruction_certificates_match_frozen(pq, expected):
     idx, triple, p3_mut, s, length, disp = expected
