@@ -15,7 +15,10 @@ reduces by gcd(g_i g_j, p^2), which is 1 unless g_i > 1 or g_j > 1.  The
 table checks gcd(f_i, p^2) = g_i on every input, in O(m).  Each entry is one
 allocation: a bare Fraction whose numerator and denominator slots are
 written in place with the coprime pair, with no gcd of its own where
-g_i = g_j = 1, no normalising constructor and no call.
+g_i = g_j = 1, no normalising constructor and no call.  The table is filled
+with the cyclic garbage collector paused, and its state on entry restored:
+the m(m+1)/2 entries are tracked objects that would trigger collections,
+yet the table holds no cycle, so no collection could free any of it.
 The discrepancies are k_i = -1 + (e_i + f_i)/p^2.  The square-zero class
 solves the adjunction identity
 
@@ -34,6 +37,7 @@ is scanned and self-checked once while it stays in a bounded cache.
 
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, prod
@@ -75,7 +79,9 @@ def intersection_matrix(w: WahlData) -> list[list[int]]:
 def inverse_closed_form(w: WahlData) -> list[list[Rational]]:
     """The table of -e_i f_j / p^2 (i <= j), each entry built once in lowest
     terms, in place, and shared with its mirror; every row is a list of its
-    own."""
+    own.  The cyclic garbage collector is paused while the table is filled:
+    the pause is process-wide, lasts only for the O(m^2) build, and the
+    collector's state on entry is restored on every exit."""
     m = w.m
     p2 = w.p * w.p
     e, f = w.e[1:-1], w.f[1:-1]
@@ -83,20 +89,30 @@ def inverse_closed_form(w: WahlData) -> list[list[Rational]]:
     if [gcd(x, p2) for x in f] != g:
         raise AssertionError(f"gcd(f_i, p^2) != gcd(e_i, p^2) for ({w.p},{w.q})")
     inv: list[list[Rational]] = [[0] * m for _ in range(m)]
-    for i, row in enumerate(inv):
-        nei, gi = -e[i], g[i]
-        for j in range(i, m):  # symmetric: build each entry once
-            # _coprime_fraction inlined, with its contract: the two slots of
-            # one bare Fraction, written with a coprime pair and d > 0
-            r = _new_object(Fraction)
-            if gi == 1 == g[j]:  # p^2 shares no factor with e_i or e_j
-                r._numerator = nei * f[j]
-                r._denominator = p2
-            else:
-                k = gcd(gi * g[j], p2)
-                r._numerator = nei * f[j] // k
-                r._denominator = p2 // k
-            row[j] = inv[j][i] = r
+    # the table is acyclic (entries refer only to ints, rows only to entries,
+    # the outer list only to rows), so a collection could free nothing in it,
+    # and reference counting frees it as before; each tracked entry would
+    # otherwise count towards triggering one
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for i, row in enumerate(inv):
+            nei, gi = -e[i], g[i]
+            for j in range(i, m):  # symmetric: build each entry once
+                # _coprime_fraction inlined, with its contract: the two slots
+                # of one bare Fraction, written with a coprime pair and d > 0
+                r = _new_object(Fraction)
+                if gi == 1 == g[j]:  # p^2 shares no factor with e_i or e_j
+                    r._numerator = nei * f[j]
+                    r._denominator = p2
+                else:
+                    k = gcd(gi * g[j], p2)
+                    r._numerator = nei * f[j] // k
+                    r._denominator = p2 // k
+                row[j] = inv[j][i] = r
+    finally:
+        if was_enabled:
+            gc.enable()
     return inv
 
 

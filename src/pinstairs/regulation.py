@@ -148,6 +148,8 @@ def blow_up(g: DualGraph, site: Union[int, tuple[int, int]]) -> DualGraph:
             raise DomainError(f"no vertex {site}")
         verts = tuple((v, s - 1 if v == site else s) for v, s in g.vertices)
         return DualGraph(verts + ((new, -1),), g.edges + ((site, new),))
+    if len(site) != 2:
+        raise DomainError(f"an edge site is two vertex ids: got {site!r}")
     a, b = min(site), max(site)
     if (a, b) not in g.edges:
         raise DomainError(f"no edge ({a},{b})")

@@ -175,7 +175,7 @@ CALLS = {
     "DualGraph": lambda d: (ps.DualGraph, _graph_args(d)),
     "chain_graph": lambda d: (ps.chain_graph, (d(chains),)),
     "blow_up": lambda d: (ps.blow_up, (_tree(d), d(st.one_of(
-        st.integers(-1, 9), st.tuples(st.integers(-1, 9), st.integers(-1, 9)))))),
+        st.integers(-1, 9), st.lists(st.integers(-1, 9), max_size=3).map(tuple))))),
     "blow_down": lambda d: (ps.blow_down, (_tree(d), d(st.integers(-1, 9)))),
     "blow_down_all": lambda d: (ps.blow_down_all, (_tree(d),)),
     "is_ruling_degeneration": lambda d: (ps.is_ruling_degeneration, (

@@ -1,6 +1,8 @@
 """Intersection matrices, discrepancies, culets, adjunction, two-ball degrees."""
 
+import gc
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -189,6 +191,75 @@ def test_each_inverse_entry_is_one_allocation_and_no_call_to_depth_5():
         assert not banned.intersection(codes), (p, q)
         assert allocations == w.m * (w.m + 1) // 2, (p, q)
         assert all(type(x) is Fraction for row in inv for x in row)
+
+
+@contextmanager
+def _collector(enabled):
+    """The cyclic collector switched on or off for the block, and set back to
+    the process's own state afterwards."""
+    own = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if own else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_build_leaves_the_collector_as_it_found_it(enabled):
+    with _collector(enabled):
+        inverse_closed_form(wahl_data(29, 7))
+        assert gc.isenabled() is enabled
+
+
+class _Interrupted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_an_interrupted_build_leaves_the_collector_as_it_found_it(enabled):
+    # the hook raises at the tenth entry's allocation, inside the fill loop; a
+    # profile hook that raises is removed, and its exception propagates
+    w = wahl_data(29, 7)
+    assert w.m * (w.m + 1) // 2 > 10
+    allocations = 0
+
+    def interrupt(frame, event, arg):
+        nonlocal allocations
+        if event == "c_call" and arg is object.__new__:
+            allocations += 1
+            if allocations == 10:
+                raise _Interrupted
+
+    with _collector(enabled):
+        sys.setprofile(interrupt)
+        try:
+            with pytest.raises(_Interrupted):
+                inverse_closed_form(w)
+        finally:
+            sys.setprofile(None)
+        assert allocations == 10
+        assert gc.isenabled() is enabled
+
+
+def test_no_collection_runs_while_the_largest_depth_7_table_is_built():
+    w = max((wahl_data(p, q) for p, q in pairs_to_depth(7)), key=lambda w: w.m)
+    entries = w.m * (w.m + 1) // 2
+    # this many tracked allocations trigger young collections unless paused
+    assert (w.m, entries) == (97, 4753) and entries > 2 * gc.get_threshold()[0]
+    phases = []
+
+    def record(phase, info):
+        phases.append(phase)
+
+    with _collector(True):
+        gc.collect()  # zero the counts: the few allocations before the pause trigger none
+        gc.callbacks.append(record)
+        try:
+            inverse_closed_form(w)
+        finally:
+            gc.callbacks.remove(record)
+    assert "start" not in phases
 
 
 def test_inverse_of_34_5_covers_every_reduction_case():

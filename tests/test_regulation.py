@@ -59,6 +59,13 @@ def test_blow_up_edge():
     assert set(g2.edges) == {(1, 3), (2, 3)}
 
 
+@pytest.mark.parametrize("site", [(1, 2, 2), (), (2,)])
+def test_blow_up_refuses_an_edge_site_that_is_not_two_vertex_ids(site):
+    # (1, 2, 2) would otherwise blow up the edge (1, 2), from its min and max
+    with pytest.raises(DomainError, match="two vertex ids"):
+        blow_up(chain_graph([2, 2, 2]), site)
+
+
 def test_blow_down_leaf_and_interior():
     g = blow_up(zero_sphere(), 1)  # 1(-1) -- 2(-1)
     back = blow_down(g, 2)
