@@ -15,13 +15,13 @@ A mutation and its checks run in integers.  The three vertices are integer
 pairs over one denominator D, the lcm of the six coordinates' denominators
 (p1*p2*p3 on every triangle of the tree to depth 9).  The shear about the
 cut vertex is integral and unimodular, so it keeps D; only the node-ray exit
-needs D*|wedge(u, v2 - v1)|, and Fractions are built just for the result.
+needs D*|wedge(u, v2 - v1)|.  Just the result's Fractions and cuts are built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import _EXPORTS
 from .exact_core import (
@@ -37,7 +37,6 @@ from .exact_core import (
     affine_length,
     format_rational,
     point,
-    primitive_part,
     wedge,
 )
 from .hirzebruch_jung import _chain_length, _require_wahl_pair, wahl_data
@@ -267,7 +266,7 @@ class ViannaTriangle(_Record):
     def edge_length(self, k: int) -> Rational:
         """Affine length of the edge opposite vertex k, numbered 0, 1, 2."""
         d, edges = _edges(self)
-        return Fraction(edges[(_position(k, 0) + 1) % 3][1], d)
+        return Fraction(edges[(_position(k, 0) + 1) % 3][2], d)
 
     def to_json(self) -> dict:
         return {
@@ -294,49 +293,54 @@ def _over_one_denominator(t: ViannaTriangle) -> tuple[int, list[tuple[int, int]]
                for v in t.points]
 
 
-def _edges(t: ViannaTriangle) -> tuple[int, list[tuple[LatticeVector, int]]]:
-    """(D, [(u_k, g_k)]): edge k runs from vertex k to vertex k+1 and is g_k/D
-    times the primitive integer vector u_k (g_k = 0 for a zero edge)."""
+def _edges(t: ViannaTriangle) -> tuple[int, list[tuple[int, int, int]]]:
+    """(D, [(u_x, u_y, g_k)]): edge k runs from vertex k to vertex k+1 and is g_k/D
+    times the primitive integer vector (u_x, u_y) (all 0 for a zero edge)."""
     d, pts = _over_one_denominator(t)
-    return d, [primitive_part(LatticeVector(bx - ax, by - ay))
-               for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1])]
+    edges = []
+    for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
+        x, y = bx - ax, by - ay
+        g = gcd(x, y)
+        edges.append((x // g, y // g, g) if g else (0, 0, 0))
+    return d, edges
 
 
-def _area(d: int, edges: list[tuple[LatticeVector, int]]) -> Rational:
-    (u0, g0), _, (u2, g2) = edges
-    return Fraction(g0 * g2 * abs(wedge(u0, u2)), 2 * d * d)
+def _area(d: int, edges: list[tuple[int, int, int]]) -> Rational:
+    (x0, y0, g0), _, (x2, y2, g2) = edges
+    return Fraction(g0 * g2 * abs(x0 * y2 - y0 * x2), 2 * d * d)
 
 
-def _vertex_determinant(edges: list[tuple[LatticeVector, int]], k: int) -> int:
+def _vertex_determinant(edges: list[tuple[int, int, int]], k: int) -> int:
     # vertex k is where edge k + 2 ends and edge k starts
-    (u1, g1), (u2, g2) = edges[k], edges[(k + 2) % 3]
+    (x1, y1, g1), (x2, y2, g2) = edges[k], edges[(k + 2) % 3]
     if not (g1 and g2):
         raise DomainError("zero segment has no direction")
-    return abs(wedge(u1, u2))
+    return abs(x1 * y2 - y1 * x2)
 
 
 def _validate_vianna(t: ViannaTriangle) -> ViannaTriangle:
     validate_triple(t.triple)
     # vertex k sees edges k and k+2
     d, edges = _edges(t)
-    (u0, g0), _, (u2, g2) = edges
-    if g0 * g2 * abs(wedge(u0, u2)) != d * d:  # twice the area, over D^2
+    (x0, y0, g0), _, (x2, y2, g2) = edges
+    if g0 * g2 * abs(x0 * y2 - y0 * x2) != d * d:  # twice the area, over D^2
         raise AssertionError("mutation failed to preserve area")
     # so no edge has length 0
     for k in range(3):
         pk, pj, pl = t.triple[k], t.triple[(k + 1) % 3], t.triple[(k + 2) % 3]
-        d1 = edges[k][0]
-        d2 = -edges[(k + 2) % 3][0]
-        if abs(wedge(d1, d2)) != pk * pk:
+        # the sides leaving vertex k: (ax, ay) along edge k, -(bx, by) back along edge k+2
+        (ax, ay, _), (bx, by, _) = edges[k], edges[(k + 2) % 3]
+        w = ay * bx - ax * by
+        if abs(w) != pk * pk:
             raise AssertionError(f"vertex {k} determinant is not {pk}^2")
         # g/D must be the box corner _corner(pj, pk, pl) = pk/(pj*pl)
-        if edges[(k + 1) % 3][1] * pj * pl != pk * d:
+        if edges[(k + 1) % 3][2] * pj * pl != pk * d:
             raise AssertionError(f"edge opposite vertex {k} has wrong length")
-        u = t.cuts[k]
-        if not u.is_primitive():
+        ux, uy = t.cuts[k].as_tuple()
+        if gcd(ux, uy) != 1:
             raise AssertionError(f"cut at vertex {k} not primitive")
-        s = 1 if wedge(d1, d2) > 0 else -1
-        if not (s * wedge(d1, u) > 0 and s * wedge(u, d2) > 0):
+        s = 1 if w > 0 else -1
+        if not (s * (ax * uy - ay * ux) > 0 and s * (uy * bx - ux * by) > 0):
             raise AssertionError(f"cut at vertex {k} does not point inward")
     return t
 
@@ -398,7 +402,10 @@ def mutate_triangle(t: ViannaTriangle, vertex: int) -> ViannaTriangle:
     points, cuts = list(t.points), list(t.cuts)
     points[k] = RationalPoint(_fraction(ex, d * w), _fraction(ey, d * w))
     points[j1] = RationalPoint(_fraction(xk + sx, d), _fraction(yk + sy, d))
-    cuts[k], cuts[j1] = -u, cuts[j1] + wedge(u, cuts[j1]) * eps * u
+    # the cut at j1 takes the same shear: c1 + eps*wedge(u, c1)*u
+    cx, cy = cuts[j1].x, cuts[j1].y
+    f = eps * (u.x * cy - u.y * cx)
+    cuts[k], cuts[j1] = -u, LatticeVector(cx + f * u.x, cy + f * u.y)
     return _validate_vianna(ViannaTriangle(
         mutate(t.triple, vertex), tuple(points), tuple(cuts), t.history + (vertex,)
     ))
@@ -429,7 +436,7 @@ def triangle_signature(t: ViannaTriangle) -> tuple:
     lengths, area."""
     d, edges = _edges(t)  # derived once for all seven values
     dets = tuple(sorted(_vertex_determinant(edges, k) for k in range(3)))
-    lengths = tuple(sorted(Fraction(g, d) for _, g in edges))
+    lengths = tuple(sorted(Fraction(g, d) for _, _, g in edges))
     return (dets, lengths, _area(d, edges))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import isqrt
+from math import inf, isqrt
 from typing import Iterator, Optional
 
 from . import _EXPORTS
@@ -110,23 +110,24 @@ class TreeEntry(_Record):
     mutated: Optional[int]  # which position of the parent was mutated
 
 
-def _tree_levels(expand=None) -> Iterator[list[tuple[MarkovTriple, MarkovTriple, int]]]:
+def _tree_levels(bound: float = inf) -> Iterator[list[tuple[MarkovTriple, MarkovTriple, int]]]:
     """Levels of the mutation tree below (1,1,1) as (child, parent, position), each
-    triple once as its sorted representative (deduplicated as a multiset); only
-    children passing `expand` (all when None) are mutated further."""
-    root = (1, 1, 1)
-    seen = {root}
-    frontier = [root]
-    while frontier:
+    triple once, sorted; only children with maximum below `bound` (all by
+    default) are mutated further.  Past (1,1,2) a sorted triple has a < b < c;
+    mutating c gives 3ab - c < c, its parent, and mutating a or b its two
+    children (b, c, 3bc - a) and (a, c, 3ac - b), sorted as 3bc - a > c and
+    3ac - b > c.  So each triple has one parent and is met once, with no set
+    of those seen.  The two children of (1,1,2) coincide as (1,2,5)."""
+    level = [((1, 1, 2), (1, 1, 1), 1)]
+    while level:
+        yield level
+        frontier = [t for t, _, _ in level if t[2] < bound]
         level = []
         for t in frontier:
-            for k in (1, 2, 3):
-                child = tuple(sorted(mutate(t, k)))
-                if child not in seen:
-                    seen.add(child)
-                    level.append((child, t, k))
-        yield level
-        frontier = [c for c, _, _ in level if expand is None or expand(c)]
+            a, b, c = t
+            level.append(((b, c, 3 * b * c - a), t, 1))
+            if a != b:
+                level.append(((a, c, 3 * a * c - b), t, 2))
 
 
 def enumerate_tree(depth: int, max_depth: int = MAX_TREE_DEPTH) -> list[TreeEntry]:
@@ -168,13 +169,6 @@ def _q_from_triple(p: int, u: int, v: int) -> int:
     return (3 * u * pow(v, -1, p)) % p or p
 
 
-def _co_entries(p: int, t: MarkovTriple) -> tuple[int, int]:
-    """The two entries of a triple containing p besides p, smaller first."""
-    co = list(t)
-    co.remove(p)
-    return min(co), max(co)
-
-
 @lru_cache(maxsize=SEARCH_CACHE_SIZE)
 def _search(p: int, max_depth: Optional[int]) -> Optional[tuple[CompanionPair, tuple[int, int]]]:
     """The companion pair (q, p - q) of p and the co-entries (x, y) of the first
@@ -191,7 +185,7 @@ def _search(p: int, max_depth: Optional[int]) -> Optional[tuple[CompanionPair, t
         raise DomainError(f"search depth must be >= 0: {max_depth}")
     if p == 1:
         return CompanionPair(1, 1, 1), (1, 1)
-    for depth, level in enumerate(_tree_levels(lambda t: t[2] < p)):
+    for depth, level in enumerate(_tree_levels(p)):
         if max_depth is not None and depth >= max_depth:
             raise NotFound(
                 f"{p} not encountered within {max_depth} tree levels (the depth limit "
@@ -202,23 +196,26 @@ def _search(p: int, max_depth: Optional[int]) -> Optional[tuple[CompanionPair, t
             break
     else:
         return None
-    x, y = _co_entries(p, t)
+    x, y, _ = t  # p is the new maximum; x <= y are the parent's, below p
     q = _q_from_triple(p, x, y)
     # mutation invariance: recompute from a second triple containing p
-    k = next(i for i, v in enumerate(t) if v != p)
-    q2 = _q_from_triple(p, *_co_entries(p, mutate(t, k + 1)))
+    q2 = _q_from_triple(p, *mutate(t, 1)[1::-1])
     if {q2, p - q2} != {q, p - q}:
         raise AssertionError(f"companion pair not mutation-invariant for p={p}")
     return CompanionPair(p, q, p - q), (x, y)
 
 
 def is_markov_number(p: int) -> bool:
-    """Exact membership test by exhaustive pruned search (no depth cutoff)."""
+    """Exact membership test by exhaustive pruned search (no depth cutoff).  The
+    search stops at the first triple holding p, which settles membership."""
     return p >= 1 and _search(p, None) is not None
 
 
 def companions(p: int, search_depth: Optional[int] = None) -> CompanionPair:
-    """The companion pair {q, p-q} of a Markov number, from any containing triple."""
+    """The companion pair {q, p-q} of a Markov number, read from the first triple
+    holding p that the search meets.  A second sorted triple with maximum p
+    would give a second pair, which this does not find; only the Markov
+    uniqueness conjecture, which is open, rules one out."""
     found = _search(p, search_depth)
     if found is None:
         raise NotMarkov(f"{p} is not a Markov number (proved by exhaustive tree search)")
@@ -232,11 +229,13 @@ def is_companion(p: int, q: int, search_depth: Optional[int] = None) -> bool:
 def canonical_triple(p: int, q: int, search_depth: Optional[int] = None) -> MarkovTriple:
     """The triple (p, a, b) with co-entries <= p, ordered so q = 3*a*b^{-1} mod p.
 
-    For p > 2 the search's triple is the valley of the mutations fixing p:
-    it first meets p as the mutated entry of a triple whose other two entries,
-    kept from the parent, are below p, and replacing a co-entry x < p by
-    3*p*y - x = (p^2 + y^2)/x > p only goes up.
-    """
+    Read from the first triple holding p that the search meets: a q of a
+    second such triple, which only the open Markov uniqueness conjecture rules
+    out, would be refused with CompanionMismatch.  For p > 2 that triple is
+    the valley of the mutations fixing p: the search first meets p as the
+    mutated entry of a triple whose other two entries, kept from the parent,
+    are below p, and replacing a co-entry x < p by 3*p*y - x = (p^2 + y^2)/x > p
+    only goes up."""
     pair = companions(p, search_depth)
     if q not in pair:
         shown = ", ".join(map(str, sorted(pair.pair)))
@@ -404,8 +403,10 @@ class Sigma(_Record):
     def compare(self, r: Rational) -> str:
         """Exact comparison of a rational with sigma_p: 'less' or 'greater'.
 
-        'equal' is impossible: 9p^2 - 4 is never a perfect square (tested per
-        p, not assumed), so sigma_p is irrational.
+        'equal' is impossible: sigma_p is irrational.  9p^2 - 4 = k^2 would give
+        (3p - k)(3p + k) = 4 with 3p + k > 0, so two positive factors of 4 of
+        the same parity, as they differ by 2k: both 2, so k = 0 and 3p = 2,
+        which no integer p >= 1 solves.
         """
         r = Fraction(r)
         return "greater" if _above_sigma(self.p * self.p, r.numerator, r.denominator) else "less"

@@ -3,7 +3,8 @@
 Everything here is deliberately written from first principles with no imports
 from ``pinstairs``: plain continued-fraction evaluation, Zariski's multiplicity
 certificate for fibres of a ruling, textbook elimination for matrix inverses,
-direct quadratic scans for Markov triples, and finite box-union membership
+direct quadratic scans for Markov triples, a plain breadth-first search of
+the Markov tree with its companion search, and finite box-union membership
 for staircase verdicts.  Tests compare package output
 against these.
 """
@@ -228,6 +229,49 @@ def brute_markov_triples(bound):
 
 def brute_markov_numbers(bound):
     return sorted({x for t in brute_markov_triples(bound) for x in t})
+
+
+def reference_tree_levels(bound=None):
+    """Levels of the mutation tree below (1, 1, 1) as (child, parent, position),
+    by plain breadth-first search: every triple of the frontier is mutated at
+    each of its three positions, the result sorted, and a set of the triples
+    seen drops repeats.  Only children whose maximum is below `bound` (all when
+    None) are mutated further."""
+    root = (1, 1, 1)
+    seen = {root}
+    frontier = [root]
+    while frontier:
+        level = []
+        for t in frontier:
+            for k in range(3):
+                mutated = list(t)
+                mutated[k] = 3 * t[(k + 1) % 3] * t[(k + 2) % 3] - t[k]
+                child = tuple(sorted(mutated))
+                if child not in seen:
+                    seen.add(child)
+                    level.append((child, t, k + 1))
+        yield level
+        frontier = [c for c, _, _ in level if bound is None or c[2] < bound]
+
+
+def reference_search(p, max_depth, levels):
+    """The companion search of p over `levels`, those of reference_tree_levels(p),
+    as plain data: ("found", q, p - q, x, y) for the first triple holding p, with
+    co-entries x <= y and q = 3*x*y^{-1} mod p in [1, p]; ("none",) when the
+    levels run out first, and ("cut",) when max_depth levels pass first."""
+    if p == 1:
+        return "found", 1, 1, 1, 1
+    for depth, level in enumerate(levels):
+        if max_depth is not None and depth >= max_depth:
+            return ("cut",)
+        for child, _, _ in level:
+            if p in child:
+                co = list(child)
+                co.remove(p)
+                x, y = min(co), max(co)
+                q = 3 * x * pow(y, -1, p) % p or p
+                return "found", q, p - q, x, y
+    return ("none",)
 
 
 def fibonacci_markov_triple(k):

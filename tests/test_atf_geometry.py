@@ -243,14 +243,34 @@ def test_vianna_self_checks_fire_on_corrupted_triangles():
          "cut at vertex 0 not primitive"),
         (ViannaTriangle(t.triple, t.points, (-u0, u1, u2), t.history),
          "cut at vertex 0 does not point inward"),
+        # outside the corner on one side only, each side in turn
+        (ViannaTriangle(t.triple, t.points, (LatticeVector(1, 0), u1, u2), t.history),
+         "cut at vertex 0 does not point inward"),
+        (ViannaTriangle(t.triple, t.points, (LatticeVector(-1, 0), u1, u2), t.history),
+         "cut at vertex 0 does not point inward"),
         (ViannaTriangle((2, 5, 1), t.points, t.cuts, t.history),
          "vertex 0 determinant is not 2^2"),
         (ViannaTriangle(t.triple, tuple(v.scale(2) for v in t.points), t.cuts, t.history),
          "mutation failed to preserve area"),
+        # with the area and all three determinants right the lengths follow
+        # (g_0*g_2*p_0^2 = D^2 at vertex 0, and so on), so a wrong length is
+        # seen first only when a later vertex's determinant is wrong too
+        (ViannaTriangle((5, 29, 2), t.points, t.cuts, t.history),
+         "edge opposite vertex 0 has wrong length"),
     ]
     for bad, message in corrupted:
         with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
             _validate_vianna(bad)
+
+
+def test_a_zero_edge_has_length_0_and_no_direction():
+    t = ViannaTriangle((1, 1, 1), (point(0, 0), point(0, 0), point(0, 1)),
+                       standard_triangle().cuts)
+    assert t.area() == 0 and t.edge_length(2) == 0 and t.edge_length(0) == 1
+    for k in (0, 1):
+        with pytest.raises(DomainError, match="^zero segment has no direction$"):
+            t.vertex_determinant(k)
+    assert t.vertex_determinant(2) == 0
 
 
 def test_vianna_rejects_non_markov():
@@ -409,6 +429,17 @@ def test_a_mutation_does_no_fraction_arithmetic(triple):
             assert calls_made(getattr(Fraction, name).__code__, mutation)[0] == 0
         built, result = calls_made(Fraction.__new__.__code__, mutation)
         assert built <= 6 and result == mutation()
+
+
+@pytest.mark.parametrize("triple", [(2, 1, 1), (5, 29, 433), (1, 89, 233)])
+def test_a_mutation_builds_only_its_two_new_cuts(triple):
+    # the checks read the sides and cuts as ints: no LatticeVector is built
+    t = vianna_triangle(*triple)
+    for vertex in (1, 2, 3):
+        built, result = calls_made(LatticeVector.__init__.__code__,
+                                   lambda: mutate_triangle(t, vertex))
+        assert built == 2
+        assert result.cuts[vertex - 1] == -t.cuts[vertex - 1]
 
 
 def test_a_triple_600_levels_deep_is_built_and_each_ancestor_validated_once(monkeypatch):

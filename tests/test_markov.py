@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinstairs import markov
-from pinstairs.exact_core import DomainError
+from pinstairs.exact_core import DomainError, isqrt_exact
 from pinstairs.markov import (
     BranchSequence,
+    CompanionPair,
     NotFound,
     NotMarkov,
     branch_sequence,
@@ -35,7 +37,13 @@ from .frozen import (
     MARKOV_NUMBERS_1000,
     TREE_ROWS,
 )
-from .oracles import brute_markov_numbers, brute_markov_triples, fibonacci_markov_pair
+from .oracles import (
+    brute_markov_numbers,
+    brute_markov_triples,
+    fibonacci_markov_pair,
+    reference_search,
+    reference_tree_levels,
+)
 
 
 def tree_rows_by_depth(depth):
@@ -84,6 +92,68 @@ def test_tree_parent_mutation_consistency():
         parent = entries[e.parent].triple
         # the child is the parent with exactly the mutated slot replaced
         assert sorted(mutate(parent, e.mutated)) == sorted(e.triple)
+
+
+def test_the_tree_levels_equal_the_reference_search_to_depth_12():
+    assert (list(islice(markov._tree_levels(), 12))
+            == list(islice(reference_tree_levels(), 12)))
+
+
+def test_the_pruned_tree_levels_equal_the_reference_search():
+    numbers = {x for e in enumerate_tree(9) for x in e.triple}
+    for bound in sorted(numbers.union(range(-2, 3000))):
+        assert list(markov._tree_levels(bound)) == list(reference_tree_levels(bound)), bound
+
+
+def _search_outcome(p, d):
+    try:
+        return "ok", repr(markov._search.__wrapped__(p, d))
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def _reference_outcome(p, d, levels):
+    kind, *found = reference_search(p, d, levels)
+    if kind == "found":
+        q, q_minus, x, y = found
+        return "ok", repr((CompanionPair(p, q, q_minus), (x, y)))
+    if kind == "none":
+        return "ok", "None"
+    return NotFound, (f"{p} not encountered within {d} tree levels (the depth limit cut the "
+                      f"search short; this does not prove {p} is not a Markov number)")
+
+
+def test_the_search_answers_as_the_reference_search():
+    # every answer, refusal and depth-limit miss, exhaustive and with depth
+    # limits 0-9; the reference levels of each number are listed once
+    for n in range(-2, 20000):
+        levels = list(reference_tree_levels(n))
+        for d in (None, *range(10)):
+            assert _search_outcome(n, d) == _reference_outcome(n, d, levels), (n, d)
+
+
+def test_a_cold_search_mutates_once(monkeypatch):
+    # the two children of each triple are written out, so the one call of
+    # mutate is the mutation-invariance check
+    calls = []
+    real = markov.mutate
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(markov, "mutate", counted)
+    markov._search.cache_clear()
+    assert companions(433).pair == {104, 329}
+    assert len(calls) == 1
+
+
+def test_the_invariance_check_refuses_a_triple_that_is_not_markov(monkeypatch):
+    # (2, 3, 7) is no Markov triple: its co-entries give q = 2 mod 7, while
+    # (3, 61) from mutating its first entry gives q = 6, outside {2, 5}
+    monkeypatch.setattr(markov, "_tree_levels", lambda bound: iter([[((2, 3, 7), (1, 2, 3), 1)]]))
+    with pytest.raises(AssertionError, match="^companion pair not mutation-invariant for p=7$"):
+        markov._search.__wrapped__(7, None)
 
 
 def test_tree_json_round_trip():
@@ -466,6 +536,12 @@ def test_sigma_is_a_root_of_its_polynomial():
         x = Fraction(float(s))
         # float approximation nearly kills the polynomial
         assert abs(a * x * x + b * x + c) < Fraction(1, 10**6)
+
+
+def test_nine_p_squared_minus_four_is_never_a_square():
+    # Sigma.compare never answers 'equal': its docstring gives the argument
+    for p in range(1, 10**4 + 1):
+        assert isqrt_exact(9 * p * p - 4) is None
 
 
 def test_the_float_of_sigma_does_not_overflow():
