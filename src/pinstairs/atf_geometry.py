@@ -15,7 +15,10 @@ A mutation and its checks run in integers.  The three vertices are integer
 pairs over one denominator D, the lcm of the six coordinates' denominators
 (p1*p2*p3 on every triangle of the tree to depth 9).  The shear about the
 cut vertex is integral and unimodular, so it keeps D; only the node-ray exit
-needs D*|wedge(u, v2 - v1)|.  Just the result's Fractions and cuts are built.
+needs D*|wedge(u, v2 - v1)|.  A walk reads the Fractions of its first
+triangle once and carries that form up: each child's D and vertices follow
+from its numerators over D*w and one gcd.  Just the result's Fractions and
+cuts are built, the cuts' slots written directly, as are the fan rays'.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .exact_core import (
     _clear_denominators,
     _continuants,
     _fraction,
+    _new_object,
     _Record,
     _primitive_direction,
     affine_length,
@@ -48,6 +52,7 @@ __all__ = _EXPORTS["atf_geometry"]
 
 _VIANNA_CACHE_SIZE = 1024  # validated Vianna triangles kept, keyed on the ordered triple
 _vianna_kept: dict = {}  # those triangles, least recently used first
+_set_x, _set_y = LatticeVector._setters  # the slot setters _lattice calls
 
 
 class GirdleViolated(DomainError):
@@ -135,13 +140,22 @@ def delta_triangle(p: int, q: int, alpha: Rational, beta: Rational) -> GirdledTr
     return t
 
 
+def _lattice(x: int, y: int) -> LatticeVector:
+    """LatticeVector(x, y) for ints x and y, which the caller proves, with its
+    two slots written directly, as exact_core._coprime_fraction does."""
+    v = _new_object(LatticeVector)
+    _set_x(v, x)
+    _set_y(v, y)
+    return v
+
+
 def fan_rays(p: int, q: int) -> list[LatticeVector]:
     """Inward normals rho_0 .. rho_{m+1} of the subdivided fan.
 
     rho_{k+1} = b_k rho_k - rho_{k-1} from (1, 0), (0, 1) runs the recurrence
     in each coordinate: the x are the continuants seeded 1, 0 and the y those
     seeded 0, 1, which are e.  Both checks run on those ints, and each ray is
-    built once."""
+    built once, by _lattice: the continuants of an int chain are ints."""
     w = wahl_data(p, q)
     xs, ys = _continuants(w.chain, 1, 0), w.e
     if p >= 2 and (xs[-1], ys[-1]) != (1 - p * q, p * p):
@@ -149,7 +163,7 @@ def fan_rays(p: int, q: int) -> list[LatticeVector]:
     for k in range(len(xs) - 1):
         if xs[k] * ys[k + 1] - ys[k] * xs[k + 1] != 1:
             raise AssertionError("consecutive rays not unimodular")
-    return [LatticeVector(x, y) for x, y in zip(xs, ys)]
+    return list(map(_lattice, xs, ys))
 
 
 def _clip(loop: list[RationalPoint], n: LatticeVector, c: Rational) -> list[RationalPoint]:
@@ -257,16 +271,17 @@ class ViannaTriangle(_Record):
     _defaults = ((),)
 
     def area(self) -> Rational:
-        return _area(*_edges(self))
+        d, pts = _over_one_denominator(self)
+        return _area(d, _edges(pts))
 
     def vertex_determinant(self, k: int) -> int:
         """Determinant at vertex k, numbered 0, 1, 2."""
-        return _vertex_determinant(_edges(self)[1], _position(k, 0))
+        return _vertex_determinant(_edges(_over_one_denominator(self)[1]), _position(k, 0))
 
     def edge_length(self, k: int) -> Rational:
         """Affine length of the edge opposite vertex k, numbered 0, 1, 2."""
-        d, edges = _edges(self)
-        return Fraction(edges[(_position(k, 0) + 1) % 3][2], d)
+        d, pts = _over_one_denominator(self)
+        return Fraction(_edges(pts)[(_position(k, 0) + 1) % 3][2], d)
 
     def to_json(self) -> dict:
         return {
@@ -293,16 +308,16 @@ def _over_one_denominator(t: ViannaTriangle) -> tuple[int, list[tuple[int, int]]
                for v in t.points]
 
 
-def _edges(t: ViannaTriangle) -> tuple[int, list[tuple[int, int, int]]]:
-    """(D, [(u_x, u_y, g_k)]): edge k runs from vertex k to vertex k+1 and is g_k/D
-    times the primitive integer vector (u_x, u_y) (all 0 for a zero edge)."""
-    d, pts = _over_one_denominator(t)
+def _edges(pts: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
+    """[(u_x, u_y, g_k)] for the vertices over one denominator D: edge k runs from
+    vertex k to vertex k+1 and is g_k/D times the primitive integer vector
+    (u_x, u_y) (all 0 for a zero edge)."""
     edges = []
     for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
         x, y = bx - ax, by - ay
         g = gcd(x, y)
         edges.append((x // g, y // g, g) if g else (0, 0, 0))
-    return d, edges
+    return edges
 
 
 def _area(d: int, edges: list[tuple[int, int, int]]) -> Rational:
@@ -320,8 +335,13 @@ def _vertex_determinant(edges: list[tuple[int, int, int]], k: int) -> int:
 
 def _validate_vianna(t: ViannaTriangle) -> ViannaTriangle:
     validate_triple(t.triple)
+    return _check_vianna(t, *_over_one_denominator(t))
+
+
+def _check_vianna(t: ViannaTriangle, d: int, pts: list[tuple[int, int]]) -> ViannaTriangle:
+    """_validate_vianna's checks after the triple's, on t's vertices over D."""
     # vertex k sees edges k and k+2
-    d, edges = _edges(t)
+    edges = _edges(pts)
     (x0, y0, g0), _, (x2, y2, g2) = edges
     if g0 * g2 * abs(x0 * y2 - y0 * x2) != d * d:  # twice the area, over D^2
         raise AssertionError("mutation failed to preserve area")
@@ -354,12 +374,10 @@ def standard_triangle() -> ViannaTriangle:
     ))
 
 
-def _ray_exit(t: ViannaTriangle, k: int) -> tuple[int, list[tuple[int, int]], int, tuple[int, int]]:
-    """(D, vertices over D, w, E): the node ray from vertex k crosses the opposite
-    edge's interior at E/(D*w), for w = |wedge(u, v2 - v1)| over D."""
-    d, pts = _over_one_denominator(t)
+def _ray_exit(pts: list[tuple[int, int]], u: LatticeVector, k: int) -> tuple[int, tuple[int, int]]:
+    """(w, E): over a triangle's one denominator D, the node ray u from vertex k
+    crosses the opposite edge's interior at E/(D*w), for w = |wedge(u, v2 - v1)|."""
     (xk, yk), (x1, y1), (x2, y2) = pts[k], pts[(k + 1) % 3], pts[(k + 2) % 3]
-    u = t.cuts[k]
     w = u.x * (y2 - y1) - u.y * (x2 - x1)
     if w == 0:
         raise AssertionError("node ray parallel to the opposite edge")
@@ -370,14 +388,15 @@ def _ray_exit(t: ViannaTriangle, k: int) -> tuple[int, list[tuple[int, int]], in
         w, r, a = -w, -r, -a
     if not (r > 0 and 0 < -a < w):
         raise AssertionError("node ray misses the opposite edge interior")
-    return d, pts, w, (xk * w + u.x * r, yk * w + u.y * r)
+    return w, (xk * w + u.x * r, yk * w + u.y * r)
 
 
 def cut_segment(t: ViannaTriangle, vertex: int) -> tuple[RationalPoint, RationalPoint]:
     """Branch-cut segment drawn in diagrams: the vertex and the node point
     halfway to the opposite edge."""
     k = _position(vertex, 1)
-    d, pts, w, (ex, ey) = _ray_exit(t, k)
+    d, pts = _over_one_denominator(t)
+    w, (ex, ey) = _ray_exit(pts, t.cuts[k], k)
     (xk, yk), m = pts[k], 2 * d * w
     return t.points[k], RationalPoint(Fraction(xk * w + ex, m), Fraction(yk * w + ey, m))
 
@@ -385,11 +404,18 @@ def cut_segment(t: ViannaTriangle, vertex: int) -> tuple[RationalPoint, Rational
 def mutate_triangle(t: ViannaTriangle, vertex: int) -> ViannaTriangle:
     """Cut along the node ray at the chosen vertex (1, 2 or 3), shear one
     half straight, and reassemble; the number at that position mutates."""
+    return _mutate(t, _over_one_denominator(t), vertex)[0]
+
+
+def _mutate(t: ViannaTriangle, form: tuple, vertex: int) -> tuple[ViannaTriangle, tuple]:
+    """mutate_triangle on t's vertices over one denominator, (D, [(X_i, Y_i)]):
+    the validated child and its own such form, read off the child's integers."""
     k = _position(vertex, 1)
     j1, j2 = (k + 1) % 3, (k + 2) % 3
-    d, pts, w, (ex, ey) = _ray_exit(t, k)
-    (xk, yk), (x1, y1), (x2, y2) = pts[k], pts[j1], pts[j2]
+    d, pts = form
     u = t.cuts[k]
+    w, (ex, ey) = _ray_exit(pts, u, k)
+    (xk, yk), (x1, y1), (x2, y2) = pts[k], pts[j1], pts[j2]
     # the shear x -> x + eps*wedge(u, x - vk)*u is integral: v1 stays over D
     c = u.x * (y1 - yk) - u.y * (x1 - xk)
     for eps in (1, -1):
@@ -405,10 +431,16 @@ def mutate_triangle(t: ViannaTriangle, vertex: int) -> ViannaTriangle:
     # the cut at j1 takes the same shear: c1 + eps*wedge(u, c1)*u
     cx, cy = cuts[j1].x, cuts[j1].y
     f = eps * (u.x * cy - u.y * cx)
-    cuts[k], cuts[j1] = -u, LatticeVector(cx + f * u.x, cy + f * u.y)
-    return _validate_vianna(ViannaTriangle(
-        mutate(t.triple, vertex), tuple(points), tuple(cuts), t.history + (vertex,)
-    ))
+    cuts[k], cuts[j1] = _lattice(-u.x, -u.y), _lattice(cx + f * u.x, cy + f * u.y)
+    child = ViannaTriangle(validate_triple(mutate(t.triple, vertex)), tuple(points),
+                           tuple(cuts), t.history + (vertex,))
+    # over D*w the numerators are these; dividing out their gcd with D*w leaves
+    # the lcm of the reduced denominators, as _over_one_denominator finds it
+    over = [None] * 3
+    over[k], over[j1], over[j2] = (ex, ey), ((xk + sx) * w, (yk + sy) * w), (x2 * w, y2 * w)
+    g = gcd(d * w, ex, ey, *over[j1], *over[j2])
+    form = (d * w // g, [(x // g, y // g) for x, y in over])
+    return _check_vianna(child, *form), form
 
 
 def vianna_triangle(p1: int, p2: int, p3: int) -> ViannaTriangle:
@@ -422,19 +454,21 @@ def vianna_triangle(p1: int, p2: int, p3: int) -> ViannaTriangle:
         k, triple = _descend(triple)
         cuts.append(k + 1)
     t = t or standard_triangle()
+    form = _over_one_denominator(t) if cuts else None  # each mutation derives the next
     while True:  # keep t as the most recently used, then mutate it one level up
         _vianna_kept[t.triple] = t
         if len(_vianna_kept) > _VIANNA_CACHE_SIZE:
             del _vianna_kept[next(iter(_vianna_kept))]
         if not cuts:
             return t
-        t = mutate_triangle(t, cuts.pop())
+        t, form = _mutate(t, form, cuts.pop())
 
 
 def triangle_signature(t: ViannaTriangle) -> tuple:
     """Integral-affine equivalence key: sorted determinants, sorted edge
     lengths, area."""
-    d, edges = _edges(t)  # derived once for all seven values
+    d, pts = _over_one_denominator(t)
+    edges = _edges(pts)  # derived once for all seven values
     dets = tuple(sorted(_vertex_determinant(edges, k) for k in range(3)))
     lengths = tuple(sorted(Fraction(g, d) for _, _, g in edges))
     return (dets, lengths, _area(d, edges))

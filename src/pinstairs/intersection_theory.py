@@ -313,14 +313,6 @@ def _culet(p: int, q: int) -> CuletReport:
     )
 
 
-def _adjunction_terms(w: WahlData):
-    p2 = w.p * w.p
-    e = w.e[1:-1]
-    f = w.f[1:-1]
-    lin = [p2 - e[i] - f[i] for i in range(w.m)]  # k-term scaled by p^2
-    return e, f, lin
-
-
 def enumerate_adjunction_solutions(w: WahlData, chi_max: int = 1) -> list[tuple[int, tuple[int, ...]]]:
     """Literal exhaustive search over chi in {0..chi_max}^m (small m only).
 
@@ -330,8 +322,8 @@ def enumerate_adjunction_solutions(w: WahlData, chi_max: int = 1) -> list[tuple[
     """
     from itertools import product
 
-    e, f, lin = _adjunction_terms(w)
-    p = w.p
+    p, e, f = w.p, w.e[1:-1], w.f[1:-1]
+    lin = [p * p - e[i] - f[i] for i in range(w.m)]  # k-term scaled by p^2
     out = []
     for chi in product(range(chi_max + 1), repeat=w.m):
         t = 0
@@ -373,12 +365,13 @@ def square_zero_class_search(p: int, q: int) -> tuple[int, tuple[int, ...]]:
         raise DomainError(f"search needs p >= 2: got p={p}")
     _require_companion(p, q)
     w = wahl_data(p, q)
-    e, f, lin = _adjunction_terms(w)
     budget = 2 * p * p - (3 * p - 1)  # max of 2p^2 - c0(3p - c0) over c0 in [1, p]
-    singles = sorted(e[i] * f[i] + lin[i] for i in range(w.m))
+    floor = p * p - 1  # index i alone: (e_i - 1)(f_i - 1) + p^2 - 1, as argued above
+    singles = sorted((e - 1) * (f - 1) + floor for e, f in zip(w.e[1:-1], w.f[1:-1]))
     # supports of size >= 2 (or a doubled entry) are over budget, as argued above
     if w.m >= 2 and singles[0] + singles[1] <= budget:
         raise AssertionError(f"two-index adjunction floor {singles[0] + singles[1]} within "
                              f"budget {budget} for ({p},{q})")
     culet = culet_report(p, q)
-    return culet.p2 * culet.p3, tuple(int(j == culet.culet_index - 1) for j in range(w.m))
+    i = culet.culet_index
+    return culet.p2 * culet.p3, (0,) * (i - 1) + (1,) + (0,) * (w.m - i)

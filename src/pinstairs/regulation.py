@@ -40,6 +40,7 @@ fixes how many rulings there are and how many curves they contract.
 
 from __future__ import annotations
 
+from operator import neg
 from typing import Iterable, Optional, Union
 
 from . import _EXPORTS
@@ -66,35 +67,34 @@ class DualGraph(_Record):
     vertices: tuple[tuple[int, int], ...]  # (id, label)
     edges: tuple[tuple[int, int], ...]  # unordered id pairs, stored sorted
 
-    def __init__(self, vertices: tuple[tuple[int, int], ...], edges: tuple[tuple[int, int], ...]):
-        ids = [v for v, _ in vertices]
-        if len(set(ids)) != len(ids):
+    def __init__(self, vertices: Iterable[tuple[int, int]], edges: Iterable[tuple[int, int]]):
+        vertices = tuple(map(tuple, vertices))
+        root = {v: v for v, _ in vertices}
+        if len(root) != len(vertices):
             raise DomainError("duplicate vertex ids")
-        idset = set(ids)
         norm = []
         for a, b in edges:
-            if a == b or a not in idset or b not in idset:
+            if a == b or a not in root or b not in root:
                 raise DomainError(f"bad edge ({a},{b})")
             norm.append((a, b) if a < b else (b, a))
         if len(set(norm)) != len(norm):
             raise DomainError("duplicate edges")
         super().__init__(vertices, tuple(norm))
-        if self.vertices and len(self.edges) != len(self.vertices) - 1:
+        if vertices and len(norm) != len(vertices) - 1:
             raise DomainError("graph is not a tree (wrong edge count)")
-        if self.vertices and len(self._component(ids[0])) != len(ids):
-            raise DomainError("graph is not a tree (disconnected)")
-
-    def _component(self, start: int) -> set:
-        adj = self.adjacency()
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    frontier.append(u)
-        return seen
+        # n - 1 edges with no cycle make a tree, and with a cycle they cannot
+        # connect n vertices: so union-find, with path halving, finds an edge
+        # whose ends are already joined exactly when the graph is disconnected
+        for a, b in norm:
+            while root[a] != a:
+                root[a] = root[root[a]]
+                a = root[a]
+            while root[b] != b:
+                root[b] = root[root[b]]
+                b = root[b]
+            if a == b:
+                raise DomainError("graph is not a tree (disconnected)")
+            root[a] = b
 
     def labels(self) -> dict:
         return dict(self.vertices)
@@ -322,9 +322,9 @@ def _flank_ruling(chain, positions) -> tuple[DualGraph, int]:
     flank = [chain[p - 1] for p in positions]
     local = attach_position(flank)
     attach_at = positions[local - 1]
-    verts = tuple((p, -chain[p - 1]) for p in positions) + ((0, -1),)
-    edges = tuple((a, b) for a, b in zip(positions, positions[1:]))
-    return DualGraph(verts, edges + ((0, attach_at),)), attach_at
+    verts = tuple(zip(positions, map(neg, flank))) + ((0, -1),)
+    edges = tuple(zip(positions, positions[1:])) + ((0, attach_at),)
+    return DualGraph(verts, edges), attach_at
 
 
 def predict_regulation(p: int, q: int) -> RegulationPrediction:

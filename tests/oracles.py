@@ -2,11 +2,11 @@
 
 Everything here is deliberately written from first principles with no imports
 from ``pinstairs``: plain continued-fraction evaluation, Zariski's multiplicity
-certificate for fibres of a ruling, textbook elimination for matrix inverses,
-direct quadratic scans for Markov triples, a plain breadth-first search of
-the Markov tree with its companion search, and finite box-union membership
-for staircase verdicts.  Tests compare package output
-against these.
+certificate for fibres of a ruling, a neighbour-set search for trees, textbook
+elimination for matrix inverses, direct quadratic scans for Markov triples, a
+plain breadth-first search of the Markov tree with its companion search, and
+finite box-union membership for staircase verdicts.  Tests compare package
+output against these.
 """
 
 from __future__ import annotations
@@ -122,6 +122,39 @@ def fibre_certificate(vertices, edges):
     if sum(x * (-2 - s) for x, (_, s) in zip(m, vertices)) != -2:
         return None
     return dict(zip(ids, m))
+
+
+def tree_refusal(vertices, edges):
+    """Why (vertices, edges) is not a labelled tree, as the refusal message a
+    dual graph gives, or None for a tree.  The checks run in order: distinct
+    ids, each edge joining two different known ids, distinct edges, n - 1
+    edges, and a depth-first search over neighbour sets from the first id
+    reaching every vertex."""
+    ids = [v for v, _ in vertices]
+    if len(set(ids)) != len(ids):
+        return "duplicate vertex ids"
+    norm = []
+    for a, b in edges:
+        if a == b or a not in ids or b not in ids:
+            return f"bad edge ({a},{b})"
+        norm.append((min(a, b), max(a, b)))
+    if len(set(norm)) != len(norm):
+        return "duplicate edges"
+    if ids and len(norm) != len(ids) - 1:
+        return "graph is not a tree (wrong edge count)"
+    adj = {v: set() for v in ids}
+    for a, b in norm:
+        adj[a].add(b)
+        adj[b].add(a)
+    seen, frontier = set(ids[:1]), ids[:1]
+    while frontier:
+        for u in adj[frontier.pop()]:
+            if u not in seen:
+                seen.add(u)
+                frontier.append(u)
+    if len(seen) != len(ids):
+        return "graph is not a tree (disconnected)"
+    return None
 
 
 # ---------------------------------------------------------------------------

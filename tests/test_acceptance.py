@@ -10,6 +10,8 @@ import itertools
 import json
 from fractions import Fraction
 
+import pytest
+
 from pinstairs.atf_geometry import vianna_triangle
 from pinstairs.hirzebruch_jung import is_zero_continued_fraction, wahl_data
 from pinstairs.intersection_theory import (
@@ -139,6 +141,7 @@ def test_matrix_identities_for_every_reachable_pair():
         assert all(F(-1) < d < 0 for d in discrepancies(w))
 
 
+@pytest.mark.slow
 def test_square_zero_class_is_unique_and_culet_supported():
     for p, q in reachable_pairs():
         if p == 1:
@@ -222,6 +225,7 @@ def test_zero_chain_predicate_matches_blow_down_search():
             )
 
 
+@pytest.mark.slow
 def test_oracle_grid_agreement_and_swap_symmetry():
     n = 200
     for p, q in [(1, 1), (2, 1), (5, 1), (5, 4), (29, 7)]:

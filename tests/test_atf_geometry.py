@@ -1,6 +1,7 @@
 """Moment triangles, fans, pavilions, Vianna triangles, girdle data."""
 
 import hashlib
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -26,7 +27,7 @@ from pinstairs.atf_geometry import (
 )
 from pinstairs.exact_core import DomainError, LatticeVector, affine_length, point, wedge
 from pinstairs.intersection_theory import culet_report
-from pinstairs.markov import _descend, branch_sequence, companions, enumerate_tree
+from pinstairs.markov import _descend, branch_sequence, companions, enumerate_tree, mutate
 from pinstairs.regulation import predict_regulation
 from pinstairs.staircase_oracle import CompanionMismatch, stair_boxes, three_ball_feasible
 
@@ -78,6 +79,15 @@ def test_delta_triangle_validation():
 @pytest.mark.parametrize("pq,rays", sorted(FAN_RAYS.items()))
 def test_fan_rays_match_frozen(pq, rays):
     assert [r.as_tuple() for r in fan_rays(*pq)] == rays
+
+
+def test_fan_rays_write_each_ray_in_place():
+    # the rays are continuants of an int chain: no LatticeVector.__init__ runs
+    for p, q in [(5, 1), (29, 7), (433, 104)]:
+        rays = fan_rays(p, q)
+        built, again = calls_made(LatticeVector.__init__.__code__, lambda: fan_rays(p, q))
+        assert built == 0 and again == rays
+        assert calls_made(atf._lattice.__code__, lambda: fan_rays(p, q))[0] == len(rays)
 
 
 def test_fan_rays_consecutive_wedges_are_one():
@@ -280,6 +290,14 @@ def test_vianna_rejects_non_markov():
         vianna_triangle(2, 2, 1)
 
 
+def test_a_mutation_refuses_a_triangle_whose_triple_is_not_markov():
+    # the geometry of the standard triangle passes; the mutated triple does not
+    s = standard_triangle()
+    for vertex, child in [(1, (8, 1, 3)), (2, (1, 8, 3)), (3, (1, 1, 0))]:
+        with pytest.raises(DomainError, match=f"^{re.escape(str(child))} is not a Markov triple$"):
+            mutate_triangle(ViannaTriangle((1, 1, 3), s.points, s.cuts), vertex)
+
+
 def _descent(triple):
     """The ordered triples from triple down to (1, 1, 1), each the last one
     with its largest number mutated: the ancestors a Vianna triangle needs."""
@@ -302,15 +320,23 @@ def _cold_build(triple):
     return t
 
 
+def _record_checks(monkeypatch):
+    """The (triangle, (D, vertices over D)) of every check from now on: the
+    standard triangle's through _validate_vianna, and each mutation's on the
+    form its walk carries, both through _check_vianna."""
+    check, checked = atf._check_vianna, []
+
+    def recording(t, d, pts):
+        checked.append((t, (d, pts)))
+        return check(t, d, pts)
+
+    monkeypatch.setattr(atf, "_check_vianna", recording)
+    return checked
+
+
 def test_vianna_cache_validates_each_ordered_triple_once(monkeypatch):
     atf._vianna_kept.clear()
-    seen = []
-
-    def counting(t):
-        seen.append(t.triple)
-        return _validate_vianna(t)
-
-    monkeypatch.setattr(atf, "_validate_vianna", counting)
+    checked = _record_checks(monkeypatch)
     wanted = set()
     for _ in range(2):
         for p, q in [(29, 7), (433, 104)]:
@@ -318,7 +344,7 @@ def test_vianna_cache_validates_each_ordered_triple_once(monkeypatch):
             predict_regulation(p, q)
             vianna_triangle(*triple)
             wanted.update(_descent(triple))
-    assert sorted(seen) == sorted(wanted)
+    assert sorted(t.triple for t, _ in checked) == sorted(wanted)
 
 
 def test_vianna_cache_matches_a_cold_build():
@@ -433,13 +459,33 @@ def test_a_mutation_does_no_fraction_arithmetic(triple):
 
 @pytest.mark.parametrize("triple", [(2, 1, 1), (5, 29, 433), (1, 89, 233)])
 def test_a_mutation_builds_only_its_two_new_cuts(triple):
-    # the checks read the sides and cuts as ints: no LatticeVector is built
+    # the checks read the sides and cuts as ints, and the two new cuts have
+    # their slots written in place: no LatticeVector.__init__ runs
     t = vianna_triangle(*triple)
     for vertex in (1, 2, 3):
-        built, result = calls_made(LatticeVector.__init__.__code__,
-                                   lambda: mutate_triangle(t, vertex))
-        assert built == 2
+        def mutation():
+            return mutate_triangle(t, vertex)
+
+        built, result = calls_made(atf._lattice.__code__, mutation)
+        assert built == 2 and calls_made(LatticeVector.__init__.__code__, mutation)[0] == 0
         assert result.cuts[vertex - 1] == -t.cuts[vertex - 1]
+    # and so does each mutation of a walk up from (1, 1, 1)
+    atf._vianna_kept.clear()
+    built, t = calls_made(atf._lattice.__code__, lambda: vianna_triangle(*triple))
+    assert built == 2 * len(t.history)
+
+
+def test_a_walk_carries_each_triangle_over_its_one_denominator(monkeypatch):
+    carried = _record_checks(monkeypatch)
+    wanted = set()
+    for e in enumerate_tree(7):
+        for triple in itertools.permutations(e.triple):
+            atf._vianna_kept.clear()
+            vianna_triangle(*triple)
+            wanted.update(_descent(triple))
+    assert {t.triple for t, _ in carried} == wanted
+    for t, form in carried:
+        assert form == atf._over_one_denominator(t)
 
 
 def test_a_triple_600_levels_deep_is_built_and_each_ancestor_validated_once(monkeypatch):
@@ -447,17 +493,20 @@ def test_a_triple_600_levels_deep_is_built_and_each_ancestor_validated_once(monk
     path = _descent(triple)
     assert len(path) == 601
     atf._vianna_kept.clear()
-    seen = []
-
-    def counting(t):
-        seen.append(t.triple)
-        return _validate_vianna(t)
-
-    monkeypatch.setattr(atf, "_validate_vianna", counting)
+    checked = _record_checks(monkeypatch)
     for _ in range(2):
         t = vianna_triangle(*triple)
         assert t.triple == triple and len(t.history) == 600
-    assert sorted(seen) == sorted(path)
+    assert sorted(t.triple for t, _ in checked) == sorted(path)
+
+
+def test_a_walk_reads_the_fractions_of_its_first_triangle_once():
+    # the standard triangle's own check reads them too; a mutation never does
+    triple = fibonacci_markov_triple(201)  # 100 levels deep
+    atf._vianna_kept.clear()
+    for call, read in [(lambda: vianna_triangle(*triple), 2), (lambda: vianna_triangle(*triple), 0),
+                       (lambda: vianna_triangle(*mutate(triple, 2)), 1)]:
+        assert calls_made(atf._over_one_denominator.__code__, call)[0] == read
 
 
 def test_a_descent_longer_than_the_cache_is_built_from_the_root():

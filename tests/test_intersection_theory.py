@@ -465,6 +465,7 @@ def test_square_zero_agrees_with_literal_enumeration_small():
         assert sols == [square_zero_class_search(p, q)]
 
 
+@pytest.mark.slow
 def test_widened_enumeration_finds_no_extra_solutions():
     for p, q in reachable_pairs(35):
         if p == 1:

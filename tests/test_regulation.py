@@ -2,6 +2,8 @@
 
 import functools
 import itertools
+import re
+import time
 import warnings
 
 import pytest
@@ -28,7 +30,7 @@ from pinstairs.regulation import (
 )
 
 from .frozen import ATTACH_POSITIONS, ZCF_FALSE, ZCF_TRUE
-from .oracles import attach_sites, fibre_certificate
+from .oracles import attach_sites, fibre_certificate, tree_refusal
 
 
 def test_zero_sphere_and_chain_graph():
@@ -40,10 +42,83 @@ def test_zero_sphere_and_chain_graph():
 
 
 def test_dual_graph_rejects_cycles_and_disconnection():
-    with pytest.raises(DomainError):
-        DualGraph(((1, -1), (2, -1), (3, -1)), ((1, 2), (2, 3), (1, 3)))
-    with pytest.raises(DomainError):
-        DualGraph(((1, -1), (2, -1), (3, -1)), ((1, 2),))
+    three = ((1, -1), (2, -1), (3, -1))
+    four = three + ((4, -2),)
+    refused = [
+        (((1, -1), (1, -2)), (), "duplicate vertex ids"),
+        (three, ((1, 2), (2, 2)), "bad edge (2,2)"),
+        (three, ((1, 2), (2, 5)), "bad edge (2,5)"),
+        (three, ((1, 2), (2, 1)), "duplicate edges"),
+        (three, ((1, 2), (2, 3), (1, 3)), "graph is not a tree (wrong edge count)"),
+        (three, ((1, 2),), "graph is not a tree (wrong edge count)"),
+        # n - 1 edges that close a cycle leave a vertex out, wherever it lies
+        (four, ((1, 2), (2, 3), (1, 3)), "graph is not a tree (disconnected)"),
+        (((4, -2),) + three, ((1, 2), (2, 3), (3, 1)), "graph is not a tree (disconnected)"),
+        (four + ((5, -2),), ((4, 2), (2, 1), (1, 4), (3, 5)), "graph is not a tree (disconnected)"),
+    ]
+    for vertices, edges, message in refused:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            DualGraph(vertices, edges)
+    assert DualGraph(four, ((4, 2), (2, 1), (3, 1))).edges == ((2, 4), (1, 2), (1, 3))
+
+
+def test_dual_graph_stores_its_vertices_as_a_tuple_of_pairs():
+    g = DualGraph(((1, 0),), ())
+    assert DualGraph([(1, 0)], []) == g and DualGraph([[1, 0]], []) == g
+    assert hash(DualGraph([(1, 0)], [])) == hash(g)
+    path = DualGraph(((v, -2) for v in (1, 2, 3)), [(2, 1), [3, 2]])
+    assert path == chain_graph([2, 2, 2]) and path.vertices == ((1, -2), (2, -2), (3, -2))
+
+
+@st.composite
+def _small_graphs(draw):
+    """Vertex and edge lists on small ids: a random tree, then up to two edits
+    (an edge replaced, added or dropped), reversed pairs and a shuffle, so that
+    repeated ids, self-loops, unknown ids, repeated edges, cycles and isolated
+    vertices all occur."""
+    ids = draw(st.lists(st.integers(0, 9), max_size=7, unique=draw(st.integers(0, 4)) > 0))
+    vertices = [(v, draw(st.integers(-3, 0))) for v in ids]
+    edges = [(ids[draw(st.integers(0, k - 1))], ids[k]) for k in range(1, len(ids))]
+    known = st.sampled_from(ids) if ids else st.integers(0, 10)
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.integers(0, 5))
+        pair = (draw(st.one_of(known, st.integers(0, 10))), draw(known))
+        if edit < 4 and edges:
+            edges[draw(st.integers(0, len(edges) - 1))] = pair
+        elif edit == 4:
+            edges.append(pair)
+        elif edges:
+            edges.pop(draw(st.integers(0, len(edges) - 1)))
+    return vertices, draw(st.permutations([e[::-1] if draw(st.booleans()) else e for e in edges]))
+
+
+@settings(max_examples=600, deadline=None)
+@given(_small_graphs())
+def test_dual_graph_refuses_exactly_what_the_neighbour_set_search_refuses(graph):
+    vertices, edges = graph
+    message = tree_refusal(vertices, edges)
+    if message is None:
+        g = DualGraph(vertices, edges)
+        assert g.vertices == tuple(vertices)
+        assert g.edges == tuple((min(e), max(e)) for e in edges)
+    else:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            DualGraph(vertices, edges)
+
+
+def test_a_large_tree_is_checked_in_time_linear_in_its_size():
+    # without path halving the finds of a star walk a chain that grows by one
+    # with each edge, so the check would take time quadratic in n
+    n = 20_000
+    star = [(v, -2) for v in range(n + 1)]
+    path = [(v, -2) for v in range(n)]
+    links = [(v, v + 1) for v in range(n - 1)]
+    for vertices, edges in [(star, [(0, v) for v in range(1, n + 1)]),
+                            (star, [(v, 0) for v in range(n, 0, -1)]),
+                            (path, links), (path, links[::-1])]:
+        start = time.perf_counter()
+        DualGraph(vertices, edges)
+        assert time.perf_counter() - start < 0.5
 
 
 def test_blow_up_vertex():
@@ -240,6 +315,7 @@ def test_ruling_check_matches_exhaustive_search_on_every_short_chain():
             assert is_ruling_degeneration(g) == exhaustive_is_degeneration(g), entries
 
 
+@pytest.mark.slow
 def test_attach_position_matches_exhaustive_search_on_every_short_chain():
     for k in range(1, 7):
         for chain in itertools.product((1, 2, 3, 4, 5), repeat=k):
@@ -478,10 +554,11 @@ def test_one_pass_attach_position_matches_per_site_reference_on_long_chains(chai
 
 
 def test_flank_self_check_contracts_only_the_hung_vertex(monkeypatch):
-    # predict_regulation contracts nothing and builds each ruling's neighbour
-    # sets once, when DualGraph validates it.  Checked on its own, a ruling
-    # contracts only the hung -1; once it is down the flank is a path, decided
-    # in one pass with no further contraction
+    # predict_regulation contracts nothing and builds no neighbour sets: a
+    # DualGraph is validated by union-find over its edges.  Checked on its own,
+    # a ruling builds its neighbour sets once and contracts only the hung -1;
+    # once it is down the flank is a path, decided in one pass with no further
+    # contraction
     contracted, built = [], []
     apply_down = regulation._apply_down
     adjacency = DualGraph.adjacency
@@ -500,9 +577,9 @@ def test_flank_self_check_contracts_only_the_hung_vertex(monkeypatch):
         contracted.clear()
         built.clear()
         pred = predict_regulation(p, q)
-        assert pred.rulings and contracted == []
-        assert list(map(id, built)) == list(map(id, pred.rulings))
+        assert pred.rulings and contracted == [] and built == []
         assert all(is_ruling_degeneration(g) for g in pred.rulings)
+        assert list(map(id, built)) == list(map(id, pred.rulings))
         # a -1 hung at an end of its flank leaves a path: nothing to contract
         flanks = [sorted(v for v, _ in g.vertices if v) for g in pred.rulings]
         interior = sum(f[0] < at < f[-1] for f, at in zip(flanks, pred.attach_positions))
