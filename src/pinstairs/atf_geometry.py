@@ -154,15 +154,15 @@ def fan_rays(p: int, q: int) -> list[LatticeVector]:
 
     rho_{k+1} = b_k rho_k - rho_{k-1} from (1, 0), (0, 1) runs the recurrence
     in each coordinate: the x are the continuants seeded 1, 0 and the y those
-    seeded 0, 1, which are e.  Both checks run on those ints, and each ray is
-    built once, by _lattice: the continuants of an int chain are ints."""
+    seeded 0, 1, which are e.  The terminal ray is checked on those ints, and
+    each ray is built once, by _lattice: the continuants of an int chain are
+    ints."""
     w = wahl_data(p, q)
     xs, ys = _continuants(w.chain, 1, 0), w.e
     if p >= 2 and (xs[-1], ys[-1]) != (1 - p * q, p * p):
         raise AssertionError(f"terminal ray mismatch for ({p},{q})")
-    for k in range(len(xs) - 1):
-        if xs[k] * ys[k + 1] - ys[k] * xs[k + 1] != 1:
-            raise AssertionError("consecutive rays not unimodular")
+    # consecutive rays are unimodular for any chain: x and y solve one recurrence,
+    # so x_k y_{k+1} - y_k x_{k+1} is constant, equal to x_0 y_1 - y_0 x_1 = 1
     return list(map(_lattice, xs, ys))
 
 

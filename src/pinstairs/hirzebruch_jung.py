@@ -100,8 +100,10 @@ class WahlData(_Record):
 
     e and f are continuants of the chain (exact_core._continuants), the
     recursion x_{i+1} = b_i*x_i - x_{i-1} with seeds e_0=0, e_1=1 and
-    f_0=p^2, f_1=pq-1; then e_{m+1}=p^2, f_{m+1}=0 and
-    e_i*f_{i-1} - e_{i-1}*f_i = p^2 throughout.
+    f_0=p^2, f_1=pq-1; then e_{m+1}=p^2, f_{m+1}=0, which wahl_data checks,
+    and e_i*f_{i-1} - e_{i-1}*f_i = p^2 throughout, which holds for any
+    chain: it is the Wronskian of two solutions of one recurrence, constant
+    and equal to its value p^2 at i = 1.
     """
 
     __slots__ = ("p", "q", "chain", "e", "f")
@@ -152,11 +154,11 @@ def _wahl(p: int, q: int) -> WahlData:
     chain = hj_expand(p * p, p * q - 1)
     e = _continuants(chain, 0, 1)
     f = _continuants(chain, p * p, p * q - 1)
-    if e[-1] != p * p or f[-1] != 0:
+    if e[-1] != p * p or f[-1] != 0:  # the one check on hj_expand
         raise AssertionError(f"e/f recursion endpoints wrong for (p,q)=({p},{q})")
-    for i in range(1, len(e)):
-        if e[i] * f[i - 1] - e[i - 1] * f[i] != p * p:
-            raise AssertionError(f"determinant identity fails at i={i} for ({p},{q})")
+    # W_i = e_i f_{i-1} - e_{i-1} f_i = p^2 needs no loop: e and f solve one recurrence,
+    # so W_{k+1} = (b_k e_k - e_{k-1}) f_k - e_k (b_k f_k - f_{k-1}) = W_k, and
+    # W_1 = 1 p^2 - 0 (pq - 1) = p^2, whatever the entries
     return WahlData(p, q, tuple(chain), tuple(e), tuple(f))
 
 

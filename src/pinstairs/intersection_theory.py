@@ -350,28 +350,24 @@ def square_zero_class_search(p: int, q: int) -> tuple[int, tuple[int, ...]]:
     a solution needs that sum to equal 2p^2 - c0(3p - c0), which is at most
     the budget 2p^2 - 3p + 1 over c0 in [1, p].  Every cross term e_i f_j is
     nonnegative, and index i alone contributes e_i f_i + p^2 - e_i - f_i =
-    (e_i - 1)(f_i - 1) + p^2 - 1 >= p^2 - 1, since e_i, f_i >= 1.  A support
-    of size >= 2 (or an entry chi_i >= 2, which counts index i at least
-    twice) therefore costs at least 2p^2 - 2, which exceeds the budget
-    exactly when 3p > 3, that is for every p >= 2.  The argument is checked
-    on each input: the two smallest single contributions must already
-    exceed the budget, or the search raises AssertionError.  Index i alone
-    solves it exactly when 3p | p^2 + e_i + f_i and c0^2 = e_i f_i (module
-    docstring), the test of the culet scan; its one hit is the culet, with
-    c0 = s2 s3, and chi is the unit vector there.
+    (e_i - 1)(f_i - 1) + p^2 - 1 >= p^2 - 1, since e_i, f_i >= 1.  Both hold
+    for every chain.  Its entries are >= 2, so e_{k+1} - e_k >= e_k - e_{k-1}
+    >= ... >= e_1 - e_0 = 1.  The Wronskian at m + 1, with the endpoints
+    e_{m+1} = p^2 and f_{m+1} = 0 that wahl_data checks, gives p^2 f_m = p^2,
+    so f_m = 1 and f_{k-1} - f_k >= ... >= f_m - f_{m+1} = 1.  A support of
+    size >= 2 (or an entry chi_i >= 2, which counts index i at least twice)
+    therefore costs at least 2p^2 - 2, which exceeds the budget exactly when
+    3p > 3, that is for every p >= 2.  Index i alone solves it exactly when
+    3p | p^2 + e_i + f_i and c0^2 = e_i f_i (module docstring), the test of
+    the culet scan; its one hit is the culet, with c0 = s2 s3, and chi is the
+    unit vector there, of length m = culet_index + len(right_flank).
     enumerate_adjunction_solutions is the brute oracle for the tests.
     """
     if p < 2:
         raise DomainError(f"search needs p >= 2: got p={p}")
     _require_companion(p, q)
-    w = wahl_data(p, q)
-    budget = 2 * p * p - (3 * p - 1)  # max of 2p^2 - c0(3p - c0) over c0 in [1, p]
-    floor = p * p - 1  # index i alone: (e_i - 1)(f_i - 1) + p^2 - 1, as argued above
-    singles = sorted((e - 1) * (f - 1) + floor for e, f in zip(w.e[1:-1], w.f[1:-1]))
-    # supports of size >= 2 (or a doubled entry) are over budget, as argued above
-    if w.m >= 2 and singles[0] + singles[1] <= budget:
-        raise AssertionError(f"two-index adjunction floor {singles[0] + singles[1]} within "
-                             f"budget {budget} for ({p},{q})")
+    # no support of two or more indices solves it, by the argument above: its
+    # e_i, f_i >= 1 hold by construction, so the culet scan's hit is the answer
     culet = culet_report(p, q)
     i = culet.culet_index
-    return culet.p2 * culet.p3, (0,) * (i - 1) + (1,) + (0,) * (w.m - i)
+    return culet.p2 * culet.p3, (0,) * (i - 1) + (1,) + (0,) * len(culet.right_flank)

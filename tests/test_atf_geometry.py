@@ -5,6 +5,7 @@ import itertools
 import json
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -91,7 +92,10 @@ def test_fan_rays_write_each_ray_in_place():
 
 
 def test_fan_rays_consecutive_wedges_are_one():
-    for p, q in [(2, 1), (5, 1), (5, 4), (13, 2), (29, 7)]:
+    # fan_rays checks only the terminal ray; the wedges are 1 for any chain
+    small = [(p, q) for p in range(1, 61) for q in range(1, p + 1)
+             if gcd(p, q) == 1 and (p == 1 or q < p)]
+    for p, q in small + pairs_to_depth(9):
         rays = fan_rays(p, q)
         for a, b in zip(rays, rays[1:]):
             assert wedge(a, b) == 1
@@ -123,13 +127,11 @@ def test_fan_ray_self_checks_fire_on_a_corrupted_e(monkeypatch):
     from pinstairs.hirzebruch_jung import WahlData, wahl_data
 
     w = wahl_data(29, 7)
-    for k, message in ((w.m + 1, "terminal ray mismatch for (29,7)"),
-                       (3, "consecutive rays not unimodular")):
-        e = list(w.e)
-        e[k] += 1
-        monkeypatch.setattr(atf, "wahl_data", lambda p, q: WahlData(p, q, w.chain, tuple(e), w.f))
-        with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
-            fan_rays(29, 7)
+    e = list(w.e)
+    e[w.m + 1] += 1
+    monkeypatch.setattr(atf, "wahl_data", lambda p, q: WahlData(p, q, w.chain, tuple(e), w.f))
+    with pytest.raises(AssertionError, match=r"^terminal ray mismatch for \(29,7\)$"):
+        fan_rays(29, 7)
 
 
 # discretely convex offsets (b_i*l_i > l_{i-1} + l_{i+1} against chain (7,2,2,2))

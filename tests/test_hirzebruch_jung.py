@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pinstairs import hirzebruch_jung
 from pinstairs.exact_core import DomainError
 from pinstairs.hirzebruch_jung import (
     INFINITY,
@@ -23,6 +24,7 @@ from pinstairs.hirzebruch_jung import (
 
 from .frozen import DUAL_CHAINS, WAHL, ZCF_FALSE, ZCF_TRUE
 from .oracles import chain_of, eval_chain
+from .test_intersection_theory import pairs_to_depth
 
 
 def test_expand_base_cases():
@@ -132,13 +134,31 @@ def test_wahl_chain_is_expansion_of_p2_over_pq_minus_1():
 
 
 def test_wahl_e_f_determinant_identity():
-    for p in range(1, 201):
-        for q in range(1, max(p, 1) + 1):
-            if gcd(p, q) != 1 or (p > 1 and q == p):
-                continue
-            w = wahl_data(p, q)
-            for i in range(1, w.m + 2):
-                assert w.e[i] * w.f[i - 1] - w.e[i - 1] * w.f[i] == p * p
+    # wahl_data checks only the endpoints; the Wronskian holds for any chain
+    small = [(p, q) for p in range(1, 201) for q in range(1, p + 1)
+             if gcd(p, q) == 1 and (p == 1 or q < p)]
+    for p, q in small + pairs_to_depth(9):
+        w = wahl_data(p, q)
+        for i in range(1, w.m + 2):
+            assert w.e[i] * w.f[i - 1] - w.e[i - 1] * w.f[i] == p * p
+
+
+def test_a_corrupted_chain_trips_the_endpoint_check(monkeypatch):
+    from pinstairs.atf_geometry import fan_rays
+
+    # the chain of 29^2/(29*7 - 1) with its first entry raised by 1
+    expand = hirzebruch_jung.hj_expand
+    b1, *rest = expand(841, 202)
+    monkeypatch.setattr(hirzebruch_jung, "hj_expand",
+                        lambda n, a: [b1 + 1, *rest] if (n, a) == (841, 202) else expand(n, a))
+    hirzebruch_jung._wahl.cache_clear()
+    message = r"^e/f recursion endpoints wrong for \(p,q\)=\(29,7\)$"
+    try:
+        for call in (wahl_data, fan_rays):
+            with pytest.raises(AssertionError, match=message):
+                call(29, 7)
+    finally:
+        hirzebruch_jung._wahl.cache_clear()  # no corrupted chain outlives the test
 
 
 def test_wahl_e_f_boundary_values():

@@ -33,7 +33,7 @@ from pinstairs.intersection_theory import (
     square_zero_class_search,
     two_ball_degree,
 )
-from pinstairs.markov import companions, enumerate_tree, is_markov_triple
+from pinstairs.markov import CompanionMismatch, companions, enumerate_tree, is_markov_triple
 
 from .frozen import CULETS, DISCREPANCIES, MARKOV_NUMBERS_1000, SQUARE_ZERO, TWO_BALL_DEGREES
 from .oracles import (
@@ -589,24 +589,30 @@ def test_the_culet_scan_tests_divisibility_before_the_square(monkeypatch):
     assert _culet_of(WahlData(w.p, w.q, w.chain, tuple(e), tuple(f)), monkeypatch) == report
 
 
-def test_square_zero_certificate_holds_to_depth_9(monkeypatch):
+def test_square_zero_certificate_holds_to_depth_9():
     # a support of two or more indices costs at least 2p^2 - 2, over the
-    # budget 2p^2 - 3p + 1; the search raises if this ever failed
+    # budget 2p^2 - 3p + 1: e_i, f_i >= 1 (with f_m = 1) hold by construction,
+    # so the search checks none of it
     for p, q in pairs_to_depth(9):
         w = wahl_data(p, q)
+        assert min(w.e[1:-1]) >= 1 and min(w.f[1:-1]) >= 1 and w.f[w.m] == 1
         singles = sorted(w.e[i] * w.f[i] + p * p - w.e[i] - w.f[i] for i in range(1, w.m + 1))
         assert min(singles) >= p * p - 1
         if w.m >= 2:
             assert singles[0] + singles[1] > 2 * p * p - 3 * p + 1
-    w = wahl_data(29, 7)
-    e, f = list(w.e), list(w.f)
-    e[1] = e[2] = 0  # (e, f) = (0, 43) contributes p^2 - 43 = 798 at each of two
-    f[1] = f[2] = 43  # indices, so the floor meets the budget
-    monkeypatch.setattr(intersection_theory, "wahl_data",
-                        lambda p, q: WahlData(w.p, w.q, w.chain, tuple(e), tuple(f)))
-    with pytest.raises(AssertionError, match=r"^two-index adjunction floor 1596 within budget "
-                                             r"1596 for \(29,7\)$"):
-        square_zero_class_search(29, 7)
+
+
+def test_square_zero_search_guards_and_reuses_the_cached_culet(monkeypatch):
+    with pytest.raises(CompanionMismatch, match=r"^3 is not a companion of 29 \(pair \{7, 22\}\)$"):
+        square_zero_class_search(29, 3)
+    with pytest.raises(DomainError, match=r"^search needs p >= 2: got p=1$"):
+        square_zero_class_search(1, 1)
+    culet_report(433, 104)  # cached
+    calls = []
+    wahl = intersection_theory.wahl_data
+    monkeypatch.setattr(intersection_theory, "wahl_data", lambda p, q: calls.append(p) or wahl(p, q))
+    chi = square_zero_class_search(433, 104)[1]
+    assert calls == [] and len(chi) == wahl_data(433, 104).m
 
 
 def test_one_chain_and_one_culet_scan_per_pair_across_a_unit_of_work(monkeypatch):
