@@ -6,10 +6,11 @@ The girdled triangle of (p, q) at widths (alpha, beta) has vertices (0,0),
 subdivision rays follow the same three-term recursion as the e-sequence, a
 pavilion is the exact clip of the triangle by ray half-planes below the
 girdle, and Vianna triangles are realized concretely by iterated cut-and-
-shear mutations from the standard simplex, with the vertex-determinant and
-edge-length laws re-validated after every move.  A bounded cache keeps the
-validated triangle of each ordered Markov triple, so the ancestors that the
-triangles of one process share are mutated and validated once.
+shear mutations from the standard simplex, with the area and vertex-
+determinant laws, which force the edge lengths, re-validated after every
+move.  A bounded cache keeps the validated triangle of each ordered Markov
+triple, so the ancestors that the triangles of one process share are
+mutated and validated once.
 
 A mutation and its checks run in integers.  The three vertices are integer
 pairs over one denominator D, the lcm of the six coordinates' denominators
@@ -345,17 +346,17 @@ def _check_vianna(t: ViannaTriangle, d: int, pts: list[tuple[int, int]]) -> Vian
     (x0, y0, g0), _, (x2, y2, g2) = edges
     if g0 * g2 * abs(x0 * y2 - y0 * x2) != d * d:  # twice the area, over D^2
         raise AssertionError("mutation failed to preserve area")
-    # so no edge has length 0
+    # so no edge has length 0.  Any two edges of the closed triangle span twice
+    # the area, so with the determinants below g_0*g_2*p_0^2 = g_0*g_1*p_1^2 =
+    # g_1*g_2*p_2^2 = D^2: each length g_k/D is p_{k+2}/(p_k*p_{k+1}), and a
+    # wrong one fails some vertex's determinant check
     for k in range(3):
-        pk, pj, pl = t.triple[k], t.triple[(k + 1) % 3], t.triple[(k + 2) % 3]
+        pk = t.triple[k]
         # the sides leaving vertex k: (ax, ay) along edge k, -(bx, by) back along edge k+2
         (ax, ay, _), (bx, by, _) = edges[k], edges[(k + 2) % 3]
         w = ay * bx - ax * by
         if abs(w) != pk * pk:
             raise AssertionError(f"vertex {k} determinant is not {pk}^2")
-        # g/D must be the box corner _corner(pj, pk, pl) = pk/(pj*pl)
-        if edges[(k + 1) % 3][2] * pj * pl != pk * d:
-            raise AssertionError(f"edge opposite vertex {k} has wrong length")
         ux, uy = t.cuts[k].as_tuple()
         if gcd(ux, uy) != 1:
             raise AssertionError(f"cut at vertex {k} not primitive")

@@ -284,6 +284,14 @@ class _Branch:
             self.values = {0: a, -1: b}
         self._lo = min(self.values)
         self._hi = max(self.values)
+        # the one Markov check of the branch, on its valley pair.  The form
+        # p^2 + x^2 + y^2 - 3p*x*y is invariant under (x, y) -> (y, 3p*y - x),
+        # so every consecutive pair the recurrence builds from here, either
+        # way, is Markov with p.  Each new term is positive: x and 3p*y - x
+        # are the two roots of the quadratic in x, with product p^2 + y^2 > 0
+        x, y = self.values[self._lo], self.values[self._hi]
+        if not is_markov_triple(p, x, y):
+            raise AssertionError(f"valley pair ({x},{y}) not Markov with {p}")
         self[1]  # box 0 is always held: embeds reads it directly
         # the verdicts decided at each index, built by staircase_oracle on first
         # use: Embeds with box i, and DoesNotEmbed at the inner corner i
@@ -381,11 +389,8 @@ class BranchSequence(_Record):
 def branch_sequence(p: int, q: int, lo: int, hi: int) -> BranchSequence:
     if lo > hi:
         raise DomainError(f"empty window: lo={lo} > hi={hi}")
-    values = tuple(_family(p, q).window(lo, hi))
-    for m0, m1 in zip(values, values[1:]):
-        if not is_markov_triple(p, m0, m1):
-            raise AssertionError(f"branch pair ({m0},{m1}) not Markov with {p}")
-    return BranchSequence(p, q, lo, values)
+    # each consecutive pair is Markov with p, as _Branch.__init__ argues
+    return BranchSequence(p, q, lo, tuple(_family(p, q).window(lo, hi)))
 
 
 class Sigma(_Record):

@@ -25,12 +25,12 @@ the point is visible: only a beta taller than every held box is searched for
 on the DoesNotEmbed path, which also grows the branch to a box that tall.
 The verdict at an index, Embeds with box i or DoesNotEmbed at the inner corner
 (m_i/(p*m_{i-1}), m_i/(p*m_{i+1})), depends only on the family and i, so each
-box and corner is built and self-checked (Markov equation, volume curve) once
-per family and kept on its branch, in one dict keyed by i for boxes and one
-for corners.  A repeated verdict, decided inside the held terms, is one frame
-of `embeds` and one of `first_wider`: it reads the numerator and denominator
-slots of each Fraction, bisects, and reads its verdict from the dict, with no
-Fraction built and no sigma_p test.  The dominance of the corner is checked
+box and corner is built once per family, with no check (see `_verdict`),
+and kept on its branch, in one dict keyed by i for boxes and one for
+corners.  A repeated verdict, decided inside the held terms, is one frame of
+`embeds` and one of `first_wider`: it reads the numerator and denominator
+slots of each Fraction, bisects, and reads its verdict from the dict, with
+no Fraction built and no sigma_p test.  The dominance of the corner is checked
 on every call, in integers: n*p*m_{i-1} >= d*m_i and n'*p*m_{i+1} >= d'*m_i.
 The packing checks are the strict linear inequalities cut out by the triple
 completing (p1, p2).  Box i is the corner at p of the Vianna triangle of
@@ -55,7 +55,6 @@ from .markov import (
     _girdle,
     _require_companion,
     canonical_triple,
-    is_markov_triple,
     two_ball_degree,
     validate_triple,
 )
@@ -97,16 +96,6 @@ class EmbeddingVerdict(_Record):
         return out
 
 
-def _box(p: int, br: _Branch, i: int) -> StairBox:
-    a, b = br[i], br[i + 1]
-    if not is_markov_triple(p, a, b):
-        raise AssertionError(f"terms of box {i} are not Markov with {p}")
-    box = StairBox(i, _corner(p, b, a), _corner(p, a, b))
-    if box.alpha_sup * box.beta_sup != Fraction(1, p * p):
-        raise AssertionError(f"outer corner of box {i} off the volume curve")
-    return box
-
-
 _OUTSIDE = EmbeddingVerdict("OutsideVisibleRange")
 
 
@@ -114,12 +103,17 @@ def _verdict(p: int, br: _Branch, i: int, answer: str) -> EmbeddingVerdict:
     """The verdict `answer` decided at index i of the branch: Embeds with box i,
     kept in `box_verdicts`, or DoesNotEmbed at the inner corner
     (m_i/(p*m_{i-1}), m_i/(p*m_{i+1})), kept in `corner_verdicts`.  Each is
-    built and self-checked on first use; a frozen verdict is safe to share.
-    embeds reads the two dicts itself and comes here on a miss."""
+    built on first use, with no check: box i's outer corner is on the volume
+    curve, (m_{i+1}/(p*m_i))*(m_i/(p*m_{i+1})) = 1/p^2, for any nonzero
+    terms, and they are Markov with p as the branch's valley pair is.  A
+    frozen verdict is safe to share; embeds reads the two dicts itself and
+    comes here on a miss."""
     if answer == "Embeds":
         kept = br.box_verdicts
         if i not in kept:
-            kept[i] = EmbeddingVerdict(answer, witness=_box(p, br, i))
+            a, b = br[i], br[i + 1]
+            kept[i] = EmbeddingVerdict(answer, witness=StairBox(i, _corner(p, b, a),
+                                                                _corner(p, a, b)))
     else:
         kept = br.corner_verdicts
         if i not in kept:
@@ -131,12 +125,11 @@ def _verdict(p: int, br: _Branch, i: int, answer: str) -> EmbeddingVerdict:
 def stair_boxes(p: int, q: int, i_lo: int, i_hi: int) -> list[StairBox]:
     if i_lo > i_hi:
         raise DomainError(f"empty index window: {i_lo} > {i_hi}")
+    # alpha_sup increases strictly: m_{i+1}*m_{i-1} - m_i^2 is kept by the
+    # recurrence and is p^2 at the valley pair, by the Markov equation, so
+    # alpha_sup(i) - alpha_sup(i-1) = p/(m_i*m_{i-1}) > 0
     br = _family(p, q)
-    boxes = [_verdict(p, br, i, "Embeds").witness for i in range(i_lo, i_hi + 1)]
-    for a, b in zip(boxes, boxes[1:]):
-        if not a.alpha_sup < b.alpha_sup:
-            raise AssertionError("alpha_sup not strictly increasing")
-    return boxes
+    return [_verdict(p, br, i, "Embeds").witness for i in range(i_lo, i_hi + 1)]
 
 
 def embeds(p: int, q: int, alpha: Rational, beta: Rational) -> EmbeddingVerdict:
@@ -281,13 +274,11 @@ class ObstructionCertificate(_Record):
 
 def obstruction_certificate(p: int, q: int, i: int) -> ObstructionCertificate:
     """Exact identity s*L + D = 0 at the inner corner i of the staircase."""
+    # (p, m_{i+1}, m_i) is Markov, as the branch's valley pair is, and the
+    # girdle's p3' = 3p*m_i - m_{i+1} is the term m_{i-1} of the recurrence
     br = _family(p, q)
     p1, p2, p3 = p, br[i + 1], br[i]
-    if not is_markov_triple(p1, p2, p3):
-        raise AssertionError(f"index {i} does not give a Markov triple for ({p},{q})")
     p3p, length, disp = _girdle(p1, p2, p3)
-    if p3p != br[i - 1]:
-        raise AssertionError("mutated third entry disagrees with the branch")
     s = Fraction(-p2 * p3p, p1 * p1)
     if s * length + disp != 0:
         raise AssertionError(f"certificate identity fails at ({p},{q},{i})")

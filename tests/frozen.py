@@ -220,6 +220,15 @@ GRID_VERDICT_DIGEST_100 = "8a748a80426f3c8fe4dc3888a1156bb8fed041784d8a577b0c3ef
 # (c, a, b) over every triple (a, b, c) of enumerate_tree(7), in order.
 VIANNA_DIGEST_7 = "a2707a838e6353e8955c375a077c8bcfd7f52ad0885c114bfe85c8727ecf1e47"
 
+# --- run-time self-checks: the `raise AssertionError` and `raise MultipleCulets`
+# sites of each module under src/pinstairs (modules with none omitted).  A
+# change that adds or drops a self-check updates this table ---
+
+SELF_CHECKS = {
+    "atf_geometry": 21, "hirzebruch_jung": 2, "intersection_theory": 8, "markov": 4,
+    "staircase_oracle": 3,
+}
+
 # --- markov numbers up to 1000 ---
 
 MARKOV_NUMBERS_1000 = [1, 2, 5, 13, 29, 34, 89, 169, 194, 233, 433, 610, 985]

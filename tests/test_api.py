@@ -13,7 +13,7 @@ import pytest
 import pinstairs
 from pinstairs import markov, staircase_oracle
 
-from .frozen import PUBLIC_API
+from .frozen import PUBLIC_API, SELF_CHECKS
 
 SOURCES = sorted(Path(pinstairs.__file__).parent.glob("*.py"))
 
@@ -182,3 +182,37 @@ def test_every_public_name_resolves_on_every_path():
     assert sorted(names - set(star)) == []
     assert sorted(names - set(dir(pinstairs))) == []
     assert not hasattr(pinstairs, "no_such_name")
+
+
+def _self_checks(path: Path) -> int:
+    """The number of `raise AssertionError` and `raise MultipleCulets` sites in
+    `path`, with or without a message; an `assert` statement is not one."""
+    count = 0
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            count += isinstance(exc, ast.Name) and exc.id in {"AssertionError", "MultipleCulets"}
+    return count
+
+
+def test_the_self_check_ledger_matches_the_sources():
+    counts = {path.stem: n for path in SOURCES if (n := _self_checks(path))}
+    assert counts == SELF_CHECKS
+
+
+def test_the_self_check_count_finds_each_form(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise AssertionError(f'bad {x}')\n"
+        "    if x is None:\n"
+        "        raise AssertionError\n"
+        "    try:\n"
+        "        raise MultipleCulets('two')\n"
+        "    except ValueError:\n"
+        "        raise\n"
+        "    assert x\n"
+        "    raise DomainError('refused')\n"
+    )
+    assert _self_checks(module) == 3

@@ -212,8 +212,9 @@ def test_mutate_twice_is_the_identity():
 
 
 def test_vianna_invariants_along_a_tree_walk():
-    for e in enumerate_tree(4):
-        t = vianna_triangle(*e.triple)
+    # _check_vianna checks the area and the determinants; the edge lengths
+    # follow from those, and are asserted here
+    for t in (vianna_triangle(*r) for e in enumerate_tree(7) for r in _rotations(e.triple)):
         assert t.area() == F(1, 2)
         p1, p2, p3 = t.triple
         assert t.vertex_determinant(0) == p1 * p1
@@ -265,10 +266,11 @@ def test_vianna_self_checks_fire_on_corrupted_triangles():
         (ViannaTriangle(t.triple, tuple(v.scale(2) for v in t.points), t.cuts, t.history),
          "mutation failed to preserve area"),
         # with the area and all three determinants right the lengths follow
-        # (g_0*g_2*p_0^2 = D^2 at vertex 0, and so on), so a wrong length is
-        # seen first only when a later vertex's determinant is wrong too
+        # (g_0*g_2*p_0^2 = D^2 at vertex 0, and so on), so a relabelling that
+        # keeps vertex 0's number and gets the edge opposite it wrong fails at
+        # a later vertex's determinant
         (ViannaTriangle((5, 29, 2), t.points, t.cuts, t.history),
-         "edge opposite vertex 0 has wrong length"),
+         "vertex 1 determinant is not 29^2"),
     ]
     for bad, message in corrupted:
         with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):

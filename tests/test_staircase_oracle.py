@@ -1,6 +1,7 @@
 """Staircase boxes, the embedding oracle, packing reports, certificates."""
 
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinstairs import markov, staircase_oracle
+from pinstairs import markov
 from pinstairs.exact_core import DomainError
-from pinstairs.markov import compare_to_sigma, sigma_p
+from pinstairs.markov import (_girdle, branch_sequence, companions, compare_to_sigma,
+                               enumerate_tree, is_markov_triple, sigma_p)
 from pinstairs.staircase_oracle import (
     CompanionMismatch,
     embeds,
@@ -43,14 +45,58 @@ def test_stair_box_corners_match_frozen(pq, corners):
     assert got == corners
 
 
+def pairs_to_depth_9():
+    """Every (p, q) with p in a triple of the tree to depth 9, both companions."""
+    numbers = sorted({x for e in enumerate_tree(9) for x in e.triple})
+    return [(p, q) for p in numbers for q in sorted(companions(p).pair)]
+
+
 def test_stair_boxes_volume_identity_and_monotonicity():
-    for p, q in GRID_PAIRS:
+    # neither is checked at run time: the volume identity holds for any terms,
+    # and the monotonicity follows from the branch identities tested below
+    for p, q in pairs_to_depth_9():
         boxes = stair_boxes(p, q, -12, 12)
         for b in boxes:
             assert b.alpha_sup * b.beta_sup == Fraction(1, p * p)
         for a, b in zip(boxes, boxes[1:]):
             assert a.alpha_sup < b.alpha_sup
             assert a.beta_sup > b.beta_sup
+
+
+def test_branch_identities_to_depth_9():
+    # what the branch's one seed check and its recurrence give every window:
+    # each consecutive pair is Markov with p, m_{i+1}*m_{i-1} - m_i^2 = p^2
+    # (so alpha_sup increases), and the certificate's p3' = 3p*m_i - m_{i+1}
+    # is m_{i-1}
+    for p, q in pairs_to_depth_9():
+        m = markov._family(p, q).window(-15, 15)
+        for prev, cur, nxt in zip(m, m[1:], m[2:]):
+            assert is_markov_triple(p, cur, nxt), (p, q)
+            assert nxt * prev - cur * cur == p * p, (p, q)
+            assert _girdle(p, nxt, cur)[0] == prev, (p, q)
+        assert is_markov_triple(p, m[0], m[1])
+
+
+def test_a_valley_pair_that_is_not_markov_fails_the_seed_check(monkeypatch):
+    # the one Markov check of a branch, where a fault in the search's
+    # co-entries would show: every consumer of the family reaches it
+    message = "^" + re.escape("valley pair (2,2) not Markov with 5") + "$"
+    markov._family.cache_clear()
+    markov._search.cache_clear()
+    try:
+        monkeypatch.setattr(markov, "canonical_triple", lambda p, q: (5, 2, 2))
+        for _ in range(2):  # a failed build is not kept
+            with pytest.raises(AssertionError, match=message):
+                markov._family(5, 1)
+            with pytest.raises(AssertionError, match=message):
+                embeds(5, 1, Fraction(1, 10), Fraction(1, 10))
+            with pytest.raises(AssertionError, match=message):
+                branch_sequence(5, 1, 0, 3)
+    finally:
+        monkeypatch.undo()
+        markov._family.cache_clear()
+        markov._search.cache_clear()
+    assert branch_sequence(5, 1, -1, 1).values == (1, 2, 29)
 
 
 def test_stair_boxes_stay_below_sigma():
@@ -304,40 +350,6 @@ def test_warm_verdicts_equal_cold_ones_in_any_order(pq, points, seed):
         rnd.shuffle(order)
         for k in order:
             assert embeds(*pq, *points[k]) == cold[k]
-
-
-def test_a_corrupt_term_fails_the_box_check_on_first_build():
-    markov._family.cache_clear()
-    try:
-        br = markov._family(5, 1)
-        br.values[1] = br[1] + 1
-        for _ in range(2):  # a failed build is not kept
-            with pytest.raises(AssertionError, match="terms of box 0 are not Markov with 5"):
-                stair_boxes(5, 1, 0, 0)
-    finally:
-        markov._family.cache_clear()
-
-
-def test_a_corrupt_term_fails_the_certificate_self_check():
-    # _family refuses a bad p or q, so only a corrupt branch reaches this check
-    markov._family.cache_clear()
-    try:
-        br = markov._family(5, 1)
-        br.values[1] = br[1] + 1
-        with pytest.raises(AssertionError, match="index 0 does not give a Markov triple"):
-            obstruction_certificate(5, 1, 0)
-    finally:
-        markov._family.cache_clear()
-
-
-def test_a_corrupt_corner_fails_the_volume_check_on_first_build(monkeypatch):
-    markov._family.cache_clear()
-    monkeypatch.setattr(staircase_oracle, "_corner", lambda pi, pj, pk: Fraction(pj + 1, pi * pk))
-    for _ in range(2):
-        with pytest.raises(AssertionError, match="outer corner of box 0 off the volume curve"):
-            embeds(2, 1, Fraction(49, 100), Fraction(49, 100))
-    monkeypatch.undo()
-    assert embeds(2, 1, Fraction(49, 100), Fraction(49, 100)).witness.alpha_sup == Fraction(1, 2)
 
 
 class _Sub(Fraction):
