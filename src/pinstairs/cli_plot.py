@@ -7,14 +7,14 @@ documents byte-for-byte reproducible.
 
 Each command imports the modules it uses when it runs, so a process loads
 only those: `markov tree` loads `markov` alone, `wahl` adds the chain and
-lattice modules, and only `--json` loads `json`.
+lattice modules, and only `--json` loads `json`.  `argparse` loads only when
+`run` runs, and `run` fills in only the parser of the command that argv
+names, so importing this module for its renderers loads no `argparse`.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
-import re
 import sys
 from fractions import Fraction
 
@@ -55,7 +55,9 @@ def _rational(text: str) -> Fraction:
     try:
         return parse_rational(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+        from argparse import ArgumentTypeError
+
+        raise ArgumentTypeError(str(exc))
 
 
 def _rational_list(text: str) -> list[Fraction]:
@@ -293,8 +295,13 @@ def render_base_diagram(shape) -> str:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write `text` to `path`, then say so; a path that cannot be written (a
+    missing directory, a directory, a full disk) is a DomainError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from exc
     print(f"wrote {path}")
 
 
@@ -574,113 +581,106 @@ def cmd_regulation(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-
-class _Parser(argparse.ArgumentParser):
-    """Reads '-a/b' as a negative rational argument, not as an option.
-
-    argparse takes only '-n' and '-n.m' for negative numbers, so a value such
-    as '-1/100' would end in a usage error (exit 2) instead of the domain
-    error it deserves.  Subparsers inherit the class.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+_INT, _RATIONAL, _FLAG = {"type": int}, {"type": _rational}, {"action": "store_true"}
+_REQUIRED_INT = {"type": int, "required": True}
+_PQ = (("p", _INT), ("q", _INT))
+_SVG = ("--svg", {"metavar": "FILE"})
+_ONE_OF = "one of"  # the argument (_ONE_OF, arguments) is a mutually exclusive group
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(
-        prog="pinstairs",
-        description="Exact Markov staircases, Wahl chains, and almost toric "
-                    "diagrams.",
+def _balls(n: int) -> tuple:
+    """p1 q1 a1 ... pn qn an: a Markov pair and a width per ball."""
+    return tuple((f"{x}{k}", _RATIONAL if x == "a" else _INT)
+                 for k in range(1, n + 1) for x in "pqa")
+
+
+def _commands() -> tuple:
+    """One row per command: (name, help, arguments, handler).  A command with
+    leaves has the leaf rows, each with no help, for arguments and no
+    handler.  An argument is (name, add_argument keywords), or (_ONE_OF,
+    arguments) for a mutually exclusive group.  The table is read at each
+    build, so the handlers are those the module holds when `run` runs."""
+    return (
+        ("markov", "trees, companions, branch sequences", (
+            ("tree", None, (("--depth", _REQUIRED_INT), ("--json", _FLAG)), cmd_markov_tree),
+            ("companions", None, (("p", _INT), ("--depth", _INT)), cmd_markov_companions),
+            ("branch", None, _PQ + (("--lo", _REQUIRED_INT), ("--hi", _REQUIRED_INT)),
+             cmd_markov_branch),
+        ), None),
+        ("wahl", "chain, e/f, matrices, culet", _PQ + (("--json", _FLAG),), cmd_wahl),
+        ("stair", "embedding verdicts and staircase SVGs",
+         _PQ + (("--alpha", _RATIONAL), ("--beta", _RATIONAL), ("--json", _FLAG), _SVG,
+                ("--steps", {"type": int, "default": 5})), cmd_stair),
+        ("capacity", "pin-ball capacity", _PQ, cmd_capacity),
+        ("pack", "ball-packing feasibility", (
+            ("two", None, _balls(2), cmd_pack_two),
+            ("three", None, _balls(3), cmd_pack_three),
+        ), None),
+        ("atf", "moment triangles and Vianna diagrams", (
+            ("delta", None, _PQ + (("alpha", _RATIONAL), ("beta", _RATIONAL),
+                                   ("--pavilion", {"type": _rational_list,
+                                                   "metavar": "L1,...,Lm"}), _SVG),
+             cmd_atf_delta),
+            ("vianna", None, (("p1", _INT), ("p2", _INT), ("p3", _INT), _SVG), cmd_atf_vianna),
+        ), None),
+        ("regulation", "broken-ruling predictions",
+         _PQ + ((_ONE_OF, (("--json", _FLAG), ("--dot", _FLAG))),), cmd_regulation),
     )
-    sub = ap.add_subparsers(dest="command", required=True)
 
-    m = sub.add_parser("markov", help="trees, companions, branch sequences")
-    msub = m.add_subparsers(dest="subcommand", required=True)
-    x = msub.add_parser("tree")
-    x.add_argument("--depth", type=int, required=True)
-    x.add_argument("--json", action="store_true")
-    x.set_defaults(func=cmd_markov_tree)
-    x = msub.add_parser("companions")
-    x.add_argument("p", type=int)
-    x.add_argument("--depth", type=int, default=None)
-    x.set_defaults(func=cmd_markov_companions)
-    x = msub.add_parser("branch")
-    x.add_argument("p", type=int)
-    x.add_argument("q", type=int)
-    x.add_argument("--lo", type=int, required=True)
-    x.add_argument("--hi", type=int, required=True)
-    x.set_defaults(func=cmd_markov_branch)
 
-    x = sub.add_parser("wahl", help="chain, e/f, matrices, culet")
-    x.add_argument("p", type=int)
-    x.add_argument("q", type=int)
-    x.add_argument("--json", action="store_true")
-    x.set_defaults(func=cmd_wahl)
+def _build_parser(argv):
+    """The parser of `pinstairs`, filled in for `argv`.
 
-    x = sub.add_parser("stair", help="embedding verdicts and staircase SVGs")
-    x.add_argument("p", type=int)
-    x.add_argument("q", type=int)
-    x.add_argument("--alpha", type=_rational)
-    x.add_argument("--beta", type=_rational)
-    x.add_argument("--json", action="store_true")
-    x.add_argument("--svg", metavar="FILE")
-    x.add_argument("--steps", type=int, default=5)
-    x.set_defaults(func=cmd_stair, parser=x)  # its usage errors name `pinstairs stair`
+    Every name that argv can reach is registered, so help, usage lines and
+    invalid choices read the same whatever argv holds.  Arguments go only to
+    the command that argv[0] names, and to the leaf of it that argv[1]
+    names; where that token names no row, every row at its level is filled,
+    so the empty argv builds the whole parser.  No other command can be
+    reached: the top-level parser has no argument before the command.
+    """
+    import argparse
+    import re
 
-    x = sub.add_parser("capacity", help="pin-ball capacity")
-    x.add_argument("p", type=int)
-    x.add_argument("q", type=int)
-    x.set_defaults(func=cmd_capacity)
+    class Parser(argparse.ArgumentParser):
+        """Reads '-a/b' as a negative rational argument, not as an option.
 
-    pk = sub.add_parser("pack", help="ball-packing feasibility")
-    pksub = pk.add_subparsers(dest="subcommand", required=True)
-    x = pksub.add_parser("two")
-    for name in ("p1", "q1"):
-        x.add_argument(name, type=int)
-    x.add_argument("a1", type=_rational)
-    for name in ("p2", "q2"):
-        x.add_argument(name, type=int)
-    x.add_argument("a2", type=_rational)
-    x.set_defaults(func=cmd_pack_two)
-    x = pksub.add_parser("three")
-    for k in (1, 2, 3):
-        x.add_argument(f"p{k}", type=int)
-        x.add_argument(f"q{k}", type=int)
-        x.add_argument(f"a{k}", type=_rational)
-    x.set_defaults(func=cmd_pack_three)
+        argparse takes only '-n' and '-n.m' for negative numbers, so a value
+        such as '-1/100' would end in a usage error (exit 2) instead of the
+        domain error it deserves.  Subparsers inherit the class.
+        """
 
-    a = sub.add_parser("atf", help="moment triangles and Vianna diagrams")
-    asub = a.add_subparsers(dest="subcommand", required=True)
-    x = asub.add_parser("delta")
-    x.add_argument("p", type=int)
-    x.add_argument("q", type=int)
-    x.add_argument("alpha", type=_rational)
-    x.add_argument("beta", type=_rational)
-    x.add_argument("--pavilion", type=_rational_list, default=None,
-                   metavar="L1,...,Lm")
-    x.add_argument("--svg", metavar="FILE")
-    x.set_defaults(func=cmd_atf_delta)
-    x = asub.add_parser("vianna")
-    for name in ("p1", "p2", "p3"):
-        x.add_argument(name, type=int)
-    x.add_argument("--svg", metavar="FILE")
-    x.set_defaults(func=cmd_atf_vianna)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
-    x = sub.add_parser("regulation", help="broken-ruling predictions")
-    x.add_argument("p", type=int)
-    x.add_argument("q", type=int)
-    fmt = x.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true")
-    fmt.add_argument("--dot", action="store_true")
-    x.set_defaults(func=cmd_regulation)
+    def add(target, arguments):
+        for name, keywords in arguments:
+            if name == _ONE_OF:
+                add(target.add_mutually_exclusive_group(), keywords)
+            else:
+                target.add_argument(name, **keywords)
 
+    def fill(parser, dest, rows, tokens):
+        sub = parser.add_subparsers(dest=dest, required=True)
+        every = not any(row[0] in tokens[:1] for row in rows)
+        for name, help_, arguments, handler in rows:
+            x = sub.add_parser(name, **({"help": help_} if help_ else {}))
+            if not (every or name in tokens[:1]):
+                continue
+            if handler is None:
+                fill(x, "subcommand", arguments, () if every else tokens[1:])
+            else:
+                add(x, arguments)
+                x.set_defaults(func=handler, parser=x)  # usage errors name the command
+
+    ap = Parser(prog="pinstairs",
+                description="Exact Markov staircases, Wahl chains, and almost toric diagrams.")
+    fill(ap, "command", _commands(), argv)
     return ap
 
 
 def run(argv) -> int:
-    parser = _build_parser()
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -146,6 +146,15 @@ def test_a_markov_tree_command_loads_only_what_it_uses():
     assert loaded.isdisjoint({"dataclasses", "pinstairs.regulation", "pinstairs.atf_geometry"})
 
 
+def test_the_renderers_load_no_argparse():
+    loaded = _imported("-c", "from fractions import Fraction as F\n"
+                             "from pinstairs.cli_plot import RenderSpec, render_staircase\n"
+                             "render_staircase(2, 1, RenderSpec('staircase', "
+                             "(F(0), F(3), F(0), F(3)), steps=5))")
+    assert {"pinstairs.cli_plot", "pinstairs.staircase_oracle"} <= loaded
+    assert loaded.isdisjoint({"argparse", "gettext"})
+
+
 @pytest.mark.parametrize("argv", [
     ("stair", "5", "1", "--alpha", "3/10", "--beta", "1/5"),
     ("stair", "2", "1", "--svg", os.devnull, "--steps", "5"),

@@ -341,6 +341,68 @@ def test_a_drawing_past_the_float_range_exits_one_and_writes_no_file(capsys, tmp
                    "which end near 1.8e308\n")
 
 
+_SVG_COMMANDS = [("stair", "2", "1", "--steps", "5", "--svg"),
+                 ("atf", "delta", "5", "1", "1/2", "1/3", "--svg"),
+                 ("atf", "vianna", "5", "2", "1", "--svg")]
+
+
+@pytest.mark.parametrize("argv", _SVG_COMMANDS, ids=["stair", "atf-delta", "atf-vianna"])
+@pytest.mark.parametrize("where, reason", [("missing/out.svg", "No such file or directory"),
+                                           ("", "Is a directory")],
+                         ids=["missing-directory", "directory"])
+def test_an_unwritable_svg_path_exits_one_on_one_line(capsys, tmp_path, argv, where, reason):
+    path = os.path.join(tmp_path, where)
+    code, out, err = invoke(capsys, *argv, path)
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write {path}: {reason}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_an_svg_path_on_a_full_device_exits_one(capsys):
+    code, out, err = invoke(capsys, "atf", "vianna", "5", "2", "1", "--svg", "/dev/full")
+    assert (code, out) == (1, "")
+    assert err == "error: cannot write /dev/full: No space left on device\n"
+
+
+# every README line, each with -h, an argument too few and one too many, an
+# unknown option and `--` before it; then help and errors at each level,
+# abbreviated options, and negative rationals where a command or a value goes
+_README_LINES = [
+    "markov tree --depth 3", "markov tree --depth 3 --json",
+    "markov companions 29", "markov companions 29 --depth 4",
+    "markov branch 5 1 --lo -4 --hi 2", "wahl 29 7", "wahl 29 7 --json",
+    "stair 2 1 --alpha 49/100 --beta 49/100", "stair 5 1 --alpha 3/10 --beta 1/5",
+    "stair 2 1 --svg stair.svg --steps 5", "capacity 5 1",
+    "pack two 2 1 1/100 5 1 1/100", "pack three 5 1 1/100 2 1 1/100 1 1 1/100",
+    "atf delta 5 1 1/2 1/3 --pavilion 1/100,19/1000,17/1000,1/100 --svg delta.svg",
+    "atf vianna 5 2 1 --svg vianna.svg",
+    "regulation 29 7", "regulation 29 7 --json", "regulation 29 7 --dot",
+]
+_EQUIVALENCE_ARGV = list(dict.fromkeys([tuple(line.split()) for line in _README_LINES] + [
+    variant for line in _README_LINES for w in [tuple(line.split())]
+    for variant in (w + ("-h",), w[:-1], w + ("7",), w + ("--extra",), ("--",) + w)
+] + [tuple(line.split()) for line in [
+    "", "-h", "--help", "--he", "--", "bogus", "tree", "-1/100", "-1", "-h tree",
+    "markov", "markov -h", "markov bogus", "markov two", "markov -- tree --depth 1",
+    "markov tree --dep 2", "markov tree -- --depth 1", "pack", "pack -h", "pack four",
+    "atf", "atf -h", "atf tree", "wahl -h", "capacity", "stair", "stair 1 1",
+    "stair 2 1 --alp 1/2 --be 1/2", "stair 2 1 --alpha -1/100 --beta 1/2",
+    "stair 2 1 --alpha 0.5 --beta 1/2", "pack two 2 1 -1/100 5 1 1/100",
+    "regulation 29 7 --json --dot", "markov companions 6",
+]]))
+
+
+@pytest.mark.parametrize("argv", _EQUIVALENCE_ARGV, ids=lambda argv: " ".join(argv) or "(none)")
+def test_the_parser_argv_selects_answers_as_the_whole_parser(capsys, monkeypatch, tmp_path,
+                                                             argv):
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps at a fixed width
+    monkeypatch.chdir(tmp_path)  # where the SVGs go
+    selected = invoke(capsys, *argv)
+    whole = cli._build_parser([])
+    monkeypatch.setattr(cli, "_build_parser", lambda argv: whole)
+    assert invoke(capsys, *argv) == selected
+
+
 @pytest.mark.parametrize("argv, error", [
     (("5", "1", "--lo", "12000", "--hi", "11990"), "empty window: lo=12000 > hi=11990"),
     (("5", "3", "--lo", "0", "--hi", "12000"), "3 is not a companion of 5 (pair {1, 4})"),
@@ -572,6 +634,10 @@ def test_regulation_text_and_json(capsys):
     assert data["attach_positions"] == [3]
     code, out, _ = invoke(capsys, "regulation", "5", "1", "--dot")
     assert out.startswith("graph dual {")
+    code, out, err = invoke(capsys, "regulation", "5", "1", "--json", "--dot")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == (
+        "pinstairs regulation: error: argument --dot: not allowed with argument --json")
 
 
 def test_svg_rendering_is_deterministic(tmp_path, capsys):
@@ -753,11 +819,11 @@ FUZZ_SECONDS = 10.0  # per run; the slowest runs seen take about 0.2 s
 
 
 @settings(max_examples=300, deadline=None)
-@given(_argv)
-def test_fuzzed_argv_keeps_the_exit_code_contract(argv):
+@given(_argv, st.sampled_from(["out.svg", "missing/out.svg", ""]))  # the last two unwritable
+def test_fuzzed_argv_keeps_the_exit_code_contract(argv, svg):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        argv = [f"{tmp}/out.svg" if a == _SVG else a for a in argv]
+        argv = [os.path.join(tmp, svg) if a == _SVG else a for a in argv]
         start = time.perf_counter()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(argv)
