@@ -35,8 +35,8 @@ _EXPORTS = {
         "CuletReport", "HomologyClass", "IntersectionLattice", "MultipleCulets", "NoCulet",
         "canonical_class", "class_pairing", "class_square",
         "coefficients_from_intersections", "culet_report", "discrepancies",
-        "enumerate_adjunction_solutions", "exceptional_class", "intersection_matrix",
-        "inverse_closed_form", "is_negative_definite", "square_zero_class_search",
+        "exceptional_class", "intersection_matrix", "inverse_closed_form",
+        "is_negative_definite", "square_zero_class_search",
     ),
     "staircase_oracle": (
         "EmbeddingVerdict", "ObstructionCertificate", "StairBox", "ThreeBallReport",

@@ -4,13 +4,14 @@ The girdled triangle of (p, q) at widths (alpha, beta) has vertices (0,0),
 (0,beta), (alpha*p^2, alpha*(pq-1)); its inward toric normals are (1,0) and
 (1-pq, p^2) and the girdle normal closes the half-plane description.  Fan
 subdivision rays follow the same three-term recursion as the e-sequence, a
-pavilion is the exact clip of the triangle by ray half-planes below the
-girdle, and Vianna triangles are realized concretely by iterated cut-and-
-shear mutations from the standard simplex, with the area and vertex-
-determinant laws, which force the edge lengths, re-validated after every
-move.  A bounded cache keeps the validated triangle of each ordered Markov
-triple, so the ancestors that the triangles of one process share are
-mutated and validated once.
+pavilion truncates the triangle below the girdle by ray half-planes, their
+envelope kept in one stack pass over the rays in angular order, and Vianna
+triangles are realized concretely by iterated cut-and-shear mutations from
+the standard simplex, with the area and vertex-determinant laws, which
+force the edge lengths, re-validated after every move.  A bounded cache
+keeps the validated triangle of each ordered Markov triple, so the
+ancestors that the triangles of one process share are mutated and
+validated once.
 
 A mutation and its checks run in integers.  The three vertices are integer
 pairs over one denominator D, the lcm of the six coordinates' denominators
@@ -167,27 +168,6 @@ def fan_rays(p: int, q: int) -> list[LatticeVector]:
     return list(map(_lattice, xs, ys))
 
 
-def _clip(loop: list[RationalPoint], n: LatticeVector, c: Rational) -> list[RationalPoint]:
-    """Keep the part of the convex anticlockwise loop with n.x >= c."""
-    out: list[RationalPoint] = []
-    k = len(loop)
-    for idx in range(k):
-        a, b = loop[idx], loop[(idx + 1) % k]
-        fa = Fraction(n.x) * a.x + Fraction(n.y) * a.y - c
-        fb = Fraction(n.x) * b.x + Fraction(n.y) * b.y - c
-        if fa >= 0:
-            out.append(a)
-        if (fa > 0 > fb) or (fa < 0 < fb):
-            out.append(a + (b - a).scale(fa / (fa - fb)))
-    dedup: list[RationalPoint] = []
-    for v in out:
-        if not dedup or v != dedup[-1]:
-            dedup.append(v)
-    if len(dedup) > 1 and dedup[0] == dedup[-1]:
-        dedup.pop()
-    return dedup
-
-
 class PavilionEdge(_Record):
     __slots__ = ("label", "start", "end", "length")
     label: str  # "rho_<i>" or "girdle"
@@ -205,6 +185,9 @@ class PavilionPolygon(_Record):
 
 
 def pavilion_polygon(base: GirdledTriangle, offsets) -> PavilionPolygon:
+    """The truncation of base by the cuts rho_i.x >= l_i below its girdle, in O(m): the
+    rays are in strict angular order, so one stack pass keeps the envelope of the lines
+    rho_i.x = l_i (l_0 = l_{m+1} = 0), each pushed once, with one meet."""
     offsets = tuple(Fraction(x) for x in offsets)
     # the count is refused before the fan of the chain is built
     m = _chain_length(base.p * base.p, base.p * base.q - 1)
@@ -215,45 +198,31 @@ def pavilion_polygon(base: GirdledTriangle, offsets) -> PavilionPolygon:
     rays = fan_rays(base.p, base.q)
     if len(rays) != m + 2:
         raise AssertionError(f"the fan of ({base.p},{base.q}) does not have {m} inner rays")
-    constraints = list(zip(rays[1:-1], offsets))
     # the girdle must stay strictly inside every half-plane
-    for n, c in constraints:
+    for n, c in zip(rays[1:-1], offsets):
         for v in base.girdle():
-            if not Fraction(n.x) * v.x + Fraction(n.y) * v.y > c:
-                raise GirdleViolated(
-                    f"offset {c} along {n.as_tuple()} reaches the girdle"
-                )
-    loop = list(base.loop())
-    for n, c in constraints:
-        loop = _clip(loop, n, c)
-    # label every edge by the constraint line it lies on
-    lines = [(f"rho_0", base.normal_first, Fraction(0)),
-             (f"rho_{m + 1}", base.normal_last, Fraction(0)),
-             ("girdle", base.girdle_normal, base.girdle_offset)]
-    lines += [(f"rho_{i}", n, c) for i, (n, c) in enumerate(constraints, start=1)]
-    edges = []
-    for idx in range(len(loop)):
-        a, b = loop[idx], loop[(idx + 1) % len(loop)]
-        for label, n, c in lines:
-            if (Fraction(n.x) * a.x + Fraction(n.y) * a.y == c
-                    and Fraction(n.x) * b.x + Fraction(n.y) * b.y == c):
-                edges.append(PavilionEdge(label, a, b, affine_length(a, b)))
-                break
-        else:
-            raise AssertionError("polygon edge on no constraint line")
-    seen = [e.label for e in edges]
-    for label, _, _ in lines:
-        if seen.count(label) != 1:
-            raise NotDelzant(f"edge {label} degenerates in the truncation")
-    if any(e.length <= 0 for e in edges):
-        raise NotDelzant("zero-length edge in the truncation")
-    # the girdle keeps its original endpoints and its prescribed neighbours
-    g = seen.index("girdle")
-    if {edges[g].start, edges[g].end} != set(base.girdle()):
-        raise AssertionError("girdle endpoints moved under truncation")
-    if not (seen[g - 1] == f"rho_{m + 1}" and seen[(g + 1) % len(seen)] == "rho_0"):
-        raise AssertionError("girdle-adjacent edges have wrong normals")
-    return PavilionPolygon(base, offsets, tuple(loop), tuple(edges))
+            if not n.x * v.x + n.y * v.y > c:
+                raise GirdleViolated(f"offset {c} along {n.as_tuple()} reaches the girdle")
+    # so rho_0, rho_{m+1} and the girdle keep edges: rho_0 is never popped, rho_{m+1} comes last
+    levels, kept, meets = (Fraction(0), *offsets, Fraction(0)), [0], []
+    for j in range(1, m + 2):
+        n, c = rays[j], levels[j]
+        while meets and not n.x * meets[-1].x + n.y * meets[-1].y > c:
+            del kept[-1], meets[-1]
+        meets.append(_meet(rays[kept[-1]], levels[kept[-1]], n, c))
+        kept.append(j)
+    if len(kept) != m + 2:
+        i = next(i for i, j in enumerate(kept) if i != j)  # the least dropped
+        raise NotDelzant(f"edge rho_{i} degenerates in the truncation")
+    # each edge lies on its labelled line: meets[i] is where rho_i meets rho_{i+1}
+    # the girdle runs from apex to top, which lie strictly inside every cut
+    # its neighbours are rho_{m+1}, ending at apex, and rho_0, starting at top
+    # no edge has length 0: each meet lies strictly inside the line holding the next one
+    vertices = (meets[-1], base.apex, base.top, *meets[:-1])
+    labels = (f"rho_{m + 1}", "girdle", *(f"rho_{i}" for i in range(m + 1)))
+    return PavilionPolygon(base, offsets, vertices, tuple(
+        PavilionEdge(label, a, b, affine_length(a, b))
+        for label, a, b in zip(labels, vertices, vertices[1:] + vertices[:1])))
 
 
 class ViannaTriangle(_Record):

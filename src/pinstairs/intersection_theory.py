@@ -40,7 +40,7 @@ from __future__ import annotations
 import gc
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, prod
 from operator import add
 
 from . import _EXPORTS
@@ -313,35 +313,6 @@ def _culet(p: int, q: int) -> CuletReport:
     )
 
 
-def enumerate_adjunction_solutions(w: WahlData, chi_max: int = 1) -> list[tuple[int, tuple[int, ...]]]:
-    """Literal exhaustive search over chi in {0..chi_max}^m (small m only).
-
-    Returns all (c0, chi) with c0 in 1..p satisfying both the square-zero
-    condition and the adjunction identity.  Used as the brute oracle against
-    the pruned search; cost is (chi_max+1)^m.
-    """
-    from itertools import product
-
-    p, e, f = w.p, w.e[1:-1], w.f[1:-1]
-    lin = [p * p - e[i] - f[i] for i in range(w.m)]  # k-term scaled by p^2
-    out = []
-    for chi in product(range(chi_max + 1), repeat=w.m):
-        t = 0
-        for i in range(w.m):
-            if chi[i]:
-                for j in range(w.m):
-                    if chi[j]:
-                        t += chi[i] * chi[j] * e[min(i, j)] * f[max(i, j)]
-        c0 = isqrt(t)
-        if c0 * c0 != t or not (1 <= c0 <= p):
-            continue
-        lhs = 2 * p * p
-        rhs = 3 * p * c0 - c0 * c0 + t + sum(chi[i] * lin[i] for i in range(w.m))
-        if lhs == rhs:
-            out.append((c0, chi))
-    return out
-
-
 def square_zero_class_search(p: int, q: int) -> tuple[int, tuple[int, ...]]:
     """The unique (c0, chi) solving square-zero + adjunction, chi in {0,1}^m.
 
@@ -361,7 +332,8 @@ def square_zero_class_search(p: int, q: int) -> tuple[int, tuple[int, ...]]:
     3p | p^2 + e_i + f_i and c0^2 = e_i f_i (module docstring), the test of
     the culet scan; its one hit is the culet, with c0 = s2 s3, and chi is the
     unit vector there, of length m = culet_index + len(right_flank).
-    enumerate_adjunction_solutions is the brute oracle for the tests.
+    The tests check this against a literal enumeration of {0, 1}^m and of
+    {0, 1, 2}^m on short chains.
     """
     if p < 2:
         raise DomainError(f"search needs p >= 2: got p={p}")

@@ -107,7 +107,10 @@ class DualGraph(_Record):
         return adj
 
     def degree(self, vid: int) -> int:
-        return len(self.adjacency()[vid])
+        """The number of edges at vid, counted in O(edges)."""
+        if all(v != vid for v, _ in self.vertices):
+            raise DomainError(f"no vertex {vid}")
+        return sum(vid in e for e in self.edges)
 
     def to_json(self) -> dict:
         return {

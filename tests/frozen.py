@@ -225,7 +225,7 @@ VIANNA_DIGEST_7 = "a2707a838e6353e8955c375a077c8bcfd7f52ad0885c114bfe85c8727ecf1
 # change that adds or drops a self-check updates this table ---
 
 SELF_CHECKS = {
-    "atf_geometry": 21, "hirzebruch_jung": 2, "intersection_theory": 8, "markov": 4,
+    "atf_geometry": 18, "hirzebruch_jung": 2, "intersection_theory": 8, "markov": 4,
     "staircase_oracle": 3,
 }
 
@@ -251,7 +251,7 @@ PUBLIC_API = {
         "canonical_triple", "chain_graph", "class_pairing", "class_square",
         "coefficients_from_intersections", "companions", "compare_to_sigma",
         "culet_report", "cut_segment", "delta_triangle", "discrepancies", "dot",
-        "dual_chain", "embeds", "enumerate_adjunction_solutions", "enumerate_tree",
+        "dual_chain", "embeds", "enumerate_tree",
         "exact_core", "exceptional_class", "fan_rays", "format_rational", "girdle_data",
         "hirzebruch_jung", "hj_eval", "hj_eval_projective", "hj_expand", "intersection_matrix",
         "intersection_theory", "inverse_closed_form", "is_companion",
@@ -285,8 +285,8 @@ PUBLIC_API = {
         "CuletReport", "HomologyClass", "IntersectionLattice", "MultipleCulets",
         "NoCommonTriple", "NoCulet", "canonical_class", "class_pairing", "class_square",
         "coefficients_from_intersections", "culet_report", "discrepancies",
-        "enumerate_adjunction_solutions", "exceptional_class", "intersection_matrix",
-        "inverse_closed_form", "is_negative_definite", "square_zero_class_search",
+        "exceptional_class", "intersection_matrix", "inverse_closed_form",
+        "is_negative_definite", "square_zero_class_search",
         "two_ball_degree"
     }),
     "pinstairs.staircase_oracle": frozenset({

@@ -3,10 +3,11 @@
 Everything here is deliberately written from first principles with no imports
 from ``pinstairs``: plain continued-fraction evaluation, Zariski's multiplicity
 certificate for fibres of a ruling, a neighbour-set search for trees, textbook
-elimination for matrix inverses, direct quadratic scans for Markov triples, a
-plain breadth-first search of the Markov tree with its companion search, and
-finite box-union membership for staircase verdicts.  Tests compare package
-output against these.
+elimination for matrix inverses, a literal enumeration of the adjunction
+solutions, direct quadratic scans for Markov triples, a plain breadth-first
+search of the Markov tree with its companion search, finite box-union
+membership for staircase verdicts, and a truncated polygon by successive
+clipping.  Tests compare package output against these.
 """
 
 from __future__ import annotations
@@ -235,6 +236,41 @@ def tridiagonal_elimination_inverse(diag):
 
 
 # ---------------------------------------------------------------------------
+# the square-zero class by exhaustive search
+
+
+def enumerate_adjunction_solutions(w, chi_max=1):
+    """Literal exhaustive search over chi in {0..chi_max}^m (small m only).
+
+    Reads p and the sequences e_0..e_{m+1} and f_0..f_{m+1} of a Wahl chain
+    from w.p, w.e and w.f.  Returns all (c0, chi) with c0 in 1..p satisfying
+    both the square-zero condition and the adjunction identity.  Used as the
+    brute oracle against the pruned search; cost is (chi_max+1)^m.
+    """
+    from itertools import product
+
+    p, e, f = w.p, w.e[1:-1], w.f[1:-1]
+    m = len(e)
+    lin = [p * p - e[i] - f[i] for i in range(m)]  # k-term scaled by p^2
+    out = []
+    for chi in product(range(chi_max + 1), repeat=m):
+        t = 0
+        for i in range(m):
+            if chi[i]:
+                for j in range(m):
+                    if chi[j]:
+                        t += chi[i] * chi[j] * e[min(i, j)] * f[max(i, j)]
+        c0 = isqrt(t)
+        if c0 * c0 != t or not (1 <= c0 <= p):
+            continue
+        lhs = 2 * p * p
+        rhs = 3 * p * c0 - c0 * c0 + t + sum(chi[i] * lin[i] for i in range(m))
+        if lhs == rhs:
+            out.append((c0, chi))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Markov triples by direct search
 
 
@@ -337,3 +373,52 @@ def box_union_verdict(boxes, alpha, beta):
     caller is responsible for only using this inside the visible range.
     """
     return any(alpha < a and beta < b for a, b in boxes)
+
+
+# ---------------------------------------------------------------------------
+# a truncated polygon by successive clipping
+
+
+def clip(loop, nx, ny, c):
+    """Keep the part of the convex anticlockwise loop of (x, y) Fraction pairs
+    with nx*x + ny*y >= c: each vertex inside, and each crossing of an edge
+    that runs strictly through the line.  A crossing equal to the point before
+    it, or (wrapping around) to the first point kept, is dropped."""
+    out = []
+    k = len(loop)
+    f = [nx * x + ny * y - c for x, y in loop]
+    for idx in range(k):
+        (ax, ay), (bx, by) = loop[idx], loop[(idx + 1) % k]
+        fa, fb = f[idx], f[(idx + 1) % k]
+        if fa >= 0:
+            out.append((ax, ay))
+        if (fa > 0 > fb) or (fa < 0 < fb):
+            t = Fraction(fa) / (fa - fb)
+            out.append((ax + (bx - ax) * t, ay + (by - ay) * t))
+    dedup = []
+    for v in out:
+        if not dedup or v != dedup[-1]:
+            dedup.append(v)
+    if len(dedup) > 1 and dedup[0] == dedup[-1]:
+        dedup.pop()
+    return dedup
+
+
+def reference_pavilion(loop, lines):
+    """The convex loop clipped by each line (label, nx, ny, c), keeping
+    nx*x + ny*y >= c, in turn, with each edge labelled by the first line that
+    holds both its ends.  Returns the labelled edges [(label, start, end)] in
+    the loop's order, or the first label of `lines` that does not label
+    exactly one edge."""
+    for _, nx, ny, c in lines:
+        loop = clip(loop, nx, ny, c)
+    edges = []
+    for idx, a in enumerate(loop):
+        b = loop[(idx + 1) % len(loop)]
+        label = next((label for label, nx, ny, c in lines
+                      if nx * a[0] + ny * a[1] == c == nx * b[0] + ny * b[1]), None)
+        if label is None:
+            raise AssertionError("polygon edge on no constraint line")
+        edges.append((label, a, b))
+    seen = [label for label, _, _ in edges]
+    return next((label for label, *_ in lines if seen.count(label) != 1), edges)

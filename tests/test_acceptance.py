@@ -17,7 +17,6 @@ from pinstairs.hirzebruch_jung import is_zero_continued_fraction, wahl_data
 from pinstairs.intersection_theory import (
     culet_report,
     discrepancies,
-    enumerate_adjunction_solutions,
     intersection_matrix,
     inverse_closed_form,
     square_zero_class_search,
@@ -52,7 +51,7 @@ from .frozen import (
     TREE_ROWS,
     VIANNA_CULET_DIGEST_DEPTH_8,
 )
-from .oracles import box_union_verdict, montante_inverse
+from .oracles import box_union_verdict, enumerate_adjunction_solutions, montante_inverse
 
 F = Fraction
 

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import random
 import re
 from fractions import Fraction
 from math import gcd
@@ -27,13 +28,14 @@ from pinstairs.atf_geometry import (
     visible_ellipsoid_bounds,
 )
 from pinstairs.exact_core import DomainError, LatticeVector, affine_length, point, wedge
+from pinstairs.hirzebruch_jung import wahl_data
 from pinstairs.intersection_theory import culet_report
 from pinstairs.markov import _descend, branch_sequence, companions, enumerate_tree, mutate
 from pinstairs.regulation import predict_regulation
 from pinstairs.staircase_oracle import CompanionMismatch, stair_boxes, three_ball_feasible
 
 from .frozen import FAN_RAYS, GIRDLES, VIANNA_DIGEST_7, VISIBLE_BOUNDS
-from .oracles import fibonacci_markov_triple
+from .oracles import clip, fibonacci_markov_triple, reference_pavilion
 from .test_intersection_theory import pairs_to_depth
 from .test_staircase_oracle import calls_made
 
@@ -175,6 +177,125 @@ def test_pavilion_wrong_offset_count():
     tri = delta_triangle(2, 1, F(1, 2), F(1, 3))
     with pytest.raises(DomainError):
         pavilion_polygon(tri, [F(1, 50), F(1, 50)])
+
+
+def _pavilion_lines(base, offsets):
+    """The triangle's three lines and the cuts, as (label, nx, ny, c) with the
+    half-plane nx*x + ny*y >= c, in the order the reference labels by."""
+    rays, m = fan_rays(base.p, base.q), len(offsets)
+    g = base.girdle_normal
+    return [("rho_0", 1, 0, F(0)), (f"rho_{m + 1}", *rays[-1].as_tuple(), F(0)),
+            ("girdle", g.x, g.y, base.girdle_offset),
+            *((f"rho_{i}", *rays[i].as_tuple(), c) for i, c in enumerate(offsets, start=1))]
+
+
+def _reference_answer(base, offsets):
+    """What pavilion_polygon answers, from the reference: ("GirdleViolated", message),
+    ("NotDelzant", message), or the labelled edges as (label, start, end) pairs."""
+    lines = _pavilion_lines(base, offsets)
+    for _, nx, ny, c in lines[3:]:
+        for v in base.girdle():
+            if not nx * v.x + ny * v.y > c:
+                return "GirdleViolated", f"offset {c} along {(nx, ny)} reaches the girdle"
+    got = reference_pavilion([v.as_tuple() for v in base.loop()], lines)
+    return ("NotDelzant", f"edge {got} degenerates in the truncation") if isinstance(got, str) \
+        else got
+
+
+def _convex_offsets(w, rng):
+    """Offsets with b_i*l_i - l_{i-1} - l_{i+1} = d_i > 0 (l_0 = l_{m+1} = 0) for random
+    integers d_i: l solves the chain's tridiagonal system, l_i = (f_i sum_{j<=i} e_j d_j +
+    e_i sum_{j>i} f_j d_j)/p^2, in O(m)."""
+    d = [0] + [rng.randint(1, 20) for _ in range(w.m)] + [0]
+    below = list(itertools.accumulate(w.e[i] * d[i] for i in range(w.m + 2)))
+    above = list(itertools.accumulate(w.f[i] * d[i] for i in reversed(range(w.m + 2))))[::-1]
+    return [F(w.f[i] * below[i] + w.e[i] * (above[i] - w.f[i] * d[i]), w.p ** 2)
+            for i in range(1, w.m + 1)]
+
+
+def _pavilion_cases(count, seed):
+    """Seeded (base, offsets): every Markov pair to tree depth 4 (chains of up to 19
+    entries) and five other Wahl pairs, with discretely convex offsets scaled to near
+    the girdle's reach.  Half are perturbed: one offset scaled, or put on the line
+    through its two neighbours' meet (an edge of length exactly 0), or every offset
+    scaled on its own, so that several lines drop, in any order."""
+    rng = random.Random(seed)
+    pairs = [(1, 1), *pairs_to_depth(4), (7, 3), (11, 2), (13, 5), (6, 1), (9, 2)]
+    for _ in range(count):
+        w = wahl_data(*rng.choice(pairs))
+        base = delta_triangle(w.p, w.q, F(rng.randint(1, 9), rng.randint(1, 9)),
+                              F(rng.randint(1, 9), rng.randint(1, 9)))
+        rays, offsets = fan_rays(w.p, w.q), _convex_offsets(w, rng)
+        reach = min((min(r.x * v.x + r.y * v.y for v in base.girdle()) / c
+                     for r, c in zip(rays[1:-1], offsets)), default=F(1))
+        scale = reach * F(rng.randint(1, 110), 100)
+        offsets = [c * scale for c in offsets]
+        kind, i = rng.randrange(6), rng.randrange(max(w.m, 1))
+        ends = [0, *offsets, 0]
+        if kind == 0 and w.m:
+            offsets[i] *= F(rng.randint(1, 30), 10)
+        elif kind == 1 and w.m > 1:
+            offsets[i] = F(ends[i] + ends[i + 2], w.chain[i])
+        elif kind == 2:
+            offsets = [c * F(rng.randint(1, 30), 10) for c in offsets]
+        yield base, offsets
+
+
+def test_pavilion_agrees_with_the_reference_clip_and_keeps_the_dropped_checks():
+    answers = {"accepted": 0, "GirdleViolated": 0, "NotDelzant": 0}
+    for base, offsets in _pavilion_cases(1000, seed=31):
+        want = _reference_answer(base, offsets)
+        try:
+            pav = pavilion_polygon(base, offsets)
+        except (GirdleViolated, NotDelzant) as exc:
+            assert (type(exc).__name__, str(exc)) == want
+            answers[type(exc).__name__] += 1
+            continue
+        answers["accepted"] += 1
+        edges = [(e.label, e.start.as_tuple(), e.end.as_tuple()) for e in pav.edges]
+        assert edges == want
+        assert pav.vertices == tuple(e.start for e in pav.edges)
+        assert all(e.length == affine_length(e.start, e.end) > 0 for e in pav.edges)
+        # the three properties whose run-time checks the envelope pass made redundant
+        lines = {label: (nx, ny, c) for label, nx, ny, c in _pavilion_lines(base, offsets)}
+        for e in pav.edges:
+            nx, ny, c = lines[e.label]
+            assert nx * e.start.x + ny * e.start.y == c == nx * e.end.x + ny * e.end.y
+        g = [e.label for e in pav.edges].index("girdle")
+        assert (pav.edges[g].start, pav.edges[g].end) == base.girdle()
+        m = len(offsets)
+        assert (pav.edges[g - 1].label, pav.edges[(g + 1) % (m + 3)].label) == (f"rho_{m + 1}",
+                                                                                  "rho_0")
+    assert answers["accepted"] >= 300 and answers["NotDelzant"] >= 300, answers
+    assert answers["GirdleViolated"] >= 30, answers
+
+
+def test_pavilion_names_the_least_dropped_ray_though_it_drops_last():
+    # rho_3's line drops rho_2; rho_4's then drops rho_3 and, tested against the meet
+    # of rho_0 and rho_1, rho_1 too
+    base = delta_triangle(29, 22, F(1, 2), F(6, 7))
+    offsets = [F(x) for x in ("7/1000", "3/1000", "2/125", "7/250", "3/200", "11/1000",
+                              "1/100", "11/500", "11/500", "1/100")]
+    assert _reference_answer(base, offsets) == (
+        "NotDelzant", "edge rho_1 degenerates in the truncation")
+    with pytest.raises(NotDelzant, match=r"^edge rho_1 degenerates in the truncation$"):
+        pavilion_polygon(base, offsets)
+
+
+def test_pavilion_makes_one_meet_per_line(monkeypatch):
+    # (p, 1) has the chain (p + 2, 2, ..., 2) of m = p - 1 entries, and these offsets,
+    # i(m + 1 - i)/10^9, are discretely convex against it
+    bases = {p: delta_triangle(p, 1, F(1, 2), F(1, 3)) for p in (101, 601)}
+    offsets = {p: [F(i * (p - i), 10 ** 9) for i in range(1, p)] for p in bases}
+    meets = []
+    meet = atf._meet
+    monkeypatch.setattr(atf, "_meet", lambda *args: meets.append(args) or meet(*args))
+    m = 600
+    pav = pavilion_polygon(bases[601], offsets[601])
+    assert len(pav.edges) == m + 3 and len(meets) <= 3 * (m + 1)
+    pav = pavilion_polygon(bases[101], offsets[101])
+    assert [(e.label, e.start.as_tuple(), e.end.as_tuple()) for e in pav.edges] == \
+        _reference_answer(bases[101], offsets[101])
 
 
 def test_standard_triangle_is_the_unit_simplex():
@@ -645,5 +766,5 @@ def test_visible_bounds_name_the_widths_as_delta_triangle_does():
 ])
 def test_clip_drops_the_wrap_around_repeat(loop, clipped):
     # the crossing on the closing edge repeats the first point kept
-    out = atf._clip([point(x, y) for x, y in loop], LatticeVector(1, 0), F(1))
-    assert out == [point(x, y) for x, y in clipped]
+    out = clip([(F(x), F(y)) for x, y in loop], 1, 0, F(1))
+    assert out == [(F(x), F(y)) for x, y in clipped]

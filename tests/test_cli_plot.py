@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: exit codes, exact text, JSON, SVG determinism."""
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -603,6 +604,22 @@ def test_atf_delta_pavilion_text(capsys):
                           "--pavilion", "1/100,19/1000,17/1000,1/100")
     assert code == 0
     assert sum(1 for line in out.splitlines() if line.startswith("edge ")) == 7
+
+
+def test_atf_delta_pavilion_text_and_svg_bytes_are_pinned(capsys, tmp_path):
+    # the vertices start at the rho_5 edge's far end from the apex, and the edges
+    # run anticlockwise from there, as the clipped triangle gave them
+    argv = ("atf", "delta", "5", "1", "1/2", "1/3", "--pavilion", "1/100,19/1000,17/1000,1/100")
+    assert invoke(capsys, *argv) == (0, (
+        "vertex (1/4, 1/25)\nvertex (25/2, 2)\nvertex (0, 1/3)\nvertex (0, 1/100)\n"
+        "vertex (51/1000, 1/100)\nvertex (16/125, 21/1000)\nvertex (193/1000, 31/1000)\n"
+        "edge rho_5: length 49/100\nedge girdle: length 5/6\nedge rho_0: length 97/300\n"
+        "edge rho_1: length 51/1000\nedge rho_2: length 11/1000\nedge rho_3: length 1/200\n"
+        "edge rho_4: length 3/1000\n"), "")
+    path = tmp_path / "delta.svg"
+    assert invoke(capsys, *argv, "--svg", str(path))[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "8257e7a6e060421f2a6ce164b4d5bc393643db89ca9a1043a6df52462ca47811")
 
 
 def test_atf_vianna_text(capsys):

@@ -5,9 +5,8 @@ Each entry point draws its arguments from small, bounded strategies that mix
 valid input (Markov families, tree triples, Wahl data) with out-of-range
 values, so both the answering paths and the guards are reached.  The bounds
 keep every call cheap: chains of at most 8 entries, tree depths of at most 6,
-windows of at most 40 terms, tables only for p <= 100, and the exhaustive
-adjunction search only for chains of at most 6 entries.  Wrong types are out
-of scope: duck typing answers them with AttributeError or TypeError.
+windows of at most 40 terms, and tables only for p <= 100.  Wrong types are
+out of scope: duck typing answers them with AttributeError or TypeError.
 """
 
 from math import gcd
@@ -146,9 +145,6 @@ CALLS = {
     "coefficients_from_intersections": lambda d: (ps.coefficients_from_intersections, (
         d(wahl), d(st.lists(st.integers(-3, 3), max_size=8)))),
     "culet_report": lambda d: (ps.culet_report, d(pairs)),
-    "enumerate_adjunction_solutions": lambda d: (ps.enumerate_adjunction_solutions, (
-        d(_wahl_pairs(13).map(lambda t: ps.wahl_data(*t)).filter(lambda w: w.m <= 6)),
-        d(st.integers(-1, 1)))),
     "square_zero_class_search": lambda d: (ps.square_zero_class_search, d(pairs)),
     "stair_boxes": lambda d: (ps.stair_boxes, (*d(pairs), *d(windows))),
     "embeds": lambda d: (ps.embeds, (*d(pairs), d(rationals), d(rationals))),
@@ -173,6 +169,7 @@ CALLS = {
     "visible_ellipsoid_bounds": lambda d: (ps.visible_ellipsoid_bounds, (d(triples),
                                                                          d(vertices))),
     "DualGraph": lambda d: (ps.DualGraph, _graph_args(d)),
+    "DualGraph.degree": lambda d: (_tree(d).degree, (d(st.integers(-1, 9)),)),
     "chain_graph": lambda d: (ps.chain_graph, (d(chains),)),
     "blow_up": lambda d: (ps.blow_up, (_tree(d), d(st.one_of(
         st.integers(-1, 9), st.lists(st.integers(-1, 9), max_size=3).map(tuple))))),

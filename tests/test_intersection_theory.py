@@ -25,7 +25,6 @@ from pinstairs.intersection_theory import (
     coefficients_from_intersections,
     culet_report,
     discrepancies,
-    enumerate_adjunction_solutions,
     exceptional_class,
     intersection_matrix,
     inverse_closed_form,
@@ -37,6 +36,7 @@ from pinstairs.markov import CompanionMismatch, companions, enumerate_tree, is_m
 
 from .frozen import CULETS, DISCREPANCIES, MARKOV_NUMBERS_1000, SQUARE_ZERO, TWO_BALL_DEGREES
 from .oracles import (
+    enumerate_adjunction_solutions,
     gauss_jordan_inverse,
     montante_inverse,
     tridiagonal_elimination_inverse,

@@ -161,6 +161,15 @@ def test_blow_down_rejects_bad_sites():
         blow_down(g3, 1)  # degree 3 vertex cannot come down
 
 
+def test_degree_counts_the_edges_at_a_vertex_and_refuses_a_missing_one():
+    star = DualGraph(((1, -1), (2, -1), (3, -1), (4, -1)), ((1, 2), (1, 3), (1, 4)))
+    for g in (zero_sphere(), chain_graph([2, 1, 2]), star, blow_up(star, (1, 3))):
+        adjacency = g.adjacency()
+        assert {v: g.degree(v) for v, _ in g.vertices} == {v: len(adjacency[v]) for v in adjacency}
+    with pytest.raises(DomainError, match=r"^no vertex 9$"):
+        chain_graph([2, 3]).degree(9)
+
+
 def test_blow_down_all_reaches_zero_sphere_on_a_degeneration():
     final, log = blow_down_all(chain_graph([1, 2, 1]))
     assert final.vertices[0][1] == 0 and len(final.vertices) == 1
