@@ -7,9 +7,9 @@ documents byte-for-byte reproducible.
 
 Each command imports the modules it uses when it runs, so a process loads
 only those: `markov tree` loads `markov` alone, `wahl` adds the chain and
-lattice modules, and only `--json` loads `json`.  `argparse` loads only when
-`run` runs, and `run` fills in only the parser of the command that argv
-names, so importing this module for its renderers loads no `argparse`.
+lattice modules, and only `--json` loads `json`.  A well-formed argv is read
+straight from the command table; `argparse` (with `gettext` and `locale`)
+loads only to print help or a usage error, and never for the renderers.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .exact_core import DomainError, _continuants, _Record, format_rational, parse_rational
 
@@ -598,8 +599,9 @@ def _commands() -> tuple:
     """One row per command: (name, help, arguments, handler).  A command with
     leaves has the leaf rows, each with no help, for arguments and no
     handler.  An argument is (name, add_argument keywords), or (_ONE_OF,
-    arguments) for a mutually exclusive group.  The table is read at each
-    build, so the handlers are those the module holds when `run` runs."""
+    arguments) for a mutually exclusive group.  `_fast_parse` and
+    `_build_parser` read the table at each call, so the handlers are those
+    the module holds when `run` runs."""
     return (
         ("markov", "trees, companions, branch sequences", (
             ("tree", None, (("--depth", _REQUIRED_INT), ("--json", _FLAG)), cmd_markov_tree),
@@ -628,16 +630,90 @@ def _commands() -> tuple:
     )
 
 
-def _build_parser(argv):
-    """The parser of `pinstairs`, filled in for `argv`.
+def _plain(token: str) -> bool:
+    """Whether `token` is a value, not an option: it has no leading '-', or it
+    is an ASCII '-n' or '-n/m'.  argparse reads '-.5' and non-ASCII digits as
+    values too; those are left to it."""
+    if not token.startswith("-"):
+        return True
+    parts = token[1:].split("/")
+    return len(parts) <= 2 and all(part.isascii() and part.isdigit() for part in parts)
 
-    Every name that argv can reach is registered, so help, usage lines and
-    invalid choices read the same whatever argv holds.  Arguments go only to
-    the command that argv[0] names, and to the leaf of it that argv[1]
-    names; where that token names no row, every row at its level is filled,
-    so the empty argv builds the whole parser.  No other command can be
-    reached: the top-level parser has no argument before the command.
+
+def _fast_parse(argv):
+    """The namespace argparse builds for a well-formed argv, read from the
+    command table without argparse; None for anything else.
+
+    It takes the command, then the leaf, each by its exact name; each option
+    by its exact name, once, with its value the next token; and the
+    positionals in order.  Arguments not given take argparse's defaults:
+    None, False for a flag, and the row's own default.  Each value goes
+    through the row's `type`, as argparse would, and stays the token itself
+    when there is none.  It declines help, '--', an abbreviated or unknown
+    option, '--x=v', a repeated option, a missing value or required option,
+    a wrong number of positionals, two members of an _ONE_OF group, and any
+    value its type refuses.  argparse then reads the same argv and prints
+    the help or the usage error.
     """
+    rows, values, tokens = _commands(), {}, list(argv)
+    for dest in ("command", "subcommand"):
+        row = next((row for row in rows if tokens[:1] == [row[0]]), None)
+        if row is None:
+            return None
+        values[dest] = tokens.pop(0)
+        _, _, rows, handler = row
+        if handler is not None:
+            break
+    options, positionals, groups = {}, [], []
+    for name, keywords in rows:  # the arguments of the command argv names
+        members = keywords if name == _ONE_OF else ((name, keywords),)
+        if name == _ONE_OF:
+            groups.append({option for option, _ in keywords})
+        for option, keywords in members:
+            dest = option.lstrip("-").replace("-", "_")
+            if option.startswith("-"):
+                options[option] = dest, keywords
+            else:
+                positionals.append((dest, keywords))
+            flag = keywords.get("action") == "store_true"
+            values[dest] = keywords.get("default", False if flag else None)
+    seen, waiting, tokens = set(), iter(positionals), iter(tokens)
+    for token in tokens:
+        if token in options:
+            if token in seen:
+                return None
+            seen.add(token)
+            dest, keywords = options[token]
+            if keywords.get("action") == "store_true":
+                values[dest] = True
+                continue
+            token = next(tokens, "-")  # '-' is no value
+        else:
+            dest, keywords = next(waiting, (None, None))
+            if dest is None:
+                return None
+        if not _plain(token):
+            return None
+        convert = keywords.get("type")
+        try:
+            values[dest] = convert(token) if convert else token
+        except Exception:  # argparse makes the same call and reports it
+            return None
+    if (next(waiting, None) is not None
+            or any(keywords.get("required") and option not in seen
+                   for option, (_, keywords) in options.items())
+            or any(len(group & seen) > 1 for group in groups)):
+        return None
+
+    def error(message: str):  # the one use of args.parser: a usage error names the command
+        _build_parser().parse_args(argv).parser.error(message)
+
+    return SimpleNamespace(**values, func=handler, parser=SimpleNamespace(error=error))
+
+
+def _build_parser():
+    """The parser of `pinstairs`, which prints help and usage errors: `run`
+    reaches it only with an argv that `_fast_parse` declines."""
     import argparse
     import re
 
@@ -660,29 +736,25 @@ def _build_parser(argv):
             else:
                 target.add_argument(name, **keywords)
 
-    def fill(parser, dest, rows, tokens):
+    def fill(parser, dest, rows):
         sub = parser.add_subparsers(dest=dest, required=True)
-        every = not any(row[0] in tokens[:1] for row in rows)
         for name, help_, arguments, handler in rows:
             x = sub.add_parser(name, **({"help": help_} if help_ else {}))
-            if not (every or name in tokens[:1]):
-                continue
             if handler is None:
-                fill(x, "subcommand", arguments, () if every else tokens[1:])
+                fill(x, "subcommand", arguments)
             else:
                 add(x, arguments)
                 x.set_defaults(func=handler, parser=x)  # usage errors name the command
 
     ap = Parser(prog="pinstairs",
                 description="Exact Markov staircases, Wahl chains, and almost toric diagrams.")
-    fill(ap, "command", _commands(), argv)
+    fill(ap, "command", _commands())
     return ap
 
 
 def run(argv) -> int:
-    parser = _build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _fast_parse(argv) or _build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         code = exc.code

@@ -309,3 +309,18 @@ PUBLIC_API = {
         "RenderSpec", "main", "render_base_diagram", "render_staircase", "run"
     }),
 }
+
+
+# --- the CLI lines of the README, each optional flag on a line of its own ---
+
+README_CLI_LINES = [
+    "markov tree --depth 3", "markov tree --depth 3 --json",
+    "markov companions 29", "markov companions 29 --depth 4",
+    "markov branch 5 1 --lo -4 --hi 2", "wahl 29 7", "wahl 29 7 --json",
+    "stair 2 1 --alpha 49/100 --beta 49/100", "stair 5 1 --alpha 3/10 --beta 1/5",
+    "stair 2 1 --svg stair.svg --steps 5", "capacity 5 1",
+    "pack two 2 1 1/100 5 1 1/100", "pack three 5 1 1/100 2 1 1/100 1 1 1/100",
+    "atf delta 5 1 1/2 1/3 --pavilion 1/100,19/1000,17/1000,1/100 --svg delta.svg",
+    "atf vianna 5 2 1 --svg vianna.svg",
+    "regulation 29 7", "regulation 29 7 --json", "regulation 29 7 --dot",
+]

@@ -6,8 +6,9 @@ certificate for fibres of a ruling, a neighbour-set search for trees, textbook
 elimination for matrix inverses, a literal enumeration of the adjunction
 solutions, direct quadratic scans for Markov triples, a plain breadth-first
 search of the Markov tree with its companion search, finite box-union
-membership for staircase verdicts, and a truncated polygon by successive
-clipping.  Tests compare package output against these.
+membership for staircase verdicts, McDuff-Schlenk's Fibonacci staircase for
+p = 1, and a truncated polygon by successive clipping.  Tests compare
+package output against these.
 """
 
 from __future__ import annotations
@@ -373,6 +374,33 @@ def box_union_verdict(boxes, alpha, beta):
     caller is responsible for only using this inside the visible range.
     """
     return any(alpha < a and beta < b for a, b in boxes)
+
+
+def below_tau4(x):
+    """Whether x < tau^4 = (7 + 3*sqrt(5))/2, exactly: 2x - 7 < 3*sqrt(5)."""
+    return 2 * x - 7 < 0 or (2 * x - 7) ** 2 < 45
+
+
+def fibonacci_stairs_capacity(x):
+    """McDuff-Schlenk's capacity c(x) of the ellipsoid E(1, x) in a ball, for
+    a rational 1 <= x < tau^4 (Ann. of Math. 2012, Thm 1.1.2), exactly.
+
+    With g = 1, 1, 2, 5, 13, ... (g_{n+2} = 3 g_{n+1} - g_n, the odd-index
+    Fibonacci numbers), a_n = (g_{n+1}/g_n)^2 and b_n = g_{n+2}/g_n:
+    c(x) = x/sqrt(a_n) = x*g_n/g_{n+1} on [a_n, b_n], and
+    c(x) = sqrt(a_{n+1}) = g_{n+2}/g_{n+1} on [b_n, a_{n+1}].  The a_n rise
+    to tau^4, so a loop from n = 0 reaches every x below it.
+    """
+    x = Fraction(x)
+    if not (x >= 1 and below_tau4(x)):
+        raise ValueError(f"x = {x} outside [1, tau^4)")
+    g0, g1, g2 = 1, 1, 2
+    while True:  # here a_n = (g1/g0)^2 <= x
+        if x <= Fraction(g2, g0):
+            return x * Fraction(g0, g1)
+        if x <= Fraction(g2, g1) ** 2:
+            return Fraction(g2, g1)
+        g0, g1, g2 = g1, g2, 3 * g2 - g1
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pinstairs.atf_geometry import vianna_triangle
 from pinstairs.hirzebruch_jung import is_zero_continued_fraction, wahl_data
@@ -51,7 +53,13 @@ from .frozen import (
     TREE_ROWS,
     VIANNA_CULET_DIGEST_DEPTH_8,
 )
-from .oracles import box_union_verdict, enumerate_adjunction_solutions, montante_inverse
+from .oracles import (
+    below_tau4,
+    box_union_verdict,
+    enumerate_adjunction_solutions,
+    fibonacci_stairs_capacity,
+    montante_inverse,
+)
 
 F = Fraction
 
@@ -258,3 +266,37 @@ def test_benchmark_grid_verdicts_match_pinned_digest():
                 for a in vals for b in vals]
         h.update(json.dumps([p, q, rows], sort_keys=True, separators=(",", ":")).encode())
     assert h.hexdigest() == GRID_VERDICT_DIGEST_100
+
+
+def _inside_fibonacci_stairs(alpha, beta):
+    """McDuff-Schlenk's answer for (alpha, beta) at p = 1: the open region
+    min * c(max/min) < 1, for a ratio max/min below tau^4."""
+    lo, hi = sorted((alpha, beta))
+    return lo * fibonacci_stairs_capacity(hi / lo) < 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.fractions(min_value=F(1, 50), max_value=F(27, 10), max_denominator=10**4),
+       st.fractions(min_value=F(1, 50), max_value=F(27, 10), max_denominator=10**4))
+def test_p_1_staircase_is_mcduff_schlenk_fibonacci_stairs(alpha, beta):
+    # alpha and beta span the visible range, tau^2 = sigma_1 < 27/10
+    assume(below_tau4(max(alpha, beta) / min(alpha, beta)))
+    verdict = embeds(1, 1, alpha, beta)
+    assert (verdict.answer == "Embeds") == _inside_fibonacci_stairs(alpha, beta)
+
+
+def test_p_1_staircase_corners_lie_on_the_fibonacci_stairs():
+    boxes = stair_boxes(1, 1, -20, 20)
+    outer = [(b.alpha_sup, b.beta_sup) for b in boxes]
+    inner = [(a.alpha_sup, b.beta_sup) for a, b in zip(boxes, boxes[1:])]
+    nudge = F(1, 10**30)  # far below the gaps between the corners of boxes -20..20
+    for alpha, beta in outer + inner:
+        lo, hi = sorted((alpha, beta))
+        assert below_tau4(hi / lo)
+        assert lo * fibonacci_stairs_capacity(hi / lo) == 1  # on the boundary
+        assert embeds(1, 1, alpha, beta).answer == "DoesNotEmbed"
+        for point in ((alpha - nudge, beta - nudge), (alpha + nudge, beta + nudge)):
+            verdict = embeds(1, 1, *point)
+            assert (verdict.answer == "Embeds") == _inside_fibonacci_stairs(*point), point
+    for alpha, beta in outer:  # just inside an outer corner embeds
+        assert embeds(1, 1, alpha - nudge, beta - nudge).answer == "Embeds"

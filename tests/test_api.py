@@ -13,7 +13,7 @@ import pytest
 import pinstairs
 from pinstairs import markov, staircase_oracle
 
-from .frozen import PUBLIC_API, SELF_CHECKS
+from .frozen import PUBLIC_API, README_CLI_LINES, SELF_CHECKS
 
 SOURCES = sorted(Path(pinstairs.__file__).parent.glob("*.py"))
 
@@ -114,20 +114,20 @@ def test_no_module_imports_dataclasses():
     assert found == []
 
 
-def _fresh(*args: str) -> subprocess.CompletedProcess:
+def _fresh(*args: str, cwd=None) -> subprocess.CompletedProcess:
     """A new interpreter that finds this copy of the package first."""
     env = dict(os.environ)
     path = [str(Path(pinstairs.__file__).parent.parent), env.get("PYTHONPATH", "")]
     env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=60)
+                          timeout=60, cwd=cwd)
 
 
-def _imported(*args: str) -> set[str]:
+def _imported(*args: str, code: int = 0, cwd=None) -> set[str]:
     """The modules a fresh interpreter running `args` imports, as -X importtime
-    lists them."""
-    out = _fresh("-X", "importtime", *args)
-    assert out.returncode == 0, out.stderr
+    lists them; it must exit with `code`."""
+    out = _fresh("-X", "importtime", *args, cwd=cwd)
+    assert out.returncode == code, out.stderr
     return {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
             if line.startswith("import time:") and "|" in line}
 
@@ -152,7 +152,22 @@ def test_the_renderers_load_no_argparse():
                              "render_staircase(2, 1, RenderSpec('staircase', "
                              "(F(0), F(3), F(0), F(3)), steps=5))")
     assert {"pinstairs.cli_plot", "pinstairs.staircase_oracle"} <= loaded
-    assert loaded.isdisjoint({"argparse", "gettext"})
+    assert loaded.isdisjoint({"argparse", "gettext", "locale"})
+
+
+@pytest.mark.parametrize("line", README_CLI_LINES + ["markov companions 6"])
+def test_a_well_formed_command_loads_no_argparse(line, tmp_path):
+    code = 1 if line == "markov companions 6" else 0  # 6 is not a Markov number
+    loaded = _imported("-m", "pinstairs.cli_plot", *line.split(), code=code, cwd=tmp_path)
+    loaded -= _imported("-c", "pass")  # what the interpreter loads at start
+    assert loaded.isdisjoint({"argparse", "gettext", "locale"})
+
+
+def test_a_usage_error_still_loads_argparse_and_prints_the_command_usage():
+    argv = ("-m", "pinstairs.cli_plot", "stair", "2", "1")  # no query: cmd_stair's usage error
+    out = _fresh(*argv)
+    assert out.returncode == 2 and out.stderr.startswith("usage: pinstairs stair "), out.stderr
+    assert "argparse" in _imported(*argv, code=2)
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -23,6 +24,7 @@ from pinstairs.atf_geometry import delta_triangle, pavilion_polygon, vianna_tria
 from pinstairs.exact_core import DomainError
 from pinstairs.markov import branch_sequence, companions, enumerate_tree
 
+from .frozen import README_CLI_LINES
 from .oracles import fibonacci_markov_triple
 
 F = Fraction
@@ -367,20 +369,10 @@ def test_an_svg_path_on_a_full_device_exits_one(capsys):
 
 # every README line, each with -h, an argument too few and one too many, an
 # unknown option and `--` before it; then help and errors at each level,
-# abbreviated options, and negative rationals where a command or a value goes
-_README_LINES = [
-    "markov tree --depth 3", "markov tree --depth 3 --json",
-    "markov companions 29", "markov companions 29 --depth 4",
-    "markov branch 5 1 --lo -4 --hi 2", "wahl 29 7", "wahl 29 7 --json",
-    "stair 2 1 --alpha 49/100 --beta 49/100", "stair 5 1 --alpha 3/10 --beta 1/5",
-    "stair 2 1 --svg stair.svg --steps 5", "capacity 5 1",
-    "pack two 2 1 1/100 5 1 1/100", "pack three 5 1 1/100 2 1 1/100 1 1 1/100",
-    "atf delta 5 1 1/2 1/3 --pavilion 1/100,19/1000,17/1000,1/100 --svg delta.svg",
-    "atf vianna 5 2 1 --svg vianna.svg",
-    "regulation 29 7", "regulation 29 7 --json", "regulation 29 7 --dot",
-]
-_EQUIVALENCE_ARGV = list(dict.fromkeys([tuple(line.split()) for line in _README_LINES] + [
-    variant for line in _README_LINES for w in [tuple(line.split())]
+# abbreviated and repeated options, negative rationals where a command or a
+# value goes, and '-' tokens as an --svg path
+_EQUIVALENCE_ARGV = list(dict.fromkeys([tuple(line.split()) for line in README_CLI_LINES] + [
+    variant for line in README_CLI_LINES for w in [tuple(line.split())]
     for variant in (w + ("-h",), w[:-1], w + ("7",), w + ("--extra",), ("--",) + w)
 ] + [tuple(line.split()) for line in [
     "", "-h", "--help", "--he", "--", "bogus", "tree", "-1/100", "-1", "-h tree",
@@ -390,18 +382,127 @@ _EQUIVALENCE_ARGV = list(dict.fromkeys([tuple(line.split()) for line in _README_
     "stair 2 1 --alp 1/2 --be 1/2", "stair 2 1 --alpha -1/100 --beta 1/2",
     "stair 2 1 --alpha 0.5 --beta 1/2", "pack two 2 1 -1/100 5 1 1/100",
     "regulation 29 7 --json --dot", "markov companions 6",
+    "markov branch 5 1 --lo -4 --h 2", "markov tree --depth 3 --depth 2",
+    "stair 2 1 --svg -x", "stair 2 1 --steps 1 --svg -٣",
 ]]))
 
 
+def _both_parsers(capsys, monkeypatch, argv):
+    """(exit code, stdout, stderr) of `run(argv)`, first as it runs, then with
+    `_fast_parse` declining, so that argparse reads argv."""
+    fast = invoke(capsys, *argv)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_fast_parse", lambda argv: None)
+        return fast, invoke(capsys, *argv)
+
+
+def _without_parser(args) -> dict:
+    return {k: v for k, v in vars(args).items() if k != "parser"}
+
+
 @pytest.mark.parametrize("argv", _EQUIVALENCE_ARGV, ids=lambda argv: " ".join(argv) or "(none)")
-def test_the_parser_argv_selects_answers_as_the_whole_parser(capsys, monkeypatch, tmp_path,
-                                                             argv):
+def test_the_fast_parser_answers_as_argparse(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.setenv("COLUMNS", "80")  # help wraps at a fixed width
     monkeypatch.chdir(tmp_path)  # where the SVGs go
-    selected = invoke(capsys, *argv)
-    whole = cli._build_parser([])
-    monkeypatch.setattr(cli, "_build_parser", lambda argv: whole)
-    assert invoke(capsys, *argv) == selected
+    fast, whole = _both_parsers(capsys, monkeypatch, argv)
+    assert fast == whole
+
+
+@pytest.mark.parametrize("line", [
+    "markov tree --dep 3",  # an abbreviation
+    "markov branch 5 1 --lo -4 --h 2",  # an abbreviation argparse calls ambiguous
+    "markov tree --depth=3", "markov tree --depth 3 --depth 3", "markov tree --depth 3 -h",
+    "-- markov tree --depth 3", "markov tree -- --depth 3", "markov tree --depth",
+    "markov tree", "markov branch 5 1 --lo 0", "capacity 5", "capacity 5 1 1",
+    "regulation 29 7 --json --dot", "capacity 5 x", "capacity 5 -x", "capacity 5 -٣",
+    "capacity 5 -0.5", "capacity 5 -", "stair 2 1 --svg -x", "stair 2 1 --svg --json",
+    "stair 2 1 --alpha 1/0 --beta 1/2", "markov", "markov --help", "bogus",
+])
+def test_the_fast_parser_declines_what_it_does_not_fully_recognise(line):
+    assert cli._fast_parse(line.split()) is None
+
+
+def test_the_fast_parser_reads_every_readme_line():
+    for line in README_CLI_LINES:
+        assert cli._fast_parse(line.split()) is not None, line
+
+
+_VALUES = {int: ["0", "1", "2", "3", "5", "7", "29", "-4"],
+           cli._rational: ["1", "1/2", "1/3", "49/100", "1/100", "-1/100"],
+           cli._rational_list: ["1/100,19/1000,17/1000,1/100", "1/10", "1/100,1/50"],
+           None: ["out.svg", "1", ""]}
+_HOSTILE = ["-h", "--help", "--", "", "-1/100", "-0.5", "-.5", "-٣", "1/0", "-", "-x", "--x",
+            "--json", "--dot", "--depth", "--svg", "-1/", "markov", "tree", "0.5", "1 2"]
+
+
+def _flat(arguments):
+    """The (name, keywords) rows of a leaf, with its _ONE_OF groups opened."""
+    return [member for name, keywords in arguments
+            for member in (keywords if name == cli._ONE_OF else ((name, keywords),))]
+
+
+def _value(rng, keywords):
+    """A value for an argument with these keywords: of its type with odds 9 in
+    10, else of any type."""
+    pool = _VALUES[keywords.get("type")]
+    return rng.choice(pool if rng.random() < 0.9 else rng.choice(list(_VALUES.values())))
+
+
+def _table_argv(rng):
+    """An argv over the command table: a command, its positionals in order
+    and some of its options (the required ones always), interleaved at
+    random; then, with even odds, one to three hostile edits: an abbreviated
+    option, '--x=v', a repeated option, a token dropped, or a hostile token
+    put in or put in place of one."""
+    rows, argv = cli._commands(), []
+    while True:
+        name, _, arguments, handler = rng.choice(rows)
+        argv.append(name)
+        if handler is not None:
+            break
+        rows = arguments
+    chunks = [[_value(rng, keywords)] for name, keywords in _flat(arguments)
+              if not name.startswith("-")]
+    for name, keywords in _flat(arguments):
+        if name.startswith("-") and (keywords.get("required") or rng.random() < 0.5):
+            chunk = [name] if "action" in keywords else [name, _value(rng, keywords)]
+            chunks.insert(rng.randint(0, len(chunks)), chunk)
+    options = [name for name, _ in _flat(arguments) if name.startswith("-")] or ["--x"]
+    for _ in range(rng.choice([0, 0, 0, 1, 2, 3])):
+        edit, at = rng.randrange(6), rng.randint(0, len(chunks))
+        option = rng.choice(options)
+        if edit == 0:
+            chunks.insert(at, [option[:rng.randint(3, max(3, len(option) - 1))],
+                               _value(rng, {})])
+        elif edit == 1:
+            chunks.insert(at, [f"{option}={_value(rng, {})}"])
+        elif edit == 2 and chunks:
+            chunks.insert(at, list(rng.choice(chunks)))
+        elif edit == 3 and chunks:
+            chunks.pop(rng.randrange(len(chunks)))
+        elif edit == 4:
+            chunks.insert(at, [rng.choice(_HOSTILE)])
+        elif chunks:
+            chunk = rng.choice(chunks)
+            chunk[rng.randrange(len(chunk))] = rng.choice(_HOSTILE)
+    return argv + [token for chunk in chunks for token in chunk]
+
+
+def test_the_fast_parser_accepts_only_what_argparse_reads_the_same(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # where the SVGs go
+    rng = random.Random(32)
+    accepted = 0
+    for _ in range(600):
+        argv = _table_argv(rng)
+        fast = cli._fast_parse(argv)
+        if fast is None:
+            continue
+        accepted += 1
+        whole = cli._build_parser().parse_args(argv)  # a usage error raises SystemExit
+        assert _without_parser(fast) == _without_parser(whole), argv
+        fast_run, whole_run = _both_parsers(capsys, monkeypatch, argv)
+        assert fast_run == whole_run, argv
+    assert 200 <= accepted <= 450, accepted  # both paths well exercised
 
 
 @pytest.mark.parametrize("argv, error", [
