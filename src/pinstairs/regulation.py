@@ -21,11 +21,9 @@ T/a, which has fewer vertices, so (T/a)/b degenerates.  Contractions of
 non-adjacent vertices commute, so (T/b)/a = (T/a)/b, and T/b degenerates.
 (Geometrically: contracting a (-1)-curve in a fibre of a ruling leaves a
 fibre of a ruling.)  Conversely T/b degenerating makes T degenerate, so
-is_ruling_degeneration contracts whichever move it finds first, and rules
-out a tree of two or more vertices with no move.  Blow-downs keep a path a
-path, and a path degenerates exactly when its negated labels, read end to
-end, form a zero continued fraction (Christophersen; Stevens); a path is
-decided so at once, with no contraction.
+any order decides, and blow_down_all contracts the least-id move each time.
+A path degenerates exactly when its negated labels, read end to end, form a
+zero continued fraction (Christophersen; Stevens), as attach_position uses.
 
 For a Wahl chain of weight 7 or 10 the flanking dual Wahl subchains each
 admit exactly one vertex where an extra -1 sphere makes them degenerate,
@@ -68,7 +66,9 @@ class DualGraph(_Record):
     edges: tuple[tuple[int, int], ...]  # unordered id pairs, stored sorted
 
     def __init__(self, vertices: Iterable[tuple[int, int]], edges: Iterable[tuple[int, int]]):
-        vertices = tuple(map(tuple, vertices))
+        vertices, edges = tuple(map(tuple, vertices)), tuple(map(tuple, edges))
+        if bad := [x for x in vertices + edges if len(x) != 2]:
+            raise DomainError(f"a vertex or an edge is not a pair: {bad[0]!r}")
         root = {v: v for v, _ in vertices}
         if len(root) != len(vertices):
             raise DomainError("duplicate vertex ids")
@@ -161,13 +161,14 @@ def blow_up(g: DualGraph, site: Union[int, tuple[int, int]]) -> DualGraph:
     return DualGraph(verts + ((new, -1),), edges)
 
 
-def _down_moves(labels: dict, adj: dict) -> list[int]:
-    return [v for v, s in labels.items() if s == -1 and 1 <= len(adj[v]) <= 2]
+def _is_move(labels: dict, adj: dict, vid: int) -> bool:
+    """Whether vid is still a vertex, labelled -1, of degree 1 or 2."""
+    return labels.get(vid) == -1 and 1 <= len(adj[vid]) <= 2
 
 
-def _apply_down(labels: dict, adj: dict, vid: int) -> tuple[dict, dict]:
-    """Contract the move vid in O(its degree), editing and returning the two
-    dicts; every caller passes copies of its own."""
+def _apply_down(labels: dict, adj: dict, vid: int) -> set:
+    """Contract the move vid in O(its degree), editing the two dicts, which
+    every caller passes as copies of its own; return vid's neighbours."""
     del labels[vid]
     nbrs = adj.pop(vid)
     for u in nbrs:
@@ -177,7 +178,7 @@ def _apply_down(labels: dict, adj: dict, vid: int) -> tuple[dict, dict]:
         a, b = nbrs
         adj[a].add(b)
         adj[b].add(a)
-    return labels, adj
+    return nbrs
 
 
 def _graph_from(labels: dict, adj: dict) -> DualGraph:
@@ -191,59 +192,43 @@ def blow_down(g: DualGraph, vid: int) -> DualGraph:
     labels, adj = g.labels(), g.adjacency()
     if vid not in labels:
         raise DomainError(f"no vertex {vid}")
-    if labels[vid] != -1 or not 1 <= len(adj[vid]) <= 2:
+    if not _is_move(labels, adj, vid):
         raise DomainError(f"vertex {vid} is not contractible")
-    return _graph_from(*_apply_down(labels, adj, vid))
+    _apply_down(labels, adj, vid)
+    return _graph_from(labels, adj)
 
 
 def blow_down_all(g: DualGraph) -> tuple[DualGraph, list[int]]:
-    """Contract the smallest-id move until none is left.  By the lemma in the
-    module docstring this order decides degeneration exactly: the result is
-    the single 0-vertex iff g is a ruling degeneration."""
+    """Contract the least-id move until none is left; return the final graph,
+    which by the module lemma is the single 0-vertex iff g is a ruling
+    degeneration, and the contracted ids in order."""
+    from heapq import heappop, heappush
+
     labels, adj = g.labels(), g.adjacency()
+    # a contraction changes only its neighbours: each label rises by 1, and
+    # each loses a degree only when the contracted vertex was a leaf.  So
+    # pushing the neighbours now moves keeps every move on the heap, and the
+    # first popped id still a move is the least: a rescan's order, O(n log n)
+    heap = sorted(v for v in labels if _is_move(labels, adj, v))  # a heap
     log: list[int] = []
-    while True:
-        moves = _down_moves(labels, adj)
-        if not moves:
-            return _graph_from(labels, adj), log
-        vid = min(moves)
-        labels, adj = _apply_down(labels, adj, vid)
-        log.append(vid)
-
-
-def _path_entries(labels: dict, adj: dict) -> list[int]:
-    """Negated labels of a path, read from one end to the other."""
-    prev, v = None, next(v for v, us in adj.items() if len(us) == 1)
-    out = [-labels[v]]
-    while True:
-        for u in adj[v]:
-            if u != prev:
-                break
-        else:  # the far end: its one neighbour is the vertex before it
-            return out
-        prev, v = v, u
-        out.append(-labels[v])
+    while heap:
+        vid = heappop(heap)
+        if _is_move(labels, adj, vid):
+            log.append(vid)
+            for u in _apply_down(labels, adj, vid):
+                if _is_move(labels, adj, u):
+                    heappush(heap, u)
+    return _graph_from(labels, adj), log
 
 
 def is_ruling_degeneration(g: DualGraph) -> bool:
     """Whether some blow-down order reaches the single 0-vertex; by the lemma
-    in the module docstring, any order decides it."""
+    in the module docstring, blow_down_all's order decides it."""
     if not g.vertices:
         raise DomainError("empty graph")
     if any(s > 0 for _, s in g.vertices):
         raise DomainError("positive self-intersection in candidate graph")
-    labels, adj = g.labels(), g.adjacency()
-    while True:
-        if len(labels) == 1:
-            return next(iter(labels.values())) == 0
-        if max(labels.values()) >= 0:
-            return False
-        if max(map(len, adj.values())) <= 2:  # a path
-            return is_zero_continued_fraction(_path_entries(labels, adj))
-        moves = _down_moves(labels, adj)
-        if not moves:
-            return False
-        labels, adj = _apply_down(labels, adj, moves[0])
+    return [s for _, s in blow_down_all(g)[0].vertices] == [0]
 
 
 def _zero_sites(chain: list[int]) -> list[int]:

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written from first principles with no imports
 from ``pinstairs``: plain continued-fraction evaluation, Zariski's multiplicity
-certificate for fibres of a ruling, a neighbour-set search for trees, textbook
-elimination for matrix inverses, a literal enumeration of the adjunction
-solutions, direct quadratic scans for Markov triples, a plain breadth-first
+certificate for fibres of a ruling, a neighbour-set search for trees, the
+smallest-id blow-down scan that rescans every vertex, textbook elimination
+for matrix inverses, a literal enumeration of the adjunction solutions,
+direct quadratic scans for Markov triples, a plain breadth-first
 search of the Markov tree with its companion search, finite box-union
 membership for staircase verdicts, McDuff-Schlenk's Fibonacci staircase for
 p = 1, and a truncated polygon by successive clipping.  Tests compare
@@ -124,6 +125,32 @@ def fibre_certificate(vertices, edges):
     if sum(x * (-2 - s) for x, (_, s) in zip(m, vertices)) != -2:
         return None
     return dict(zip(ids, m))
+
+
+def smallest_id_blow_downs(vertices, edges):
+    """Contract the least-id -1 vertex of degree 1 or 2, found by a scan of
+    every vertex, until there is none.  Returns the final vertices and edges,
+    each a sorted tuple of pairs, and the contracted ids in order."""
+    labels = dict(vertices)
+    adj = {v: set() for v in labels}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    log = []
+    while moves := [v for v, s in labels.items() if s == -1 and 1 <= len(adj[v]) <= 2]:
+        v = min(moves)
+        log.append(v)
+        del labels[v]
+        nbrs = adj.pop(v)
+        for u in nbrs:
+            labels[u] += 1
+            adj[u].discard(v)
+        if len(nbrs) == 2:
+            a, b = nbrs
+            adj[a].add(b)
+            adj[b].add(a)
+    edges = {(a, b) for a in adj for b in adj[a] if a < b}
+    return tuple(sorted(labels.items())), tuple(sorted(edges)), log
 
 
 def tree_refusal(vertices, edges):

@@ -30,7 +30,7 @@ from pinstairs.regulation import (
 )
 
 from .frozen import ATTACH_POSITIONS, ZCF_FALSE, ZCF_TRUE
-from .oracles import attach_sites, fibre_certificate, tree_refusal
+from .oracles import attach_sites, fibre_certificate, smallest_id_blow_downs, tree_refusal
 
 
 def test_zero_sphere_and_chain_graph():
@@ -49,6 +49,9 @@ def test_dual_graph_rejects_cycles_and_disconnection():
         (three, ((1, 2), (2, 2)), "bad edge (2,2)"),
         (three, ((1, 2), (2, 5)), "bad edge (2,5)"),
         (three, ((1, 2), (2, 1)), "duplicate edges"),
+        (((1, -1, 2),), (), "a vertex or an edge is not a pair: (1, -1, 2)"),
+        (three, ((1, 2), (1, 2, 3)), "a vertex or an edge is not a pair: (1, 2, 3)"),
+        (three, ((1, 2), [3]), "a vertex or an edge is not a pair: (3,)"),
         (three, ((1, 2), (2, 3), (1, 3)), "graph is not a tree (wrong edge count)"),
         (three, ((1, 2),), "graph is not a tree (wrong edge count)"),
         # n - 1 edges that close a cycle leave a vertex out, wherever it lies
@@ -174,6 +177,25 @@ def test_blow_down_all_reaches_zero_sphere_on_a_degeneration():
     final, log = blow_down_all(chain_graph([1, 2, 1]))
     assert final.vertices[0][1] == 0 and len(final.vertices) == 1
     assert len(log) == 2
+
+
+def test_a_degeneration_of_twenty_thousand_vertices_is_decided_in_time():
+    # a rescan of every vertex after each contraction takes time quadratic in
+    # n: seconds on each of these trees
+    k = 10_000  # a spine of -3 curves, each with a -1 leaf, and a second at each end
+    vertices = [(v, -3) for v in range(1, k + 1)] + [(v, -1) for v in range(k + 1, 2 * k + 3)]
+    edges = ([(v, v + 1) for v in range(1, k)] + [(v, k + v) for v in range(1, k + 1)]
+             + [(1, 2 * k + 1), (k, 2 * k + 2)])
+    caterpillar = DualGraph(vertices, edges)
+    path = chain_graph([1] + [2] * 19_998 + [1])
+    for g in (caterpillar, path):
+        start = time.perf_counter()
+        final, log = blow_down_all(g)
+        assert time.perf_counter() - start < 0.5
+        assert [s for _, s in final.vertices] == [0] and len(log) == len(g.vertices) - 1
+        start = time.perf_counter()
+        assert is_ruling_degeneration(g)
+        assert time.perf_counter() - start < 0.5
 
 
 def test_up_then_down_round_trip():
@@ -316,8 +338,8 @@ def test_memoized_search_matches_plain_recursion_on_chains(entries):
 
 
 def test_ruling_check_matches_exhaustive_search_on_every_short_chain():
-    # paths are decided by the zero continued fraction criterion; this keeps
-    # a search over all blow-down orders as the independent reference
+    # a search over all blow-down orders, which assumes no lemma, is the
+    # independent reference
     for k in range(1, 8):
         for entries in itertools.product((1, 2, 3, 4), repeat=k):
             g = chain_graph(entries)
@@ -464,6 +486,8 @@ def test_fibre_certificate_on_hand_computed_configurations():
 def test_fibre_certificate_matches_ruling_check_and_exhaustive_search(g):
     certified = fibre_certificate(g.vertices, g.edges) is not None
     assert is_ruling_degeneration(g) == certified == exhaustive_is_degeneration(g)
+    final, log = blow_down_all(g)
+    assert (final.vertices, final.edges, log) == smallest_id_blow_downs(g.vertices, g.edges)
 
 
 @pytest.mark.filterwarnings("error")
@@ -562,12 +586,12 @@ def test_one_pass_attach_position_matches_per_site_reference_on_long_chains(chai
     assert_attach_matches_per_site_reference(chain)
 
 
-def test_flank_self_check_contracts_only_the_hung_vertex(monkeypatch):
+def test_flank_check_contracts_the_hung_vertex_first(monkeypatch):
     # predict_regulation contracts nothing and builds no neighbour sets: a
     # DualGraph is validated by union-find over its edges.  Checked on its own,
-    # a ruling builds its neighbour sets once and contracts only the hung -1;
-    # once it is down the flank is a path, decided in one pass with no further
-    # contraction
+    # a ruling builds its neighbour sets once and contracts the hung -1, the
+    # least id and the one move, first; the flank then comes down to the
+    # 0-vertex
     contracted, built = [], []
     apply_down = regulation._apply_down
     adjacency = DualGraph.adjacency
@@ -589,7 +613,7 @@ def test_flank_self_check_contracts_only_the_hung_vertex(monkeypatch):
         assert pred.rulings and contracted == [] and built == []
         assert all(is_ruling_degeneration(g) for g in pred.rulings)
         assert list(map(id, built)) == list(map(id, pred.rulings))
-        # a -1 hung at an end of its flank leaves a path: nothing to contract
-        flanks = [sorted(v for v, _ in g.vertices if v) for g in pred.rulings]
-        interior = sum(f[0] < at < f[-1] for f, at in zip(flanks, pred.attach_positions))
-        assert contracted == [0] * interior
+        for g in pred.rulings:
+            contracted.clear()
+            is_ruling_degeneration(g)
+            assert contracted[0] == 0 and len(contracted) == len(g.vertices) - 1
