@@ -17,10 +17,11 @@ A mutation and its checks run in integers.  The three vertices are integer
 pairs over one denominator D, the lcm of the six coordinates' denominators
 (p1*p2*p3 on every triangle of the tree to depth 9).  The shear about the
 cut vertex is integral and unimodular, so it keeps D; only the node-ray exit
-needs D*|wedge(u, v2 - v1)|.  A walk reads the Fractions of its first
-triangle once and carries that form up: each child's D and vertices follow
-from its numerators over D*w and one gcd.  Just the result's Fractions and
-cuts are built, the cuts' slots written directly, as are the fan rays'.
+needs D*|wedge(u, v2 - v1)|.  Each triangle is kept with that form, and a
+walk carries it up, reading Fractions of the standard triangle alone: each
+child's D and vertices follow from its numerators over D*w and one gcd.
+Just the result's Fractions and cuts are built, the cuts' slots written
+directly, as are the fan rays'.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ __all__ = _EXPORTS["atf_geometry"]
 
 
 _VIANNA_CACHE_SIZE = 1024  # validated Vianna triangles kept, keyed on the ordered triple
-_vianna_kept: dict = {}  # those triangles, least recently used first
+_vianna_kept: dict = {}  # those triangles with their forms over D, least recently used first
 _set_x, _set_y = LatticeVector._setters  # the slot setters _lattice calls
 
 
@@ -420,13 +421,13 @@ def vianna_triangle(p1: int, p2: int, p3: int) -> ViannaTriangle:
     kept triangle was mutated and validated once; it is frozen, so callers
     share it."""
     triple, cuts = validate_triple((p1, p2, p3)), []
-    while (t := _vianna_kept.pop(triple, None)) is None and triple != (1, 1, 1):
+    while (kept := _vianna_kept.pop(triple, None)) is None and triple != (1, 1, 1):
         k, triple = _descend(triple)
         cuts.append(k + 1)
-    t = t or standard_triangle()
-    form = _over_one_denominator(t) if cuts else None  # each mutation derives the next
+    t, form = kept or (standard_triangle(), None)
+    form = form or _over_one_denominator(t)  # each mutation derives the next
     while True:  # keep t as the most recently used, then mutate it one level up
-        _vianna_kept[t.triple] = t
+        _vianna_kept[t.triple] = t, form
         if len(_vianna_kept) > _VIANNA_CACHE_SIZE:
             del _vianna_kept[next(iter(_vianna_kept))]
         if not cuts:

@@ -632,12 +632,12 @@ def _commands() -> tuple:
 
 def _plain(token: str) -> bool:
     """Whether `token` is a value, not an option: it has no leading '-', or it
-    is an ASCII '-n' or '-n/m'.  argparse reads '-.5' and non-ASCII digits as
-    values too; those are left to it."""
-    if not token.startswith("-"):
-        return True
-    parts = token[1:].split("/")
-    return len(parts) <= 2 and all(part.isascii() and part.isdigit() for part in parts)
+    is an ASCII '-n' or '-n/m', or a comma list of such rationals, signed or
+    not, that starts with one, such as '-1/100,1/100'.  argparse reads '-.5'
+    and non-ASCII digits as values too; those are left to it."""
+    return not token.startswith("-") or all(
+        len(parts) <= 2 and all(part.isascii() and part.isdigit() for part in parts)
+        for parts in (item.removeprefix("-").split("/") for item in token.split(",")))
 
 
 def _fast_parse(argv):
@@ -721,13 +721,13 @@ def _build_parser():
         """Reads '-a/b' as a negative rational argument, not as an option.
 
         argparse takes only '-n' and '-n.m' for negative numbers, so a value
-        such as '-1/100' would end in a usage error (exit 2) instead of the
-        domain error it deserves.  Subparsers inherit the class.
+        such as '-1/100' or '-1/100,1/100' would end in a usage error (exit 2)
+        instead of the domain error it deserves.  Subparsers inherit the class.
         """
 
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+            self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?(,-?\d+(/\d+)?)*$|^-\d*\.\d+$")
 
     def add(target, arguments):
         for name, keywords in arguments:

@@ -31,8 +31,9 @@ p^2 + e_i + f_i = 3p c0; a culet, the index with (e_i, f_i) = (s2^2, s3^2)
 and (p, s2, s3) a Markov triple, solves both with c0 = s2 s3.  So one scan
 locates the culet: it tests 3p | p^2 + e_i + f_i at every index and
 c0^2 = e_i f_i only where that holds, and takes the square roots of e_i and
-f_i at its one hit.  The culet's weight b_i is 4, 7 or 10; each pair's culet
-is scanned and self-checked once while it stays in a bounded cache.
+f_i at its one hit; the cheaper test 3 | p^2 + e_i + f_i goes first.  The
+culet's weight b_i is 4, 7 or 10; each pair's culet is scanned and
+self-checked once while it stays in a bounded cache.
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ from math import gcd, prod
 from operator import add
 
 from . import _EXPORTS
-from .exact_core import (DomainError, Rational, _coprime_fraction, _new_object, _Record,
-                         isqrt_exact)
+from .exact_core import DomainError, Rational, _new_object, _Record, isqrt_exact
 from .hirzebruch_jung import WahlData, recognize_dual_wahl, wahl_data
 from .markov import (NoCommonTriple, _require_companion, companions, is_markov_triple,
                      two_ball_degree)
@@ -137,14 +137,17 @@ def is_negative_definite(matrix: list[list[int]]) -> bool:
 
 def discrepancies(w: WahlData) -> list[Rational]:
     """k_i = (e_i + f_i - p^2)/p^2, each range-checked in integers and built
-    once in lowest terms."""
+    once in lowest terms, its two slots written in place as inverse_closed_form does."""
     p2 = w.p * w.p
     out = []
     for n in map(add, w.e[1:-1], w.f[1:-1]):
         if not 0 < n < p2:  # -1 < k_i < 0, in integers
             raise AssertionError(f"discrepancy {n - p2}/{p2} outside (-1,0) for ({w.p},{w.q})")
         k = gcd(n, p2)  # = gcd(n - p^2, p^2)
-        out.append(_coprime_fraction((n - p2) // k, p2 // k))
+        r = _new_object(Fraction)
+        r._numerator = (n - p2) // k
+        r._denominator = p2 // k
+        out.append(r)
     return out
 
 
@@ -282,12 +285,12 @@ def _culet(p: int, q: int) -> CuletReport:
     is scanned and self-checked once while it stays cached; CuletReport is
     frozen, so callers share it."""
     w = wahl_data(p, q)
-    hits = []
-    for i in range(1, w.m + 1):
-        e, f = w.e[i], w.f[i]
-        c0, r = divmod(p * p + e + f, 3 * p)
-        if not r and c0 * c0 == e * f:  # i alone solves square-zero + adjunction
-            hits.append(i)
+    hits, pp, p3 = [], p * p, 3 * p
+    for i, e, f in zip(range(1, w.m + 1), w.e[1:], w.f[1:]):
+        if (n := pp + e + f) % 3 == 0:  # needed for 3p | n, and cheaper
+            c0, r = divmod(n, p3)
+            if not r and c0 * c0 == e * f:  # i alone solves square-zero + adjunction
+                hits.append(i)
     if len(hits) > 1:
         raise MultipleCulets(f"multiple culet indices for ({p},{q}): {hits}")
     s2 = s3 = None

@@ -18,7 +18,7 @@ from math import inf, isqrt
 from typing import Iterator, Optional
 
 from . import _EXPORTS
-from .exact_core import DomainError, Rational, _Record, isqrt_exact
+from .exact_core import DomainError, Rational, _coprime_fraction, _Record, isqrt_exact
 
 __all__ = _EXPORTS["markov"]
 
@@ -251,16 +251,19 @@ def _require_companion(p: int, q: int) -> None:
 
 def _corner(pi: int, pj: int, pk: int) -> Fraction:
     """The box corner p_j/(p_i*p_k) of a Markov triple: a staircase box side,
-    an obstruction corner, a visible bound, a packing bound or a Vianna edge."""
-    return Fraction(pj, pi * pk)
+    an obstruction corner, a visible bound, a packing bound or a Vianna edge,
+    in lowest terms as it stands, the entries being pairwise coprime."""
+    return _coprime_fraction(pj, pi * pk)
 
 
 def _girdle(p1: int, p2: int, p3: int) -> tuple[int, Fraction, Fraction]:
     """The girdle of the Markov triple (p1, p2, p3) seen from p1: the mutated
     entry p3' = 3*p1*p3 - p2, the girdle length p1*p3/(p2*p3') and the
-    displacement p3/p1."""
+    displacement p3/p1, in lowest terms as they stand: p2*p3' = p1^2 + p3^2,
+    the product of the two roots of x^2 - 3*p1*p3*x + p1^2 + p3^2, shares no
+    prime with p1 or p3, which are coprime."""
     p3p = 3 * p1 * p3 - p2
-    return p3p, Fraction(p1 * p3, p2 * p3p), Fraction(p3, p1)
+    return p3p, _coprime_fraction(p1 * p3, p2 * p3p), _coprime_fraction(p3, p1)
 
 
 class _Branch:

@@ -33,7 +33,10 @@ where that chain evaluates to 0 in one linear pass of continuants, without
 building a graph (see _zero_sites), and confirms each as a zero continued
 fraction.  A prediction is derived once, with no second check: the confirmed
 site makes its ruling degenerate, by the lemma above, and the culet scan
-fixes how many rulings there are and how many curves they contract.
+fixes how many rulings there are and how many curves they contract.  Each
+ruling is read from the culet report, which recognised its flank as a dual
+Wahl chain (entries >= 2, as _attach_site needs with no guard); the flank
+path with its -1 pendant is a tree by construction, so it is not validated.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from operator import neg
 from typing import Iterable, Optional, Union
 
 from . import _EXPORTS
-from .exact_core import DomainError, _continuants, _Record
+from .exact_core import DomainError, _continuants, _new_object, _Record
 from .hirzebruch_jung import is_zero_continued_fraction, recognize_dual_wahl
 from .intersection_theory import culet_report
 from .markov import _require_companion
@@ -128,6 +131,9 @@ class DualGraph(_Record):
             rows.append(f"  v{a} -- v{b};")
         rows.append("}")
         return "\n".join(rows)
+
+
+_set_vertices, _set_edges = DualGraph._setters  # the slot setters _flank_ruling calls
 
 
 def zero_sphere() -> DualGraph:
@@ -258,6 +264,11 @@ def attach_position(chain) -> int:
     chain = list(chain)
     if not chain or any(not isinstance(b, int) or b < 1 for b in chain):
         raise DomainError(f"bad chain {chain}")
+    return _attach_site(chain)
+
+
+def _attach_site(chain: list[int]) -> int:
+    """attach_position for a non-empty list of ints >= 1, as the caller proves."""
     hits = [k for k in _zero_sites(chain) if chain == [1] or chain[k - 1] > 1
             and is_zero_continued_fraction(chain[:k - 1] + [chain[k - 1] - 1] + chain[k:])]
     if not hits:
@@ -301,18 +312,19 @@ class RegulationPrediction(_Record):
         return "\n".join(blocks)
 
 
-def _flank_ruling(chain, positions) -> tuple[DualGraph, int]:
-    """Build the flank-plus-exceptional graph with global ids; the -1 vertex
-    has id 0 and hangs at the flank's unique attach position.  It degenerates:
+def _flank_ruling(flank: tuple[int, ...], positions: range) -> tuple[DualGraph, int]:
+    """A flank read from the culet report, at chain positions `positions`, plus
+    a -1 vertex, id 0, hung at its unique attach position.  It degenerates:
     vertex 0 is a move, and contracting it leaves the path of the zero
-    continued fraction attach_position confirmed (the lemma: T/b degenerating
+    continued fraction _attach_site confirmed (the lemma: T/b degenerating
     makes T degenerate)."""
-    flank = [chain[p - 1] for p in positions]
-    local = attach_position(flank)
-    attach_at = positions[local - 1]
-    verts = tuple(zip(positions, map(neg, flank))) + ((0, -1),)
-    edges = tuple(zip(positions, positions[1:])) + ((0, attach_at),)
-    return DualGraph(verts, edges), attach_at
+    attach_at = positions[_attach_site(list(flank)) - 1]
+    # no validation: a path on the distinct ids of `positions` plus id 0 joined
+    # to one of them is a tree, and its edges (k, k + 1) and (0, site) are sorted
+    g = _new_object(DualGraph)
+    _set_vertices(g, tuple(zip(positions, map(neg, flank))) + ((0, -1),))
+    _set_edges(g, tuple(zip(positions, positions[1:])) + ((0, attach_at),))
+    return g, attach_at
 
 
 def predict_regulation(p: int, q: int) -> RegulationPrediction:
@@ -320,21 +332,11 @@ def predict_regulation(p: int, q: int) -> RegulationPrediction:
         raise DomainError(f"prediction needs p >= 2: got p={p}")
     _require_companion(p, q)
     rep = culet_report(p, q)
-    chain = list(rep.left_flank) + [rep.manetti_weight] + list(rep.right_flank)
-    i = rep.culet_index
-    m = len(chain)
+    left, i, right = rep.left_flank, rep.culet_index, rep.right_flank
     # a flank is empty iff its root is 1 (_match_flank), so _culet's trichotomy
     # gives 0, 1, 2 rulings for weight 4, 7, 10; the sides partition {1..m}
     # minus the culet, so the rulings contract m - 1 curves
-    sides = []
-    if rep.left_flank:
-        sides.append(list(range(1, i)))
-    if rep.right_flank:
-        sides.append(list(range(i + 1, m + 1)))
-    rulings, attach = [], []
-    for positions in sides:
-        g, at = _flank_ruling(chain, positions)
-        rulings.append(g)
-        attach.append(at)
-    return RegulationPrediction(p, q, rep.manetti_weight, i, tuple(chain),
-                                tuple(rulings), tuple(attach))
+    made = [_flank_ruling(flank, positions) for flank, positions in
+            ((left, range(1, i)), (right, range(i + 1, i + 1 + len(right)))) if flank]
+    return RegulationPrediction(p, q, rep.manetti_weight, i, left + (rep.manetti_weight,) + right,
+                                tuple(g for g, _ in made), tuple(at for _, at in made))

@@ -45,7 +45,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import _EXPORTS
-from .exact_core import DomainError, Rational, _Record, format_rational
+from .exact_core import DomainError, Rational, _coprime_fraction, _Record, format_rational
 from .markov import (
     CompanionMismatch,
     NoCommonTriple,
@@ -279,7 +279,8 @@ def obstruction_certificate(p: int, q: int, i: int) -> ObstructionCertificate:
     br = _family(p, q)
     p1, p2, p3 = p, br[i + 1], br[i]
     p3p, length, disp = _girdle(p1, p2, p3)
-    s = Fraction(-p2 * p3p, p1 * p1)
-    if s * length + disp != 0:
+    s = _coprime_fraction(-p2 * p3p, p1 * p1)  # p2*p3' = p1^2 + p3^2 is prime to p1
+    (sn, sd), (ln, ld), (dn, dd) = (x.as_integer_ratio() for x in (s, length, disp))
+    if sn * ln * dd + dn * sd * ld:  # s*L + D = 0, its denominators cleared
         raise AssertionError(f"certificate identity fails at ({p},{q},{i})")
     return ObstructionCertificate(p, q, i, (p1, p2, p3), p3p, s, length, disp)

@@ -613,6 +613,20 @@ def test_a_walk_carries_each_triangle_over_its_one_denominator(monkeypatch):
         assert form == atf._over_one_denominator(t)
 
 
+def test_each_kept_triangle_keeps_its_own_form(monkeypatch):
+    # walks from the root, from a kept ancestor, and past evictions from a
+    # small cache: each form kept is the one _over_one_denominator reads
+    monkeypatch.setattr(atf, "_VIANNA_CACHE_SIZE", 60)
+    atf._vianna_kept.clear()
+    triples = [t for e in enumerate_tree(7) for t in itertools.permutations(e.triple)]
+    random.Random(34).shuffle(triples)
+    for triple in triples:
+        assert vianna_triangle(*triple).triple == triple
+        assert len(atf._vianna_kept) <= 60
+        for kept, (t, form) in atf._vianna_kept.items():
+            assert t.triple == kept and form == atf._over_one_denominator(t)
+
+
 def test_a_triple_600_levels_deep_is_built_and_each_ancestor_validated_once(monkeypatch):
     triple = fibonacci_markov_triple(1201)  # (1, F_1199, F_1201), 251 digits
     path = _descent(triple)
@@ -626,11 +640,12 @@ def test_a_triple_600_levels_deep_is_built_and_each_ancestor_validated_once(monk
 
 
 def test_a_walk_reads_the_fractions_of_its_first_triangle_once():
-    # the standard triangle's own check reads them too; a mutation never does
+    # the standard triangle's own check reads them too; a mutation never does,
+    # and a walk from a kept triangle starts from the form kept with it
     triple = fibonacci_markov_triple(201)  # 100 levels deep
     atf._vianna_kept.clear()
     for call, read in [(lambda: vianna_triangle(*triple), 2), (lambda: vianna_triangle(*triple), 0),
-                       (lambda: vianna_triangle(*mutate(triple, 2)), 1)]:
+                       (lambda: vianna_triangle(*mutate(triple, 2)), 0)]:
         assert calls_made(atf._over_one_denominator.__code__, call)[0] == read
 
 

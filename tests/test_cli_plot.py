@@ -384,6 +384,12 @@ _EQUIVALENCE_ARGV = list(dict.fromkeys([tuple(line.split()) for line in README_C
     "regulation 29 7 --json --dot", "markov companions 6",
     "markov branch 5 1 --lo -4 --h 2", "markov tree --depth 3 --depth 2",
     "stair 2 1 --svg -x", "stair 2 1 --steps 1 --svg -٣",
+    "atf delta 5 1 1/2 1/3 --pavilion -1/100,1/100,1/100,1/100",
+    "atf delta 5 1 1/2 1/3 --pavilion 1/100,-1/100,1/100,1/100",
+    "atf delta 5 1 1/2 1/3 --pavilion -1/100,-1/100,1/100,1/100",
+    "atf delta 5 1 1/2 1/3 --pavilion -1,1/100,1/100", "atf delta 5 1 1/2 1/3 --pavilion -1/100,",
+    "atf delta 5 1 1/2 1/3 --pavilion -1/100,x", "atf delta 5 1 1/2 1/3 --pavilion -1/100,--1",
+    "stair 2 1 --svg --1",
 ]]))
 
 
@@ -417,6 +423,8 @@ def test_the_fast_parser_answers_as_argparse(capsys, monkeypatch, tmp_path, argv
     "regulation 29 7 --json --dot", "capacity 5 x", "capacity 5 -x", "capacity 5 -٣",
     "capacity 5 -0.5", "capacity 5 -", "stair 2 1 --svg -x", "stair 2 1 --svg --json",
     "stair 2 1 --alpha 1/0 --beta 1/2", "markov", "markov --help", "bogus",
+    "atf delta 5 1 1/2 1/3 --pavilion -1/100,", "atf delta 5 1 1/2 1/3 --pavilion -1/100,--1",
+    "atf delta 5 1 1/2 1/3 --pavilion -1/100,1/٣", "stair 2 1 --svg --1",
 ])
 def test_the_fast_parser_declines_what_it_does_not_fully_recognise(line):
     assert cli._fast_parse(line.split()) is None
@@ -597,6 +605,18 @@ def test_pack_two_negative_width_is_a_domain_error(capsys):
     code, out, err = invoke(capsys, "pack", "two", "2", "1", "-1/100", "5", "1", "1/100")
     assert (code, out) == (1, "")
     assert err == "error: ball widths must be positive\n"
+
+
+@pytest.mark.parametrize("offsets", ["-1/100,1/100,1/100,1/100", "1/100,-1/100,1/100,1/100",
+                                     "-1,-1/100,1/100,1/100"])
+def test_a_pavilion_with_a_negative_offset_is_a_domain_error(capsys, offsets):
+    # wherever the negative offset stands, first included, the list is a value,
+    # which the fast reader reads too
+    argv = ["atf", "delta", "5", "1", "1/2", "1/3", "--pavilion", offsets]
+    assert cli._fast_parse(argv) is not None
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: offsets must be positive\n"
 
 
 def test_stair_negative_alpha_is_a_domain_error(capsys):

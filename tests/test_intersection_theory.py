@@ -508,10 +508,10 @@ def test_chain_length_small_iff_small_markov():
     assert short == {1, 2, 5, 13, 29, 34}
 
 
-def test_discrepancies_equal_the_normalising_constructor_to_depth_7():
+def test_discrepancies_equal_the_normalising_constructor_to_depth_9():
     # built from a coprime pair with no Fraction.__new__: compare each entry
     # with the normalising constructor, hash included
-    for p, q in pairs_to_depth(7):
+    for p, q in pairs_to_depth(9):
         w = wahl_data(p, q)
         ks = discrepancies(w)
         assert len(ks) == w.m

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, permutations
 from math import gcd
 
 import pytest
@@ -595,3 +595,21 @@ def test_the_search_meets_each_markov_number_at_the_valley_of_its_mutations():
         for q in companions(p).pair:
             _, x, y = canonical_triple(p, q)
             assert 3 * p * y - x > x and 3 * p * x - y > y
+
+
+def test_corners_and_girdles_equal_the_normalising_constructor_to_depth_9():
+    # each is built from a pair in lowest terms with no Fraction.__new__: compare
+    # it with the normalising constructor, hash included
+    def same(got, n, d):
+        want = Fraction(n, d)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator, hash(got)) == \
+            (want.numerator, want.denominator, hash(want))
+
+    for e in enumerate_tree(9):
+        for p1, p2, p3 in set(permutations(e.triple)):
+            same(markov._corner(p1, p2, p3), p2, p1 * p3)
+            p3p, length, disp = markov._girdle(p1, p2, p3)
+            assert p3p == 3 * p1 * p3 - p2
+            same(length, p1 * p3, p2 * p3p)
+            same(disp, p3, p1)

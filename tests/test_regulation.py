@@ -287,6 +287,18 @@ def test_prediction_weight_ten_two_rulings():
     assert sum(pred.contracted_counts()) == 9  # m - 1
 
 
+def test_predicted_rulings_equal_the_validated_graphs_to_depth_8():
+    # _flank_ruling writes each graph's two slots itself, with no validation:
+    # the constructor, which validates a tree, builds the same graph from them
+    numbers = sorted({x for e in enumerate_tree(8) for x in e.triple if x >= 2})
+    for p, q in [(p, q) for p in numbers for q in sorted(set(companions(p).pair))]:
+        for g in predict_regulation(p, q).rulings:
+            built = DualGraph(g.vertices, g.edges)
+            assert type(g) is DualGraph and g == built
+            assert (hash(g), repr(g)) == (hash(built), repr(built))
+            assert is_ruling_degeneration(g)
+
+
 def test_predicted_rulings_all_degenerate():
     # predict_regulation derives these three properties and checks none of
     # them (see _flank_ruling and predict_regulation); here they are checked
@@ -587,8 +599,8 @@ def test_one_pass_attach_position_matches_per_site_reference_on_long_chains(chai
 
 
 def test_flank_check_contracts_the_hung_vertex_first(monkeypatch):
-    # predict_regulation contracts nothing and builds no neighbour sets: a
-    # DualGraph is validated by union-find over its edges.  Checked on its own,
+    # predict_regulation contracts nothing and builds no neighbour sets: it
+    # writes each ruling's slots itself, with no validation.  Checked on its own,
     # a ruling builds its neighbour sets once and contracts the hung -1, the
     # least id and the one move, first; the flank then comes down to the
     # 0-vertex

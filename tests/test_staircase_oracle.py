@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinstairs import markov
-from pinstairs.exact_core import DomainError
+from pinstairs import markov, staircase_oracle
+from pinstairs.exact_core import DomainError, _coprime_fraction
 from pinstairs.markov import (_girdle, branch_sequence, companions, compare_to_sigma,
                                enumerate_tree, is_markov_triple, sigma_p)
 from pinstairs.staircase_oracle import (
@@ -75,6 +75,19 @@ def test_branch_identities_to_depth_9():
             assert nxt * prev - cur * cur == p * p, (p, q)
             assert _girdle(p, nxt, cur)[0] == prev, (p, q)
         assert is_markov_triple(p, m[0], m[1])
+
+
+def test_a_wrong_girdle_displacement_fails_the_certificate_identity(monkeypatch):
+    # the identity s*L + D = 0, checked in integers, reads the fractions _girdle returns
+    def shifted(p1, p2, p3):
+        p3p, length, disp = _girdle(p1, p2, p3)
+        return p3p, length, disp + 1
+
+    assert obstruction_certificate(29, 7, 2).index == 2
+    monkeypatch.setattr(staircase_oracle, "_girdle", shifted)
+    for i in (-3, 0, 2):
+        with pytest.raises(AssertionError, match=rf"^certificate identity fails at \(29,7,{i}\)$"):
+            obstruction_certificate(29, 7, i)
 
 
 def test_a_valley_pair_that_is_not_markov_fails_the_seed_check(monkeypatch):
@@ -186,13 +199,14 @@ def test_embeds_on_exact_box_edges(p, q):
 
 
 def calls_made(target, call):
-    """Calls of the function with code object `target` made while `call()`
-    runs, and its result."""
-    count = 0
+    """Calls of the function with code object `target`, or of the functions
+    with code objects in the tuple `target`, made while `call()` runs, and its
+    result."""
+    count, targets = 0, target if isinstance(target, tuple) else (target,)
 
     def profile(frame, event, arg):
         nonlocal count
-        count += event == "call" and frame.f_code is target
+        count += event == "call" and any(frame.f_code is t for t in targets)
 
     sys.setprofile(profile)
     try:
@@ -203,8 +217,9 @@ def calls_made(target, call):
 
 
 def fraction_builds(call):
-    """Calls of Fraction.__new__ made while `call()` runs, and its result."""
-    return calls_made(Fraction.__new__.__code__, call)
+    """Fractions built while `call()` runs, by Fraction.__new__ or from a pair
+    in lowest terms by exact_core._coprime_fraction, and its result."""
+    return calls_made((Fraction.__new__.__code__, _coprime_fraction.__code__), call)
 
 
 @pytest.mark.parametrize("p,q,alpha,beta,answer", [
