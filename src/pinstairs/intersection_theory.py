@@ -32,7 +32,9 @@ and (p, s2, s3) a Markov triple, solves both with c0 = s2 s3.  So one scan
 locates the culet: it tests 3p | p^2 + e_i + f_i at every index and
 c0^2 = e_i f_i only where that holds, and takes the square roots of e_i and
 f_i at its one hit; the cheaper test 3 | p^2 + e_i + f_i goes first.  The
-culet's weight b_i is 4, 7 or 10; each pair's culet is scanned and
+culet's weight b_i is 4, 7 or 10, and its flanks are checked to be the dual
+Wahl chains of (s2, 3 s3 p^{-1} mod s2) and (s3, 3 p s2^{-1} mod s3), q read
+from the triple with no tree search.  Each pair's culet is scanned and
 self-checked once while it stays in a bounded cache.
 """
 
@@ -47,7 +49,7 @@ from operator import add
 from . import _EXPORTS
 from .exact_core import DomainError, Rational, _new_object, _Record, isqrt_exact
 from .hirzebruch_jung import WahlData, recognize_dual_wahl, wahl_data
-from .markov import (NoCommonTriple, _require_companion, companions, is_markov_triple,
+from .markov import (NoCommonTriple, _q_from_triple, _require_companion, is_markov_triple,
                      two_ball_degree)
 
 # markov's NoCommonTriple and two_ball_degree are also exported here, on their
@@ -242,8 +244,8 @@ class CuletReport(_Record):
     manetti_weight: int
     left_flank: tuple[int, ...]
     right_flank: tuple[int, ...]
-    left_q: int  # Wahl parameter whose dual chain is the left flank
-    right_q: int
+    left_q: int  # 3*p3*p^{-1} mod p2, read from the triple; the left flank is its dual Wahl chain
+    right_q: int  # 3*p*p2^{-1} mod p3, likewise for the right flank
 
     @property
     def triple(self) -> tuple[int, int, int]:
@@ -258,13 +260,12 @@ class CuletReport(_Record):
         }
 
 
-def _match_flank(flank: tuple[int, ...], s: int) -> int:
-    """Return the companion q of s whose dual Wahl chain, the chain of
-    s^2/(s^2-sq+1), equals the flank."""
-    hit = recognize_dual_wahl(list(flank))
-    if hit is None or hit[0] != s or hit[1] not in companions(s):
+def _match_flank(flank: tuple[int, ...], s: int, q: int) -> int:
+    """Return q once the flank is the dual Wahl chain of (s, q), the chain of
+    s^2/(s^2-sq+1); q comes from the culet triple's arithmetic, not the chain."""
+    if recognize_dual_wahl(list(flank)) != (s, q):
         raise AssertionError(f"flank {flank} is not a dual Wahl chain of {s}")
-    return hit[1]
+    return q
 
 
 def culet_report(p: int, q: int) -> CuletReport:
@@ -277,8 +278,8 @@ def culet_report(p: int, q: int) -> CuletReport:
     return _culet(p, q)
 
 
-# typed: a q such as 7.0 passes the companion test but must not find the
-# report of (29, 7); it reaches wahl_data, which refuses it
+# typed: a q such as 7.0 passes the companion test but must not find the report of
+# (29, 7); wahl_data's gcd raises TypeError, a wrong type, out of tests/test_contract.py's scope
 @lru_cache(maxsize=CULET_CACHE_SIZE, typed=True)
 def _culet(p: int, q: int) -> CuletReport:
     """culet_report for a Markov number p >= 2 and a companion q.  Each pair
@@ -312,7 +313,8 @@ def _culet(p: int, q: int) -> CuletReport:
         raise AssertionError(f"weight-7 trichotomy violated for ({p},{q})")
     return CuletReport(
         p, q, i, s2, s3, weight, left, right,
-        _match_flank(left, s2), _match_flank(right, s3),
+        _match_flank(left, s2, _q_from_triple(s2, s3, p)),
+        _match_flank(right, s3, _q_from_triple(s3, p, s2)),
     )
 
 
@@ -343,6 +345,6 @@ def square_zero_class_search(p: int, q: int) -> tuple[int, tuple[int, ...]]:
     _require_companion(p, q)
     # no support of two or more indices solves it, by the argument above: its
     # e_i, f_i >= 1 hold by construction, so the culet scan's hit is the answer
-    culet = culet_report(p, q)
+    culet = _culet(p, q)  # culet_report past its two guards, just run
     i = culet.culet_index
     return culet.p2 * culet.p3, (0,) * (i - 1) + (1,) + (0,) * len(culet.right_flank)

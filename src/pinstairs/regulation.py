@@ -47,7 +47,7 @@ from typing import Iterable, Optional, Union
 from . import _EXPORTS
 from .exact_core import DomainError, _continuants, _new_object, _Record
 from .hirzebruch_jung import is_zero_continued_fraction, recognize_dual_wahl
-from .intersection_theory import culet_report
+from .intersection_theory import _culet
 from .markov import _require_companion
 
 __all__ = _EXPORTS["regulation"]
@@ -331,7 +331,7 @@ def predict_regulation(p: int, q: int) -> RegulationPrediction:
     if p < 2:
         raise DomainError(f"prediction needs p >= 2: got p={p}")
     _require_companion(p, q)
-    rep = culet_report(p, q)
+    rep = _culet(p, q)  # culet_report past its two guards, just run
     left, i, right = rep.left_flank, rep.culet_index, rep.right_flank
     # a flank is empty iff its root is 1 (_match_flank), so _culet's trichotomy
     # gives 0, 1, 2 rulings for weight 4, 7, 10; the sides partition {1..m}

@@ -79,6 +79,23 @@ def test_delta_triangle_validation():
         delta_triangle(5, 6, F(1), F(1))  # q out of range
 
 
+def test_delta_triangle_corners_and_lengths_hold_by_construction():
+    # what delta_triangle argues and no longer checks: the toric normals span
+    # p^2, the toric lines meet at the origin, the left toric line meets the
+    # girdle line at top, and the toric edges have affine lengths (beta, alpha)
+    sizes = [(F(1, 2), F(1, 3)), (F(1), F(1)), (F(5), F(2, 7)), (F(3, 11), F(13, 4))]
+    for p in range(1, 60):
+        for q in (q for q in range(1, p + 1) if gcd(p, q) == 1):
+            for alpha, beta in sizes:
+                t = delta_triangle(p, q, alpha, beta)
+                first, last, zero = t.normal_first, t.normal_last, F(0)
+                assert wedge(first, last) == p * p
+                assert atf._meet(first, zero, last, zero) == t.origin == point(0, 0)
+                assert atf._meet(first, zero, t.girdle_normal, t.girdle_offset) == t.top
+                assert affine_length(t.origin, t.top) == beta
+                assert affine_length(t.origin, t.apex) == alpha
+
+
 @pytest.mark.parametrize("pq,rays", sorted(FAN_RAYS.items()))
 def test_fan_rays_match_frozen(pq, rays):
     assert [r.as_tuple() for r in fan_rays(*pq)] == rays
@@ -688,6 +705,20 @@ def test_girdle_data_matches_frozen(key, expected):
     assert g_vec.as_tuple() == vec
     assert g_len == length
     assert g_disp == disp
+
+
+def test_girdle_vector_is_integral_and_displacement_closed_by_construction():
+    # what girdle_data argues and no longer checks, for every ordered triple to
+    # depth 7 with p1 >= 2 and its q: p1 divides p3'*q1 - 3*p3, and the
+    # triangle's beta = p3/(p1*p3') makes p3'*beta = p3/p1, the displacement
+    triples = {t for e in enumerate_tree(7) for t in itertools.permutations(e.triple)}
+    for p1, p2, p3 in sorted(t for t in triples if t[0] >= 2):
+        q1 = 3 * p2 * pow(p3, -1, p1) % p1
+        vec, _, disp = girdle_data((p1, p2, p3), q1)
+        p3p = 3 * p1 * p3 - p2
+        assert vec.x == p3p and (p3p * q1 - 3 * p3) % p1 == 0
+        assert vec.y * p1 == p3p * q1 - 3 * p3
+        assert p3p * F(p3, p1 * p3p) == disp == F(p3, p1)
 
 
 def test_girdle_data_rejects_wrong_companion():

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinstairs import hirzebruch_jung, intersection_theory
+from pinstairs import hirzebruch_jung, intersection_theory, markov, staircase_oracle
 from pinstairs.exact_core import DomainError, _coprime_fraction
-from pinstairs.hirzebruch_jung import WAHL_CACHE_SIZE, WahlData, wahl_data
+from pinstairs.hirzebruch_jung import WAHL_CACHE_SIZE, WahlData, recognize_dual_wahl, wahl_data
 from pinstairs.intersection_theory import (
     CULET_CACHE_SIZE,
     HomologyClass,
@@ -37,6 +37,7 @@ from pinstairs.markov import CompanionMismatch, companions, enumerate_tree, is_m
 from .frozen import CULETS, DISCREPANCIES, MARKOV_NUMBERS_1000, SQUARE_ZERO, TWO_BALL_DEGREES
 from .oracles import (
     enumerate_adjunction_solutions,
+    fibonacci_markov_pair,
     gauss_jordan_inverse,
     montante_inverse,
     tridiagonal_elimination_inverse,
@@ -630,9 +631,9 @@ def test_one_chain_and_one_culet_scan_per_pair_across_a_unit_of_work(monkeypatch
             expansions.append((n, a))
         return expand(n, a)
 
-    def counted_match(flank, s):
+    def counted_match(flank, s, q):
         scans.append(1)
-        return match(flank, s)
+        return match(flank, s, q)
 
     def counted_root(n):
         roots.append(n)
@@ -687,11 +688,79 @@ def test_refused_inputs_leave_no_cache_entry_and_caches_stay_bounded():
 
 def test_a_flank_matches_only_a_dual_wahl_chain_of_its_own_number_and_companion():
     match = intersection_theory._match_flank
-    assert match((), 1) == 1
-    assert match((2, 2, 2), 2) == 1
-    assert match((2, 2, 2, 2, 2, 5), 5) == 1
-    assert match((5, 2, 2, 2, 2, 2), 5) == 4
-    # the dual of (2, 1) under s = 5, of the non-companion (5, 2), and no dual chain
-    for flank, s in [((2, 2, 2), 5), ((2, 3, 2, 2, 3), 5), ((2,), 1), ((3, 2), 2)]:
+    assert match((), 1, 1) == 1
+    assert match((2, 2, 2), 2, 1) == 1
+    assert match((2, 2, 2, 2, 2, 5), 5, 1) == 1
+    assert match((5, 2, 2, 2, 2, 2), 5, 4) == 4
+    # the dual of (2, 1) under s = 5; the dual of the non-companion (5, 2)
+    # under either companion of 5; a dual chain of 5 under the other
+    # companion; and no dual chain
+    for flank, s, q in [((2, 2, 2), 5, 1), ((2, 3, 2, 2, 3), 5, 1), ((2, 3, 2, 2, 3), 5, 4),
+                        ((2, 2, 2, 2, 2, 5), 5, 4), ((5, 2, 2, 2, 2, 2), 5, 1),
+                        ((2,), 1, 1), ((3, 2), 2, 1)]:
         with pytest.raises(AssertionError, match="is not a dual Wahl chain"):
-            match(flank, s)
+            match(flank, s, q)
+
+
+def _flanks_are_certified(rep):
+    # the property the flank check held when it searched the tree: each flank
+    # is the dual Wahl chain of its root and a companion of that root
+    assert rep.left_q in companions(rep.p2) and rep.right_q in companions(rep.p3)
+    assert recognize_dual_wahl(list(rep.left_flank)) == (rep.p2, rep.left_q)
+    assert recognize_dual_wahl(list(rep.right_flank)) == (rep.p3, rep.right_q)
+
+
+def test_each_flank_is_a_dual_wahl_chain_of_a_companion_to_depth_9():
+    for p, q in pairs_to_depth(9):
+        _flanks_are_certified(culet_report(p, q))
+
+
+def test_the_flanks_of_a_418_digit_pair_are_dual_wahl_chains_of_companions():
+    p, pair = fibonacci_markov_pair(2001)
+    for q in sorted(pair):
+        _flanks_are_certified(culet_report(p, q))
+
+
+def test_a_cold_culet_report_runs_no_tree_search_but_its_own(monkeypatch):
+    starts, levels = [], markov._tree_levels
+    markov._search.cache_clear()
+    companions(433)  # its own search, kept; the culet triples are (433, 29, 5) and (433, 5, 29)
+    intersection_theory._culet.cache_clear()
+    monkeypatch.setattr(markov, "_tree_levels", lambda *args: starts.append(args) or levels(*args))
+    for q in sorted(companions(433).pair):
+        culet_report(433, q)
+    assert starts == []
+
+
+def test_a_pair_asks_its_companion_guard_once_per_guarded_call(monkeypatch):
+    from pinstairs.atf_geometry import fan_rays, vianna_triangle
+    from pinstairs.regulation import predict_regulation
+    from pinstairs.staircase_oracle import obstruction_certificate, pin_ball_capacity
+
+    asked, canonical = [], markov.canonical_triple
+
+    def counted(*args):
+        asked.append(args[:2])
+        return canonical(*args)
+
+    monkeypatch.setattr(markov, "canonical_triple", counted)
+    monkeypatch.setattr(staircase_oracle, "canonical_triple", counted)
+    markov._family.cache_clear()
+    intersection_theory._culet.cache_clear()
+    p, q = 194, 31
+    companions(p)
+    w = wahl_data(p, q)
+    intersection_matrix(w)
+    inverse_closed_form(w)
+    discrepancies(w)
+    culet = culet_report(p, q)
+    square_zero_class_search(p, q)
+    predict_regulation(p, q)
+    fan_rays(p, q)
+    vianna_triangle(*culet.triple)
+    pin_ball_capacity(p, q)
+    obstruction_certificate(p, q, 2)
+    # culet_report, square_zero_class_search, predict_regulation, the branch of
+    # obstruction_certificate and pin_ball_capacity: the two that read the culet
+    # scan read it past their own guard, not through culet_report's
+    assert asked == [(p, q)] * 5
