@@ -9,13 +9,13 @@ prefix and one suffix sum, O(m) in all.
 inverse_closed_form still builds the whole table, each entry already in
 lowest terms.  f obeys the recursion of e, and f_0 = p^2 = 0 = (pq - 1) e_0,
 f_1 = pq - 1 = (pq - 1) e_1 (mod p^2), so f_i = (pq - 1) e_i (mod p^2) for
-every i.  As pq - 1 is prime to p, gcd(f_i, p^2) = gcd(e_i, p^2) =: g_i.
-Prime by prime, gcd(ab, n) = gcd(gcd(a, n) gcd(b, n), n), so e_i f_j / p^2
-reduces by gcd(g_i g_j, p^2), which is 1 unless g_i > 1 or g_j > 1.  The
-table checks gcd(f_i, p^2) = g_i on every input, in O(m).  Each entry is one
-allocation: a bare Fraction whose numerator and denominator slots are
-written in place with the coprime pair, with no gcd of its own where
-g_i = g_j = 1, no normalising constructor and no call.  The table is filled
+every i.  As pq - 1 is prime to p, gcd(f_i, p^2) = gcd(e_i, p^2) =: g_i,
+which the table checks on every input, in O(m).  Column j's factors
+f_j/g_j and p^2/g_j are coprime, so e_i f_j / p^2 reduces by
+gcd(g_i, p^2/g_j), which is 1 wherever g_i = 1: the fill loop tests only
+its row's g_i.  Each entry is one allocation: a bare Fraction whose
+numerator and denominator slots are written in place with the coprime
+pair, with no normalising constructor and no call.  The table is filled
 with the cyclic garbage collector paused, and its state on entry restored:
 the m(m+1)/2 entries are tracked objects that would trigger collections,
 yet the table holds no cycle, so no collection could free any of it.
@@ -81,15 +81,23 @@ def intersection_matrix(w: WahlData) -> list[list[int]]:
 def inverse_closed_form(w: WahlData) -> list[list[Rational]]:
     """The table of -e_i f_j / p^2 (i <= j), each entry built once in lowest
     terms, in place, and shared with its mirror; every row is a list of its
-    own.  The cyclic garbage collector is paused while the table is filled:
-    the pause is process-wide, lasts only for the O(m^2) build, and the
-    collector's state on entry is restored on every exit."""
+    own.  Entry (i, j) is -e_i times column j's factors f_j/g_j over p^2/g_j,
+    divided by a gcd only in a row whose g_i = gcd(e_i, p^2) is not 1.  The
+    cyclic garbage collector is paused while the table is filled: the pause
+    is process-wide, lasts only for the O(m^2) build, and the collector's
+    state on entry is restored on every exit."""
     m = w.m
     p2 = w.p * w.p
     e, f = w.e[1:-1], w.f[1:-1]
     g = [gcd(x, p2) for x in e]
     if [gcd(x, p2) for x in f] != g:
         raise AssertionError(f"gcd(f_i, p^2) != gcd(e_i, p^2) for ({w.p},{w.q})")
+    # column j's factors fr_j = f_j/g_j and dr_j = p^2/g_j are coprime (at each
+    # prime, g_j takes all of f_j's power or all of p^2's), so -e_i f_j / p^2 =
+    # -e_i fr_j / dr_j reduces by gcd(e_i, dr_j) = gcd(g_i, dr_j) =: h, as
+    # dr_j | p^2; h = 1 where g_i = 1
+    fr = [x // y for x, y in zip(f, g)]
+    dr = [p2 // y for y in g]
     inv: list[list[Rational]] = [[0] * m for _ in range(m)]
     # the table is acyclic (entries refer only to ints, rows only to entries,
     # the outer list only to rows), so a collection could free nothing in it,
@@ -104,13 +112,13 @@ def inverse_closed_form(w: WahlData) -> list[list[Rational]]:
                 # _coprime_fraction inlined, with its contract: the two slots
                 # of one bare Fraction, written with a coprime pair and d > 0
                 r = _new_object(Fraction)
-                if gi == 1 == g[j]:  # p^2 shares no factor with e_i or e_j
-                    r._numerator = nei * f[j]
-                    r._denominator = p2
+                if gi == 1:  # h = 1: the column's factors as they stand
+                    r._numerator = nei * fr[j]
+                    r._denominator = dr[j]
                 else:
-                    k = gcd(gi * g[j], p2)
-                    r._numerator = nei * f[j] // k
-                    r._denominator = p2 // k
+                    h = gcd(gi, dr[j])
+                    r._numerator = nei * fr[j] // h
+                    r._denominator = dr[j] // h
                 row[j] = inv[j][i] = r
     finally:
         if was_enabled:

@@ -44,6 +44,7 @@ from .oracles import (
     reference_search,
     reference_tree_levels,
 )
+from .test_staircase_oracle import calls_made
 
 
 def tree_rows_by_depth(depth):
@@ -290,14 +291,14 @@ def test_one_tree_search_per_number_across_a_unit_of_work(monkeypatch):
     from pinstairs.atf_geometry import fan_rays, vianna_triangle
     from pinstairs.hirzebruch_jung import wahl_data
     from pinstairs.intersection_theory import (
-        culet_report, discrepancies, intersection_matrix, inverse_closed_form,
+        _culet, culet_report, discrepancies, intersection_matrix, inverse_closed_form,
         square_zero_class_search,
     )
     from pinstairs.regulation import predict_regulation
     from pinstairs.staircase_oracle import embeds, obstruction_certificate, pin_ball_capacity
 
-    starts, searched, calls, q_reads = [], set(), [0], [0]
-    levels, search, q_from_triple = markov._tree_levels, markov._search, markov._q_from_triple
+    starts, searched, calls = [], set(), [0]
+    levels, search = markov._tree_levels, markov._search
 
     def counted_levels(*args):
         starts.append(1)
@@ -309,32 +310,35 @@ def test_one_tree_search_per_number_across_a_unit_of_work(monkeypatch):
             searched.add(p)
         return search(p, max_depth)
 
-    def counted_q(*args):
-        q_reads[0] += 1
-        return q_from_triple(*args)
+    pairs = ((29, 7), (433, 104))
+
+    def unit():
+        for p, q in pairs:
+            companions(p)
+            w = wahl_data(p, q)
+            intersection_matrix(w)
+            inverse_closed_form(w)
+            discrepancies(w)
+            culet = culet_report(p, q)
+            square_zero_class_search(p, q)
+            predict_regulation(p, q)
+            fan_rays(p, q)
+            vianna_triangle(*culet.triple)
+            pin_ball_capacity(p, q)
+            obstruction_certificate(p, q, 2)
+            embeds(p, q, Fraction(1, 3), Fraction(1, 5))
 
     markov._search.cache_clear()
     markov._family.cache_clear()
+    _culet.cache_clear()
     monkeypatch.setattr(markov, "_tree_levels", counted_levels)
     monkeypatch.setattr(markov, "_search", recorded_search)
-    monkeypatch.setattr(markov, "_q_from_triple", counted_q)
-    for p, q in ((29, 7), (433, 104)):
-        companions(p)
-        w = wahl_data(p, q)
-        intersection_matrix(w)
-        inverse_closed_form(w)
-        discrepancies(w)
-        culet = culet_report(p, q)
-        square_zero_class_search(p, q)
-        predict_regulation(p, q)
-        fan_rays(p, q)
-        vianna_triangle(*culet.triple)
-        pin_ball_capacity(p, q)
-        obstruction_certificate(p, q, 2)
-        embeds(p, q, Fraction(1, 3), Fraction(1, 5))
+    # counted by code object, so the modules that import the name are seen too
+    q_reads, _ = calls_made(markov._q_from_triple.__code__, unit)
     assert len(starts) == len(searched)
-    # one companion derivation and one mutation-invariance check per number
-    assert q_reads[0] == 2 * len(searched)
+    # one companion derivation and one mutation-invariance check per number,
+    # and one q per flank of each pair's culet scan, read from its triple
+    assert q_reads == 2 * len(searched) + 2 * len(pairs)
     assert calls[0] > 2 * len(searched)
 
 
