@@ -8,20 +8,20 @@ subdivision rays follow the same three-term recursion as the e-sequence, a
 pavilion truncates the triangle below the girdle by ray half-planes, their
 envelope kept in one stack pass over the rays in angular order, and Vianna
 triangles are realized concretely by iterated cut-and-shear mutations from
-the standard simplex, with the area and vertex-determinant laws, which
-force the edge lengths, re-validated after every move.  A bounded cache
-keeps the validated triangle of each ordered Markov triple, so the
-ancestors that the triangles of one process share are mutated and
-validated once.
+the standard simplex.  After every move the area and vertex-determinant laws,
+which force the edge lengths, are re-validated, and at each vertex p the cut u
+must be the node ray p*u = a + b of the sides a and b, with p | u - q*b: the
+Wahl cone 1/p^2(1, pq - 1) of the triple's own q, which fixes the shear's sign.
+A bounded cache keeps the validated triangle of each ordered Markov triple, so
+the ancestors that one process's triangles share are mutated and checked once.
 
-A mutation and its checks run in integers.  The three vertices are integer
-pairs over one denominator D, the lcm of the six coordinates' denominators
-(p1*p2*p3 on every triangle of the tree to depth 9).  The shear about the
-cut vertex is integral and unimodular, so it keeps D; only the node-ray exit
-needs D*|wedge(u, v2 - v1)|.  Each triangle is kept with that form, and a
-walk carries it up, reading Fractions of the standard triangle alone: each
-child's D and vertices follow from its numerators over D*w and one gcd.
-Just the result's Fractions and cuts are built, the cuts' slots written
+A mutation and its checks run in integers, on the vertices as integer pairs
+over one denominator D, the lcm of their denominators (p1*p2*p3 to depth 9).
+The shear about the cut vertex is integral and unimodular, so it keeps D; only
+the node-ray exit needs D*|wedge(u, v2 - v1)|.  Each triangle is kept with that
+form, and a walk carries it up, reading Fractions of the standard triangle
+alone: each child's D and vertices follow from its numerators over D*w and one
+gcd.  Just the result's Fractions and cuts are built, the cuts' slots written
 directly, as are the fan rays'.
 """
 
@@ -317,19 +317,22 @@ def _check_vianna(t: ViannaTriangle, d: int, pts: list[tuple[int, int]]) -> Vian
     # the area, so with the determinants below g_0*g_2*p_0^2 = g_0*g_1*p_1^2 =
     # g_1*g_2*p_2^2 = D^2: each length g_k/D is p_{k+2}/(p_k*p_{k+1}), and a
     # wrong one fails some vertex's determinant check
-    for k in range(3):
-        pk = t.triple[k]
+    p = t.triple
+    for k, pk in enumerate(p):
         # the sides leaving vertex k: (ax, ay) along edge k, -(bx, by) back along edge k+2
         (ax, ay, _), (bx, by, _) = edges[k], edges[(k + 2) % 3]
-        w = ay * bx - ax * by
-        if abs(w) != pk * pk:
+        if abs(ay * bx - ax * by) != pk * pk:
             raise AssertionError(f"vertex {k} determinant is not {pk}^2")
         ux, uy = t.cuts[k].as_tuple()
-        if gcd(ux, uy) != 1:
-            raise AssertionError(f"cut at vertex {k} not primitive")
-        s = 1 if w > 0 else -1
-        if not (s * (ax * uy - ay * ux) > 0 and s * (uy * bx - ux * by) > 0):
-            raise AssertionError(f"cut at vertex {k} does not point inward")
+        if (pk * ux, pk * uy) != (ax - bx, ay - by):
+            raise AssertionError(f"cut at vertex {k} is not the node ray")
+        qk = _q_from_triple(pk, p[(k + 1) % 3], p[(k + 2) % 3])
+        if (ux + qk * bx) % pk or (uy + qk * by) % pk:
+            raise AssertionError(f"vertex {k} cone is not of type ({pk}, {qk})")
+        # so, with a = (ax, ay) and b = -(bx, by), the cut is inward and primitive:
+        # u = (a + b)/pk is a positive combination of the two sides.  M = [(u - qk*b)/pk
+        # | b] is integral, det M = wedge(a, b)/pk^2 = +-1 by the determinant check, and
+        # M sends (pk, qk) to u, with gcd(pk, qk) = 1, so u is primitive
     return t
 
 
@@ -384,15 +387,13 @@ def _mutate(t: ViannaTriangle, form: tuple, vertex: int) -> tuple[ViannaTriangle
     u = t.cuts[k]
     w, (ex, ey) = _ray_exit(pts, u, k)
     (xk, yk), (x1, y1), (x2, y2) = pts[k], pts[j1], pts[j2]
-    # the shear x -> x + eps*wedge(u, x - vk)*u is integral: v1 stays over D
+    # the shear x -> x + eps*wedge(u, x - vk)*u is integral: v1 stays over D.  For
+    # sides a, b toward v1, v2, the node ray p*u = a + b (_check_vianna; any other cut
+    # leaves a child it refuses) gives c = wedge(u, v1 - vk) = len*wedge(b, a)/p, with
+    # wedge(b, a) = +-p^2: eps = -sign(c) takes a to -b, so v1 lands beyond vk from v2
     c = u.x * (y1 - yk) - u.y * (x1 - xk)
-    for eps in (1, -1):
-        sx, sy = x1 - xk + eps * c * u.x, y1 - yk + eps * c * u.y
-        # the old vertex must flatten: collinear with vk strictly between
-        if sx * (y2 - yk) == sy * (x2 - xk) and sx * (x2 - xk) + sy * (y2 - yk) < 0:
-            break
-    else:
-        raise AssertionError("no unimodular shear straightens the cut vertex")
+    eps = -1 if c > 0 else 1
+    sx, sy = x1 - xk + eps * c * u.x, y1 - yk + eps * c * u.y
     points, cuts = list(t.points), list(t.cuts)
     points[k] = RationalPoint(_fraction(ex, d * w), _fraction(ey, d * w))
     points[j1] = RationalPoint(_fraction(xk + sx, d), _fraction(yk + sy, d))

@@ -32,10 +32,11 @@ and (p, s2, s3) a Markov triple, solves both with c0 = s2 s3.  So one scan
 locates the culet: it tests 3p | p^2 + e_i + f_i at every index and
 c0^2 = e_i f_i only where that holds, and takes the square roots of e_i and
 f_i at its one hit; the cheaper test 3 | p^2 + e_i + f_i goes first.  The
-culet's weight b_i is 4, 7 or 10, and its flanks are checked to be the dual
-Wahl chains of (s2, 3 s3 p^{-1} mod s2) and (s3, 3 p s2^{-1} mod s3), q read
-from the triple with no tree search.  Each pair's culet is scanned and
-self-checked once while it stays in a bounded cache.
+culet's weight b_i is checked to be 4 at (2, 1), 7 where the triple holds a
+1 and 10 otherwise, and its flanks to be the dual Wahl chains of
+(s2, 3 s3 p^{-1} mod s2) and (s3, 3 p s2^{-1} mod s3), q read from the triple
+with no tree search.  Each pair's culet is scanned and self-checked once while
+it stays in a bounded cache.
 """
 
 from __future__ import annotations
@@ -313,12 +314,9 @@ def _culet(p: int, q: int) -> CuletReport:
     weight = w.chain[i - 1]
     left = w.chain[: i - 1]
     right = w.chain[i:]
-    if weight not in (4, 7, 10):
-        raise AssertionError(f"weight {weight} outside {{4,7,10}} for ({p},{q})")
-    if (weight == 4) != ((p, q) == (2, 1)):
-        raise AssertionError(f"weight-4 trichotomy violated for ({p},{q})")
-    if (weight == 7) != ((1 in (s2, s3)) and weight != 4):
-        raise AssertionError(f"weight-7 trichotomy violated for ({p},{q})")
+    expected = 4 if (p, q) == (2, 1) else 7 if 1 in (s2, s3) else 10
+    if weight != expected:
+        raise AssertionError(f"culet weight {weight} is not {expected} for ({p},{q})")
     return CuletReport(
         p, q, i, s2, s3, weight, left, right,
         _match_flank(left, s2, _q_from_triple(s2, s3, p)),

@@ -273,7 +273,8 @@ class ObstructionCertificate(_Record):
 
 
 def obstruction_certificate(p: int, q: int, i: int) -> ObstructionCertificate:
-    """Exact identity s*L + D = 0 at the inner corner i of the staircase."""
+    """s*L + D = 0 at inner corner i.  _girdle's closed forms give s*L = -p3/p1 = -D for
+    any nonzero entries: this cross-checks two modules' formulas, not that the corner obstructs."""
     # (p, m_{i+1}, m_i) is Markov, as the branch's valley pair is, and the
     # girdle's p3' = 3p*m_i - m_{i+1} is the term m_{i-1} of the recurrence
     br = _family(p, q)

@@ -27,7 +27,8 @@ from pinstairs.atf_geometry import (
     vianna_triangle,
     visible_ellipsoid_bounds,
 )
-from pinstairs.exact_core import DomainError, LatticeVector, affine_length, point, wedge
+from pinstairs.exact_core import (DomainError, LatticeVector, _primitive_direction, affine_length,
+                                   point, wedge)
 from pinstairs.hirzebruch_jung import wahl_data
 from pinstairs.intersection_theory import culet_report
 from pinstairs.markov import _descend, branch_sequence, companions, enumerate_tree, mutate
@@ -385,20 +386,20 @@ def test_vianna_triangle_signature_is_order_insensitive():
     assert s1[0] == (1, 4, 25)
 
 
-def test_vianna_self_checks_fire_on_corrupted_triangles():
+def test_vianna_self_checks_fire_on_corrupted_triangles(monkeypatch, cold_caches):
     t = vianna_triangle(5, 2, 1)
     assert _validate_vianna(t) is t
     u0, u1, u2 = t.cuts
     corrupted = [
         (ViannaTriangle(t.triple, t.points, (u0 * 2, u1, u2), t.history),
-         "cut at vertex 0 not primitive"),
+         "cut at vertex 0 is not the node ray"),
         (ViannaTriangle(t.triple, t.points, (-u0, u1, u2), t.history),
-         "cut at vertex 0 does not point inward"),
+         "cut at vertex 0 is not the node ray"),
         # outside the corner on one side only, each side in turn
         (ViannaTriangle(t.triple, t.points, (LatticeVector(1, 0), u1, u2), t.history),
-         "cut at vertex 0 does not point inward"),
+         "cut at vertex 0 is not the node ray"),
         (ViannaTriangle(t.triple, t.points, (LatticeVector(-1, 0), u1, u2), t.history),
-         "cut at vertex 0 does not point inward"),
+         "cut at vertex 0 is not the node ray"),
         (ViannaTriangle((2, 5, 1), t.points, t.cuts, t.history),
          "vertex 0 determinant is not 2^2"),
         (ViannaTriangle(t.triple, tuple(v.scale(2) for v in t.points), t.cuts, t.history),
@@ -413,6 +414,83 @@ def test_vianna_self_checks_fire_on_corrupted_triangles():
     for bad, message in corrupted:
         with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
             _validate_vianna(bad)
+    # the node ray holds, and a wrong q for the triple fails the cone type: at
+    # vertex 0 of (5, 2, 1), q = 3*2*1^{-1} mod 5 = 1, and 5 divides u - q*b
+    q_from_triple = atf._q_from_triple
+    monkeypatch.setattr(atf, "_q_from_triple", lambda p, u, v: q_from_triple(p, u, v) % p + 1)
+    with pytest.raises(AssertionError, match=r"^vertex 0 cone is not of type \(5, 2\)$"):
+        _validate_vianna(t)
+
+
+def test_every_cut_but_the_node_ray_fails_a_mutation():
+    # the shear sign is read from the cut, with no search: a cut that is not
+    # the node ray misses the opposite edge or leaves a child that fails a check
+    t = vianna_triangle(5, 2, 1)
+    for k in range(3):
+        for x, y in itertools.product(range(-4, 5), repeat=2):
+            if (x, y) == t.cuts[k].as_tuple():
+                continue
+            cuts = list(t.cuts)
+            cuts[k] = LatticeVector(x, y)
+            with pytest.raises(AssertionError):
+                mutate_triangle(ViannaTriangle(t.triple, t.points, tuple(cuts), t.history), k + 1)
+
+
+def _sides(t, k):
+    """The primitive integer vectors along the sides of t leaving vertex k,
+    toward vertex k + 1 and toward vertex k + 2, read from its points."""
+    v = t.points
+    return (_primitive_direction(v[k], v[(k + 1) % 3])[0],
+            _primitive_direction(v[k], v[(k + 2) % 3])[0])
+
+
+def _cone_type(t, k):
+    """(p, q) of the cone of t at vertex k, read from the geometry: with b the
+    side toward vertex k + 2 and u the cut, q in [1, p] solves u = q*b mod p,
+    found from l*b.x + m*b.y = +-1."""
+    p, (_, b), u = t.triple[k], _sides(t, k), t.cuts[k]
+    r0, r1, l0, l1, m0, m1 = b.x, b.y, 1, 0, 0, 1
+    while r1:
+        f = r0 // r1
+        r0, r1, l0, l1, m0, m1 = r1, r0 - f * r1, l1, l0 - f * l1, m1, m0 - f * m1
+    assert abs(r0) == 1
+    q = r0 * (l0 * u.x + m0 * u.y) % p or p
+    assert (u.x - q * b.x) % p == 0 == (u.y - q * b.y) % p
+    return p, q
+
+
+def test_each_vertex_is_the_wahl_cone_of_its_own_q_to_depth_9():
+    # at all 4 602 vertices of every ordering to depth 9, from the points and
+    # cuts alone: the node ray p*u = a + b for the sides a and b toward the next
+    # and the previous vertex, p | u - q*b for q = 3*next*prev^{-1} mod p, and
+    # the shear of _mutate with eps = -sign(c), c = wedge(u, v1 - vk), takes
+    # v1 onto the line through vk and v2, beyond vk
+    vertices = 0
+    for triple in {r for e in enumerate_tree(9) for r in itertools.permutations(e.triple)}:
+        t = vianna_triangle(*triple)
+        for k in range(3):
+            p, nxt, prev = triple[k], triple[(k + 1) % 3], triple[(k + 2) % 3]
+            (a, b), u = _sides(t, k), t.cuts[k]
+            assert (p * u.x, p * u.y) == (a.x + b.x, a.y + b.y)
+            q = 3 * nxt * pow(prev, -1, p) % p
+            assert (u.x - q * b.x) % p == 0 == (u.y - q * b.y) % p
+            vk, v1, v2 = t.points[k], t.points[(k + 1) % 3], t.points[(k + 2) % 3]
+            d1, d2 = v1 - vk, v2 - vk
+            c = u.x * d1.y - u.y * d1.x
+            eps = -1 if c > 0 else 1
+            sx, sy = d1.x + eps * c * u.x, d1.y + eps * c * u.y
+            assert c != 0 and sx * d2.y == sy * d2.x and sx * d2.x + sy * d2.y < 0
+            vertices += 1
+    assert vertices == 4602
+
+
+def test_the_cone_types_at_the_culet_flanks_are_the_culet_reports_to_depth_9():
+    # vertices 1 and 2 of (p, s2, s3) are the Wahl cones whose dual chains
+    # flank the culet of (p, q)
+    for p, q in pairs_to_depth(9):
+        r = culet_report(p, q)
+        t = vianna_triangle(p, r.p2, r.p3)
+        assert [_cone_type(t, 1), _cone_type(t, 2)] == [(r.p2, r.left_q), (r.p3, r.right_q)]
 
 
 def test_a_zero_edge_has_length_0_and_no_direction():

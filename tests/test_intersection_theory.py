@@ -580,7 +580,7 @@ def _culet_of(broken, monkeypatch):
             intersection_theory._culet.cache_clear()
 
 
-def test_culet_uniqueness_and_trichotomy_checks_run(monkeypatch):
+def test_culet_uniqueness_and_trichotomy_checks_run(monkeypatch, cold_caches):
     w, i = wahl_data(29, 7), culet_report(29, 7).culet_index
     e, f = list(w.e), list(w.f)
     e[1], f[1] = e[i], f[i]  # a second index that solves square-zero + adjunction
@@ -594,8 +594,9 @@ def test_culet_uniqueness_and_trichotomy_checks_run(monkeypatch):
         patch.setattr(intersection_theory, "is_markov_triple", lambda *t: False)
         with pytest.raises(AssertionError, match="no culet index"):
             _culet_of(w, monkeypatch)
-    for weight, message in ((4, "weight-4 trichotomy"), (7, "weight-7 trichotomy"),
-                            (5, "weight 5 outside")):
+    for weight, message in ((4, "culet weight 4 is not 10 for"),
+                            (7, "culet weight 7 is not 10 for"),
+                            (5, "culet weight 5 is not 10 for")):
         chain = list(w.chain)
         chain[i - 1] = weight  # 10 at (29, 7)
         with pytest.raises(AssertionError, match=message):

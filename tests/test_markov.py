@@ -44,7 +44,7 @@ from .oracles import (
     reference_search,
     reference_tree_levels,
 )
-from .test_staircase_oracle import calls_made
+from .test_staircase_oracle import calls_of_each
 
 
 def tree_rows_by_depth(depth):
@@ -287,11 +287,11 @@ def test_a_depth_limit_bounds_the_search_of_a_huge_number(monkeypatch):
     assert len(starts) == 4 and sum(starts) < 3**4
 
 
-def test_one_tree_search_per_number_across_a_unit_of_work(monkeypatch):
-    from pinstairs.atf_geometry import fan_rays, vianna_triangle
+def test_one_tree_search_per_number_across_a_unit_of_work(monkeypatch, cold_caches):
+    from pinstairs.atf_geometry import _check_vianna, fan_rays, vianna_triangle
     from pinstairs.hirzebruch_jung import wahl_data
     from pinstairs.intersection_theory import (
-        _culet, culet_report, discrepancies, intersection_matrix, inverse_closed_form,
+        culet_report, discrepancies, intersection_matrix, inverse_closed_form,
         square_zero_class_search,
     )
     from pinstairs.regulation import predict_regulation
@@ -328,17 +328,17 @@ def test_one_tree_search_per_number_across_a_unit_of_work(monkeypatch):
             obstruction_certificate(p, q, 2)
             embeds(p, q, Fraction(1, 3), Fraction(1, 5))
 
-    markov._search.cache_clear()
-    markov._family.cache_clear()
-    _culet.cache_clear()
     monkeypatch.setattr(markov, "_tree_levels", counted_levels)
     monkeypatch.setattr(markov, "_search", recorded_search)
-    # counted by code object, so the modules that import the name are seen too
-    q_reads, _ = calls_made(markov._q_from_triple.__code__, unit)
+    # counted by code object, so the modules that import the names are seen too
+    (q_reads, checks), _ = calls_of_each(
+        (markov._q_from_triple.__code__, _check_vianna.__code__), unit)
     assert len(starts) == len(searched)
     # one companion derivation and one mutation-invariance check per number,
-    # and one q per flank of each pair's culet scan, read from its triple
-    assert q_reads == 2 * len(searched) + 2 * len(pairs)
+    # one q per flank of each pair's culet scan, read from its triple, and one
+    # per vertex of each Vianna triangle checked, mutated from (1, 1, 1) cold
+    assert checks > 0
+    assert q_reads == 2 * len(searched) + 2 * len(pairs) + 3 * checks
     assert calls[0] > 2 * len(searched)
 
 

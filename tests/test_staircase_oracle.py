@@ -202,18 +202,26 @@ def calls_made(target, call):
     """Calls of the function with code object `target`, or of the functions
     with code objects in the tuple `target`, made while `call()` runs, and its
     result."""
-    count, targets = 0, target if isinstance(target, tuple) else (target,)
+    counts, result = calls_of_each(target if isinstance(target, tuple) else (target,), call)
+    return sum(counts), result
+
+
+def calls_of_each(targets, call):
+    """[calls of the function with code object t, for each t in the tuple
+    `targets`] made while `call()` runs, and its result."""
+    counts = [0] * len(targets)
 
     def profile(frame, event, arg):
-        nonlocal count
-        count += event == "call" and any(frame.f_code is t for t in targets)
+        if event == "call":
+            for i, t in enumerate(targets):
+                counts[i] += frame.f_code is t
 
     sys.setprofile(profile)
     try:
         result = call()
     finally:
         sys.setprofile(None)
-    return count, result
+    return counts, result
 
 
 def fraction_builds(call):
