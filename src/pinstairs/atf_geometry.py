@@ -8,12 +8,13 @@ subdivision rays follow the same three-term recursion as the e-sequence, a
 pavilion truncates the triangle below the girdle by ray half-planes, their
 envelope kept in one stack pass over the rays in angular order, and Vianna
 triangles are realized concretely by iterated cut-and-shear mutations from
-the standard simplex.  After every move the area and vertex-determinant laws,
-which force the edge lengths, are re-validated, and at each vertex p the cut u
-must be the node ray p*u = a + b of the sides a and b, with p | u - q*b: the
-Wahl cone 1/p^2(1, pq - 1) of the triple's own q, which fixes the shear's sign.
-A bounded cache keeps the validated triangle of each ordered Markov triple, so
-the ancestors that one process's triangles share are mutated and checked once.
+the standard simplex.  Each triangle is checked where it enters, as input to
+mutate_triangle or cut_segment or as a mutation's child: the area and vertex
+determinants, which force the edge lengths, and at each vertex p the node ray
+p*u = a + b of the sides a and b, with p | u - q*b: the Wahl cone 1/p^2(1, pq - 1)
+of the triple's own q.  What follows, the ray's exit and the shear's sign, is not
+rechecked.  A bounded cache keeps each ordered Markov triple's validated
+triangle, so the ancestors one process's triangles share are checked once.
 
 A mutation and its checks run in integers, on the vertices as integer pairs
 over one denominator D, the lcm of their denominators (p1*p2*p3 to depth 9).
@@ -154,13 +155,12 @@ def fan_rays(p: int, q: int) -> list[LatticeVector]:
 
     rho_{k+1} = b_k rho_k - rho_{k-1} from (1, 0), (0, 1) runs the recurrence
     in each coordinate: the x are the continuants seeded 1, 0 and the y those
-    seeded 0, 1, which are e.  The terminal ray is checked on those ints, and
-    each ray is built once, by _lattice: the continuants of an int chain are
-    ints."""
+    seeded 0, 1, which are e.  The terminal ray is (1 - pq, p^2) unchecked:
+    x = (f - (pq - 1)e)/p^2 has the seeds 1, 0 and the recurrence, so _wahl's
+    checked ends e = p^2, f = 0 give x = 1 - pq.  Each ray is built once, by
+    _lattice: the continuants of an int chain are ints."""
     w = wahl_data(p, q)
     xs, ys = _continuants(w.chain, 1, 0), w.e
-    if p >= 2 and (xs[-1], ys[-1]) != (1 - p * q, p * p):
-        raise AssertionError(f"terminal ray mismatch for ({p},{q})")
     # consecutive rays are unimodular for any chain: x and y solve one recurrence,
     # so x_k y_{k+1} - y_k x_{k+1} is constant, equal to x_0 y_1 - y_0 x_1 = 1
     return list(map(_lattice, xs, ys))
@@ -312,7 +312,7 @@ def _check_vianna(t: ViannaTriangle, d: int, pts: list[tuple[int, int]]) -> Vian
     edges = _edges(pts)
     (x0, y0, g0), _, (x2, y2, g2) = edges
     if g0 * g2 * abs(x0 * y2 - y0 * x2) != d * d:  # twice the area, over D^2
-        raise AssertionError("mutation failed to preserve area")
+        raise AssertionError("triangle area is not 1/2")
     # so no edge has length 0.  Any two edges of the closed triangle span twice
     # the area, so with the determinants below g_0*g_2*p_0^2 = g_0*g_1*p_1^2 =
     # g_1*g_2*p_2^2 = D^2: each length g_k/D is p_{k+2}/(p_k*p_{k+1}), and a
@@ -347,26 +347,23 @@ def standard_triangle() -> ViannaTriangle:
 
 def _ray_exit(pts: list[tuple[int, int]], u: LatticeVector, k: int) -> tuple[int, tuple[int, int]]:
     """(w, E): over a triangle's one denominator D, the node ray u from vertex k
-    crosses the opposite edge's interior at E/(D*w), for w = |wedge(u, v2 - v1)|."""
+    crosses the opposite edge's interior at E/(D*w), for w = |wedge(u, v2 - v1)|,
+    unchecked: p*u = a + b (_check_vianna) makes u = l*(v1 - vk) + m*(v2 - vk),
+    l, m > 0, so the ray leaves at vk + u/(l + m), and |w| = (l + m)*D*2*area."""
     (xk, yk), (x1, y1), (x2, y2) = pts[k], pts[(k + 1) % 3], pts[(k + 2) % 3]
     w = u.x * (y2 - y1) - u.y * (x2 - x1)
-    if w == 0:
-        raise AssertionError("node ray parallel to the opposite edge")
-    # vk + (r/(D*w)) u = v1 + s (v2 - v1), with r over D^2 and s = -a/w
+    # vk + (r/(D*w)) u = v1 + s (v2 - v1), with r over D^2
     r = (x1 - xk) * (y2 - y1) - (y1 - yk) * (x2 - x1)
-    a = u.x * (y1 - yk) - u.y * (x1 - xk)
-    if w < 0:
-        w, r, a = -w, -r, -a
-    if not (r > 0 and 0 < -a < w):
-        raise AssertionError("node ray misses the opposite edge interior")
+    if w < 0:  # so D*w, the child's denominator, is positive
+        w, r = -w, -r
     return w, (xk * w + u.x * r, yk * w + u.y * r)
 
 
 def cut_segment(t: ViannaTriangle, vertex: int) -> tuple[RationalPoint, RationalPoint]:
     """Branch-cut segment drawn in diagrams: the vertex and the node point
-    halfway to the opposite edge."""
+    halfway to the opposite edge; the triangle is checked on entry."""
     k = _position(vertex, 1)
-    d, pts = _over_one_denominator(t)
+    d, pts = _over_one_denominator(_validate_vianna(t))
     w, (ex, ey) = _ray_exit(pts, t.cuts[k], k)
     (xk, yk), m = pts[k], 2 * d * w
     return t.points[k], RationalPoint(Fraction(xk * w + ex, m), Fraction(yk * w + ey, m))
@@ -374,22 +371,22 @@ def cut_segment(t: ViannaTriangle, vertex: int) -> tuple[RationalPoint, Rational
 
 def mutate_triangle(t: ViannaTriangle, vertex: int) -> ViannaTriangle:
     """Cut along the node ray at the chosen vertex (1, 2 or 3), shear one
-    half straight, and reassemble; the number at that position mutates."""
-    return _mutate(t, _over_one_denominator(t), vertex)[0]
-
-
-def _mutate(t: ViannaTriangle, form: tuple, vertex: int) -> tuple[ViannaTriangle, tuple]:
-    """mutate_triangle on t's vertices over one denominator, (D, [(X_i, Y_i)]):
-    the validated child and its own such form, read off the child's integers."""
+    half straight, and reassemble; the number at that position mutates.  Checked on entry."""
     k = _position(vertex, 1)
+    return _mutate(_validate_vianna(t), _over_one_denominator(t), k)[0]
+
+
+def _mutate(t: ViannaTriangle, form: tuple, k: int) -> tuple[ViannaTriangle, tuple]:
+    """mutate_triangle at position k, on t's vertices over one denominator, (D,
+    [(X_i, Y_i)]): the validated child and its own such form, from its integers."""
     j1, j2 = (k + 1) % 3, (k + 2) % 3
     d, pts = form
     u = t.cuts[k]
     w, (ex, ey) = _ray_exit(pts, u, k)
     (xk, yk), (x1, y1), (x2, y2) = pts[k], pts[j1], pts[j2]
     # the shear x -> x + eps*wedge(u, x - vk)*u is integral: v1 stays over D.  For
-    # sides a, b toward v1, v2, the node ray p*u = a + b (_check_vianna; any other cut
-    # leaves a child it refuses) gives c = wedge(u, v1 - vk) = len*wedge(b, a)/p, with
+    # sides a, b toward v1, v2, the node ray p*u = a + b (_check_vianna, on entry or
+    # on t as a child) gives c = wedge(u, v1 - vk) = len*wedge(b, a)/p, with
     # wedge(b, a) = +-p^2: eps = -sign(c) takes a to -b, so v1 lands beyond vk from v2
     c = u.x * (y1 - yk) - u.y * (x1 - xk)
     eps = -1 if c > 0 else 1
@@ -401,8 +398,9 @@ def _mutate(t: ViannaTriangle, form: tuple, vertex: int) -> tuple[ViannaTriangle
     cx, cy = cuts[j1].x, cuts[j1].y
     f = eps * (u.x * cy - u.y * cx)
     cuts[k], cuts[j1] = _lattice(-u.x, -u.y), _lattice(cx + f * u.x, cy + f * u.y)
-    child = ViannaTriangle(validate_triple(mutate(t.triple, vertex)), tuple(points),
-                           tuple(cuts), t.history + (vertex,))
+    # Markov unchecked: entry k becomes the other root of X^2 - 3yz*X + y^2 + z^2 (product > 0)
+    child = ViannaTriangle(mutate(t.triple, k + 1), tuple(points), tuple(cuts),
+                           t.history + (k + 1,))
     # over D*w the numerators are these; dividing out their gcd with D*w leaves
     # the lcm of the reduced denominators, as _over_one_denominator finds it
     over = [None] * 3
@@ -421,7 +419,7 @@ def vianna_triangle(p1: int, p2: int, p3: int) -> ViannaTriangle:
     triple, cuts = validate_triple((p1, p2, p3)), []
     while (kept := _vianna_kept.pop(triple, None)) is None and triple != (1, 1, 1):
         k, triple = _descend(triple)
-        cuts.append(k + 1)
+        cuts.append(k)
     t, form = kept or (standard_triangle(), None)
     form = form or _over_one_denominator(t)  # each mutation derives the next
     while True:  # keep t as the most recently used, then mutate it one level up

@@ -78,12 +78,15 @@ def mutate(t: MarkovTriple, index: int) -> MarkovTriple:
 
 
 def _descend(triple: MarkovTriple) -> tuple[int, MarkovTriple]:
-    """(k, parent): the parent mutates the largest number, at position k."""
+    """(k, parent): the parent mutates the largest number, at position k.
+
+    For a Markov triple past (1, 1, 1), which vianna_triangle checks, the new
+    entry c' = (a^2 + b^2)/c of the largest c >= b >= a is in (0, c): were c' >= c,
+    f(X) = X^2 - 3abX + a^2 + b^2, with roots c and c', would have f(b) >= 0, but
+    f(b) = a^2 + (2 - 3a)b^2 < 0 unless a = b = 1 (and then c = 1).  So the
+    smaller root is never a largest entry."""
     k = triple.index(max(triple))
-    parent = mutate(triple, k + 1)
-    if not 0 < parent[k] < triple[k]:
-        raise AssertionError(f"no descent from {triple}")
-    return k, parent
+    return k, mutate(triple, k + 1)
 
 
 def two_ball_degree(p1: int, p2: int) -> int:
@@ -98,8 +101,8 @@ def two_ball_degree(p1: int, p2: int) -> int:
     for c in (lo, hi):
         if c < 1 or not is_markov_triple(p1, p2, c):
             raise NoCommonTriple(f"completion {c} of ({p1},{p2}) is not Markov")
-    if 1 < p1 < p2 and not 3 * lo < p2:
-        raise AssertionError(f"degree bound c0 < p2/3 fails for ({p1},{p2})")
+    # for 1 < p1 < p2, lo < p2/3: as the smaller root, lo is not a largest entry
+    # (_descend), so p2 is, the larger root of its quadratic: p2 > 3*p1*lo/2 >= 3*lo
     return lo
 
 

@@ -220,10 +220,9 @@ def two_ball_feasible(p1: int, q1: int, alpha1: Rational,
     }
     values = {"alpha1": alpha1, "alpha2": alpha2, "sum": alpha1 + alpha2}
     binding = tuple(k for k in ("alpha1", "alpha2", "sum") if values[k] >= bounds[k])
-    # the alpha bound on the side of the larger p follows from the sum bound
+    # the alpha bound on the larger p's side follows from the sum bound: sum <= alpha1
+    # iff p3 <= p2, sum <= alpha2 iff p3 <= p1, and p3 is no largest entry (_descend)
     implied = "alpha1" if p3 <= p2 else "alpha2"
-    if bounds["sum"] > bounds[implied]:
-        raise AssertionError("implied-bound comparison failed")
     return TwoBallReport("feasible" if not binding else "infeasible",
                          p3, bounds, binding, implied)
 

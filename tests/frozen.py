@@ -225,8 +225,8 @@ VIANNA_DIGEST_7 = "a2707a838e6353e8955c375a077c8bcfd7f52ad0885c114bfe85c8727ecf1
 # change that adds or drops a self-check updates this table ---
 
 SELF_CHECKS = {
-    "atf_geometry": 11, "hirzebruch_jung": 2, "intersection_theory": 6, "markov": 4,
-    "staircase_oracle": 3,
+    "atf_geometry": 8, "hirzebruch_jung": 2, "intersection_theory": 6, "markov": 2,
+    "staircase_oracle": 2,
 }
 
 # --- markov numbers up to 1000 ---

@@ -112,7 +112,8 @@ def test_fan_rays_write_each_ray_in_place():
 
 
 def test_fan_rays_consecutive_wedges_are_one():
-    # fan_rays checks only the terminal ray; the wedges are 1 for any chain
+    # fan_rays checks no ray: the wedges are 1 for any chain, and the terminal
+    # ray follows from _wahl's checked ends (the test below)
     small = [(p, q) for p in range(1, 61) for q in range(1, p + 1)
              if gcd(p, q) == 1 and (p == 1 or q < p)]
     for p, q in small + pairs_to_depth(9):
@@ -143,15 +144,14 @@ def test_fan_rays_equal_the_lattice_vector_recurrence_to_depth_7():
         assert got == want and all(type(r) is LatticeVector for r in got)
 
 
-def test_fan_ray_self_checks_fire_on_a_corrupted_e(monkeypatch):
-    from pinstairs.hirzebruch_jung import WahlData, wahl_data
-
-    w = wahl_data(29, 7)
-    e = list(w.e)
-    e[w.m + 1] += 1
-    monkeypatch.setattr(atf, "wahl_data", lambda p, q: WahlData(p, q, w.chain, tuple(e), w.f))
-    with pytest.raises(AssertionError, match=r"^terminal ray mismatch for \(29,7\)$"):
-        fan_rays(29, 7)
+def test_the_first_coordinates_are_read_from_e_and_f_to_depth_9():
+    # what fan_rays argues and no longer checks: x = (f - (pq - 1)e)/p^2 at every
+    # index, so the ends e = p^2 and f = 0 give the terminal ray (1 - pq, p^2),
+    # which the test above checks for (1, 1) and every pair to depth 9
+    for p, q in [(1, 1)] + pairs_to_depth(9):
+        w, rays = wahl_data(p, q), fan_rays(p, q)
+        assert [(r.x * p * p, r.y) for r in rays] == [
+            (f - (p * q - 1) * e, e) for e, f in zip(w.e, w.f)]
 
 
 # discretely convex offsets (b_i*l_i > l_{i-1} + l_{i+1} against chain (7,2,2,2))
@@ -403,7 +403,7 @@ def test_vianna_self_checks_fire_on_corrupted_triangles(monkeypatch, cold_caches
         (ViannaTriangle((2, 5, 1), t.points, t.cuts, t.history),
          "vertex 0 determinant is not 2^2"),
         (ViannaTriangle(t.triple, tuple(v.scale(2) for v in t.points), t.cuts, t.history),
-         "mutation failed to preserve area"),
+         "triangle area is not 1/2"),
         # with the area and all three determinants right the lengths follow
         # (g_0*g_2*p_0^2 = D^2 at vertex 0, and so on), so a relabelling that
         # keeps vertex 0's number and gets the edge opposite it wrong fails at
@@ -424,7 +424,7 @@ def test_vianna_self_checks_fire_on_corrupted_triangles(monkeypatch, cold_caches
 
 def test_every_cut_but_the_node_ray_fails_a_mutation():
     # the shear sign is read from the cut, with no search: a cut that is not
-    # the node ray misses the opposite edge or leaves a child that fails a check
+    # the node ray is refused on entry, before the triangle is cut
     t = vianna_triangle(5, 2, 1)
     for k in range(3):
         for x, y in itertools.product(range(-4, 5), repeat=2):
@@ -432,8 +432,10 @@ def test_every_cut_but_the_node_ray_fails_a_mutation():
                 continue
             cuts = list(t.cuts)
             cuts[k] = LatticeVector(x, y)
-            with pytest.raises(AssertionError):
-                mutate_triangle(ViannaTriangle(t.triple, t.points, tuple(cuts), t.history), k + 1)
+            bad = ViannaTriangle(t.triple, t.points, tuple(cuts), t.history)
+            for call in (cut_segment, mutate_triangle):
+                with pytest.raises(AssertionError, match=f"^cut at vertex {k} is not the node ray$"):
+                    call(bad, k + 1)
 
 
 def _sides(t, k):
@@ -484,6 +486,26 @@ def test_each_vertex_is_the_wahl_cone_of_its_own_q_to_depth_9():
     assert vertices == 4602
 
 
+def test_each_node_ray_leaves_through_the_opposite_edge_interior_to_depth_9():
+    # what _ray_exit argues and no longer checks, from the points and cuts alone:
+    # vk + lam*u = v1 + s*(v2 - v1) with lam > 0 and 0 < s < 1, at all 4 602
+    # vertices, and the cut segment ends at lam/2
+    vertices = 0
+    for triple in {r for e in enumerate_tree(9) for r in itertools.permutations(e.triple)}:
+        t = vianna_triangle(*triple)
+        for k in range(3):
+            vk, v1, v2 = t.points[k], t.points[(k + 1) % 3], t.points[(k + 2) % 3]
+            u, edge, off = t.cuts[k], v2 - v1, v1 - vk
+            w = u.x * edge.y - u.y * edge.x
+            assert w != 0
+            lam, s = (off.x * edge.y - off.y * edge.x) / w, (off.x * u.y - off.y * u.x) / w
+            assert (vk.x + lam * u.x, vk.y + lam * u.y) == (v1.x + s * edge.x, v1.y + s * edge.y)
+            assert lam > 0 and 0 < s < 1
+            assert cut_segment(t, k + 1) == (vk, point(vk.x + lam * u.x / 2, vk.y + lam * u.y / 2))
+            vertices += 1
+    assert vertices == 4602
+
+
 def test_the_cone_types_at_the_culet_flanks_are_the_culet_reports_to_depth_9():
     # vertices 1 and 2 of (p, s2, s3) are the Wahl cones whose dual chains
     # flank the culet of (p, q)
@@ -511,10 +533,10 @@ def test_vianna_rejects_non_markov():
 
 
 def test_a_mutation_refuses_a_triangle_whose_triple_is_not_markov():
-    # the geometry of the standard triangle passes; the mutated triple does not
+    # the geometry of the standard triangle would pass; its triple is refused on entry
     s = standard_triangle()
-    for vertex, child in [(1, (8, 1, 3)), (2, (1, 8, 3)), (3, (1, 1, 0))]:
-        with pytest.raises(DomainError, match=f"^{re.escape(str(child))} is not a Markov triple$"):
+    for vertex in (1, 2, 3):
+        with pytest.raises(DomainError, match=r"^\(1, 1, 3\) is not a Markov triple$"):
             mutate_triangle(ViannaTriangle((1, 1, 3), s.points, s.cuts), vertex)
 
 
@@ -636,13 +658,10 @@ def test_cut_segment_halves_the_node_ray_up_to_the_opposite_edge():
 
 def test_a_node_ray_that_misses_the_opposite_edge_fails_a_self_check():
     t = standard_triangle()  # (0, 0), (1, 0), (0, 1); vertex 0 faces x + y = 1
-    for cut, message in [((1, -1), "node ray parallel to the opposite edge"),
-                         ((-1, -1), "node ray misses the opposite edge interior"),
-                         ((2, -1), "node ray misses the opposite edge interior"),
-                         ((-1, 2), "node ray misses the opposite edge interior")]:
+    for cut in [(1, -1), (-1, -1), (2, -1), (-1, 2)]:
         bad = ViannaTriangle(t.triple, t.points, (LatticeVector(*cut),) + t.cuts[1:])
         for call in (cut_segment, mutate_triangle):
-            with pytest.raises(AssertionError, match=f"^{message}$"):
+            with pytest.raises(AssertionError, match="^cut at vertex 0 is not the node ray$"):
                 call(bad, 1)
 
 

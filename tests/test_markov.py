@@ -166,6 +166,23 @@ def test_tree_json_round_trip():
         assert row["parent"] == e.parent
 
 
+def test_each_mutation_is_markov_and_each_descent_strict_to_depth_9():
+    # what _mutate and _descend argue and no longer check, in integers: at every
+    # ordering and position a mutation of a Markov triple is Markov, and past
+    # (1, 1, 1) the largest entry mutates to a smaller positive one
+    triples = {r for e in enumerate_tree(9) for r in permutations(e.triple)}
+    assert len(triples) == 1534
+    for triple in triples:
+        for k in range(3):
+            x, y, z = child = mutate(triple, k + 1)
+            assert min(child) > 0 and x * x + y * y + z * z == 3 * x * y * z
+            if triple != (1, 1, 1) and triple[k] == max(triple):
+                assert 0 < child[k] < triple[k]
+        if triple != (1, 1, 1):
+            k, parent = markov._descend(triple)
+            assert triple[k] == max(triple) and parent == mutate(triple, k + 1)
+
+
 @given(st.integers(min_value=1, max_value=3))
 def test_mutation_is_an_involution(k):
     t = (2, 5, 29)

@@ -6,6 +6,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import partial
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -480,6 +481,25 @@ def test_pin_ball_capacity_is_the_diagonal_sup():
             else:
                 hi = mid
         assert lo < c <= hi
+
+
+def test_the_degree_and_implied_bounds_hold_over_every_ordered_pair_to_depth_9():
+    # what two_ball_degree and two_ball_feasible argue and no longer check, read
+    # from the integers: lo < p2/3 for 1 < p1 < p2, and the sum bound p3/(p1*p2)
+    # is at most the alpha bound named implied
+    pairs = {pair for e in enumerate_tree(9) for pair in permutations(e.triple, 2)}
+    assert len(pairs) == 1023
+    eps, q = Fraction(1, 10**6), {}
+    for p1, p2 in sorted(pairs):
+        lo = markov.two_ball_degree(p1, p2)
+        assert not 1 < p1 < p2 or 3 * lo < p2
+        for p in (p1, p2):
+            q.setdefault(p, min(companions(p).pair))
+        r = two_ball_feasible(p1, q[p1], eps, p2, q[p2], eps)
+        bounds = {"alpha1": Fraction(p2, p1 * lo), "alpha2": Fraction(p1, p2 * lo),
+                  "sum": Fraction(lo, p1 * p2)}
+        assert r.p3 == lo and r.bounds == bounds
+        assert bounds["sum"] <= bounds[r.implied]
 
 
 def test_two_ball_frozen_bounds():
