@@ -11,6 +11,7 @@ staircase range and is handled exactly through its minimal polynomial.
 
 from __future__ import annotations
 
+from bisect import bisect_right as _bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -277,6 +278,14 @@ class _Branch:
     consecutive pair.  For p in {1, 2} the companion condition is vacuous and
     the valley pair (1, 1) is centered at (m_0, m_1), which places the
     diagonal staircase box at index 0.
+
+    The held terms m_{_lo}..m_{_hi} are one list, terms[k] = m_{_lo+k}.
+    Beside it, keys[k] = floor(2^64 * m_{i+1}/m_i) for box i = _lo + k, one
+    key per held box, so len(keys) == len(terms) - 1.  The ratios
+    m_{i+1}/m_i increase strictly with i (stair_boxes), so the keys do not
+    decrease: first_wider bisects them to choose where to look, and decides
+    in the terms.  A key is an int, like every number here.  Growth shifts
+    the list offsets, so one thread at a time may use a branch.
     """
 
     def __init__(self, p: int, q: int):
@@ -285,19 +294,19 @@ class _Branch:
         self.pp = p * p
         _, a, b = canonical_triple(p, q)
         if p <= 2:
-            self.values = {0: 1, 1: 1}
+            self._lo, self.terms = 0, [1, 1]
         else:
-            self.values = {0: a, -1: b}
-        self._lo = min(self.values)
-        self._hi = max(self.values)
+            self._lo, self.terms = -1, [b, a]
+        self._hi = self._lo + 1
         # the one Markov check of the branch, on its valley pair.  The form
         # p^2 + x^2 + y^2 - 3p*x*y is invariant under (x, y) -> (y, 3p*y - x),
         # so every consecutive pair the recurrence builds from here, either
         # way, is Markov with p.  Each new term is positive: x and 3p*y - x
         # are the two roots of the quadratic in x, with product p^2 + y^2 > 0
-        x, y = self.values[self._lo], self.values[self._hi]
+        x, y = self.terms
         if not is_markov_triple(p, x, y):
             raise AssertionError(f"valley pair ({x},{y}) not Markov with {p}")
+        self.keys = [(y << 64) // x]
         self[1]  # box 0 is always held: embeds reads it directly
         # the verdicts decided at each index, built by staircase_oracle on first
         # use: Embeds with box i, and DoesNotEmbed at the inner corner i
@@ -305,63 +314,74 @@ class _Branch:
         self.corner_verdicts: dict = {}
 
     def __getitem__(self, i: int) -> int:
-        # store each term before moving the bound: a re-entered extension is harmless
-        v = self.values
+        # each step stores its term and its box's key, then moves the bound
+        t, keys, s = self.terms, self.keys, 3 * self.p
         while self._hi < i:
-            k = self._hi + 1
-            v[k] = 3 * self.p * v[k - 1] - v[k - 2]
-            self._hi = k
+            t.append(s * t[-1] - t[-2])
+            keys.append((t[-1] << 64) // t[-2])
+            self._hi += 1
         while self._lo > i:
-            k = self._lo - 1
-            v[k] = 3 * self.p * v[k + 1] - v[k + 2]
-            self._lo = k
-        return v[i]
+            t.insert(0, s * t[0] - t[1])
+            keys.insert(0, (t[1] << 64) // t[0])
+            self._lo -= 1
+        return t[i - self._lo]
 
     def first_wider(self, pn: int, d: int) -> Optional[int]:
         """The least i with pn*m_i < d*m_{i+1}, that is alpha < alpha_sup(i) for
         alpha = pn/(p*d), or None when there is none: alpha is at or below the
         limit 1/(p^2 sigma_p) of alpha_sup at -infinity, so every box is wider,
         or above its limit sigma_p at +infinity, so none is.  The first lies
-        below 3/2 and the second above.  Bisects the held boxes on `values`,
-        and grows the branch only when alpha lies beyond all of them, up to
-        m_{i+1} or down to m_{i-1}, after testing alpha against the limit on
-        that side so the walk ends; on return m_{i-1}, m_i and m_{i+1} are held.
-        An alpha inside the held boxes meets no sigma_p test."""
-        v, lo, hi = self.values, self._lo, self._hi
-        while lo < hi:  # the least held box wider than alpha, or _hi for none
+        below 3/2 and the second above.
+
+        One bisection of `keys` at floor(2^64 * pn/d) proposes the box; it is
+        returned when it lies strictly inside the held boxes and the two
+        inequalities that define it hold in the terms: pn*m_{i-1} >= d*m_i
+        (box i - 1 is not wider) and pn*m_i < d*m_{i+1} (box i is).  So the
+        keys only choose where to look, and a wrong key costs time, not an
+        answer.  Otherwise the held boxes are bisected in the terms, and the
+        branch grows only when alpha lies beyond all of them, up to m_{i+1}
+        or down to m_{i-1}, after testing alpha against the limit on that side
+        so the walk ends; on return m_{i-1}, m_i and m_{i+1} are held.  An
+        alpha inside the held boxes meets no sigma_p test."""
+        t, keys = self.terms, self.keys
+        k = _bisect_right(keys, (pn << 64) // d)
+        if 0 < k < len(keys) and pn * t[k - 1] >= d * t[k] and pn * t[k] < d * t[k + 1]:
+            return self._lo + k
+        lo, hi = 0, len(keys)
+        while lo < hi:  # the least held box wider than alpha, or none
             mid = (lo + hi) // 2
-            if pn * v[mid] < d * v[mid + 1]:
+            if pn * t[mid] < d * t[mid + 1]:
                 hi = mid
             else:
                 lo = mid + 1
-        i = lo
-        if i == self._hi:
+        i = self._lo + lo
+        if lo == len(keys):
             if _above_sigma(self.pp, pn, self.p * d):
                 return None
-            while pn * v[i] >= d * self[i + 1]:
+            while pn * self[i] >= d * self[i + 1]:
                 i += 1
-        elif i == self._lo:
+        elif lo == 0:
             # alpha_sup decreases to its limit as i -> -infinity: alpha is at or
             # below it when 1/(p^2 alpha) = d/(p*pn) is at or above sigma_p
             if _above_sigma(self.pp, d, self.p * pn):
                 return None
-            while pn * self[i - 1] < d * v[i]:
+            while pn * self[i - 1] < d * self[i]:
                 i -= 1
         return i
 
     def window(self, lo: int, hi: int) -> list[int]:
         """The terms m_lo..m_hi: the held ones read, the others walked from the
         nearest held pair by a local recurrence, so no new term is stored."""
-        v, s = self.values, 3 * self.p
-        out = [v[k] for k in range(max(lo, self._lo), min(hi, self._hi) + 1)]
-        a, b = v[self._hi - 1], v[self._hi]
+        t, s, base = self.terms, 3 * self.p, self._lo
+        out = t[max(lo - base, 0):max(hi + 1 - base, 0)]
+        a, b = t[-2], t[-1]
         for k in range(self._hi + 1, hi + 1):
             a, b = b, s * b - a
             if k >= lo:
                 out.append(b)
         below = []
-        a, b = v[self._lo + 1], v[self._lo]
-        for k in range(self._lo - 1, lo - 1, -1):
+        a, b = t[1], t[0]
+        for k in range(base - 1, lo - 1, -1):
             a, b = b, s * b - a
             if k <= hi:
                 below.append(b)

@@ -11,13 +11,19 @@ exceeds alpha decides the verdict, and on failure the dominated inner corner
 is an exact obstruction.  With alpha = n/d and beta = n'/d', the search runs
 in integers on the family's cached branch: alpha < alpha_sup(i) iff
 n*p*m_i < d*m_{i+1}, and beta < beta_sup(i) iff n'*p*m_{i+1} < d'*m_i.
-`_Branch.first_wider` finds the minimal box by bisecting the terms the branch
-holds; it grows the branch only when alpha lies beyond every held box, after
-testing alpha against the limit on that side (sigma_p above, 1/(p^2 sigma_p)
-below), so the walk ends.  At or below the lower limit every box is wide
-enough, and the witness is the largest i <= 0 whose box is tall enough; on the
-volume curve beta < beta_sup(i) iff 1/(p^2 beta) > alpha_sup(i), so the same
-search finds it, and finds none when beta lies above sigma_p.
+`_Branch.first_wider` finds the minimal box by one C bisection of the
+branch's integer keys floor(2^64 * m_{i+1}/m_i) at floor(2^64 * p*n/d), and
+returns the box only when the two inequalities that define it hold in the
+terms: box i - 1 is not wider than alpha and box i is.  So the keys choose
+where to look, and every answer is decided in integers.  When the box is not
+confirmed strictly inside the held terms, it bisects the held boxes in the
+terms, and it grows the branch only when alpha lies beyond every held box,
+after testing alpha against the limit on that side (sigma_p above,
+1/(p^2 sigma_p) below), so the walk ends.  At or below the lower limit every
+box is wide enough, and the witness is the largest i <= 0 whose box is tall
+enough; on the volume curve beta < beta_sup(i) iff 1/(p^2 beta) >
+alpha_sup(i), so the same search finds it, and finds none when beta lies
+above sigma_p.
 The family is looked up first, so a p that is not Markov or a q that is not
 its companion is refused wherever the point lies.  Every box lies inside
 (0, sigma_p)^2, so a box wider than alpha, or one taller than beta, shows that
@@ -29,9 +35,11 @@ box and corner is built once per family, with no check (see `_verdict`),
 and kept on its branch, in one dict keyed by i for boxes and one for
 corners.  A repeated verdict, decided inside the held terms, is one frame of
 `embeds` and one of `first_wider`: it reads the numerator and denominator
-slots of each Fraction, bisects, and reads its verdict from the dict, with
-no Fraction built and no sigma_p test.  The dominance of the corner is checked
-on every call, in integers: n*p*m_{i-1} >= d*m_i and n'*p*m_{i+1} >= d'*m_i.
+slots of each Fraction, bisects the keys, tests two inequalities, and reads
+its verdict from the dict, with no Fraction built and no sigma_p test.  The
+corner's dominance is not tested again: n*p*m_{i-1} >= d*m_i holds as box i
+is the least wider than alpha, and n'*p*m_{i+1} >= d'*m_i is the Embeds test
+just failed.
 The packing checks are the strict linear inequalities cut out by the triple
 completing (p1, p2).  Box i is the corner at p of the Vianna triangle of
 (p, m_{i+1}, m_i); up to GL2(Z) it is Delta_{p,q}(beta_sup(i), alpha_sup(i)) =
@@ -145,7 +153,7 @@ def embeds(p: int, q: int, alpha: Rational, beta: Rational) -> EmbeddingVerdict:
     if p < 1:
         raise DomainError(f"p must be positive: {p}")
     m = _family(p, q)  # a p that is not Markov, or a q not its companion, is refused here
-    v, pn, pnb = m.values, p * n, p * nb
+    t, pn, pnb = m.terms, p * n, p * nb  # t[k] = m_{_lo+k}
     i = m.first_wider(pn, d)
     if i is None:
         if 2 * n > 3 * d:  # alpha above sigma_p: no box is wide enough
@@ -156,26 +164,29 @@ def embeds(p: int, q: int, alpha: Rational, beta: Rational) -> EmbeddingVerdict:
         # 1/(p^2 beta) < alpha_sup(j), is at most 1, and the witness is j - 1,
         # or j - 2 when beta_sup(j - 1) = beta; there is no j when beta is
         # above sigma_p, the limit of beta_sup at -infinity
-        i = 0
-        if pnb * v[1] >= db * v[0]:
+        i, k = 0, -m._lo
+        if pnb * t[k + 1] >= db * t[k]:
             i = m.first_wider(db, pnb)
             if i is None:
                 return _OUTSIDE
             i -= 1
-            if pnb * v[i + 1] >= db * v[i]:
+            k = i - m._lo
+            if pnb * t[k + 1] >= db * t[k]:
                 i -= 1
         return m.box_verdicts.get(i) or _verdict(p, m, i, "Embeds")
-    if pnb * v[i + 1] < db * v[i]:
+    k = i - m._lo
+    if pnb * t[k + 1] < db * t[k]:
         return m.box_verdicts.get(i) or _verdict(p, m, i, "Embeds")
     # beta >= beta_sup(i).  It lies below sigma_p when the tallest held box is
     # as tall; otherwise the search for 1/(p^2 beta), as above, decides it and
     # holds a box that tall for the next query
-    lo = m._lo
-    if pnb * v[lo + 1] > db * v[lo] and m.first_wider(db, pnb) is None:
+    if pnb * t[1] > db * t[0] and m.first_wider(db, pnb) is None:
         return _OUTSIDE
-    # (alpha, beta) dominates the inner corner i, checked in integers
-    if not (pn * v[i - 1] >= d * v[i] and pnb * v[i + 1] >= db * v[i]):
-        raise AssertionError("obstruction corner is not dominated")
+    # (alpha, beta) dominates the inner corner i, with no further test:
+    # alpha >= alpha_sup(i - 1), as first_wider returns the least box wider
+    # than alpha, confirmed by pn*m_{i-1} >= d*m_i or, past the keys, by its
+    # bisection and walk, box widths increasing strictly (stair_boxes); and
+    # beta >= beta_sup(i) is the Embeds test just failed
     return m.corner_verdicts.get(i) or _verdict(p, m, i, "DoesNotEmbed")
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinstairs import markov
+from pinstairs import embeds, markov
 from pinstairs.exact_core import DomainError, isqrt_exact
 from pinstairs.markov import (
     BranchSequence,
@@ -41,6 +41,7 @@ from .oracles import (
     brute_markov_numbers,
     brute_markov_triples,
     fibonacci_markov_pair,
+    fibonacci_markov_triple,
     reference_search,
     reference_tree_levels,
 )
@@ -423,14 +424,34 @@ def test_branch_sequence_rejects_non_companions():
         branch_sequence(7, 1, 0, 1)
 
 
+def _held(br):
+    """The terms a branch holds, by index: terms[k] is m_{_lo+k}, and _hi is
+    the last index held."""
+    assert br._hi == br._lo + len(br.terms) - 1
+    return {br._lo + k: v for k, v in enumerate(br.terms)}
+
+
 def test_a_far_branch_window_stores_no_term_in_the_family():
-    held = len(markov._family(5, 1).values)
+    held = len(markov._family(5, 1).terms)
     seq = branch_sequence(5, 1, 3990, 4000)
-    assert len(markov._family(5, 1).values) == held
+    assert len(markov._family(5, 1).terms) == held
     # the same terms as the walk that stores every term on the way
     fresh = markov._Branch(5, 1)
     assert seq.values == tuple(fresh[i] for i in range(3990, 4001))
-    assert len(fresh.values) > 4000
+    assert len(fresh.terms) > 4000
+
+
+@pytest.mark.parametrize("pq", [(1, 1), (2, 1), (5, 1), (5, 4), (29, 7), (433, 104)])
+def test_each_held_box_keeps_its_key_after_growth_both_ways(pq):
+    # keys[k] = floor(2^64 * m_{i+1}/m_i) for box i = _lo + k, grown with the terms
+    br = markov._Branch(*pq)
+    for i in (7, -9, 12, -15):
+        br[i]
+        m = _held(br)
+        assert len(br.keys) == len(br.terms) - 1
+        assert br.keys == [(m[j + 1] << 64) // m[j] for j in range(br._lo, br._hi)]
+    assert (br._lo, br._hi) == (-15, 12)
+    assert tuple(br.terms) == branch_sequence(*pq, -15, 12).values
 
 
 @given(st.sampled_from([(1, 1), (2, 1), (5, 1), (5, 4), (29, 7)]),
@@ -438,9 +459,9 @@ def test_a_far_branch_window_stores_no_term_in_the_family():
 def test_branch_window_matches_the_storing_walk(pq, grown, lo, width):
     br = markov._Branch(*pq)
     br[grown]  # hold some terms on one side of the valley
-    held = dict(br.values)
+    held = _held(br)
     window = br.window(lo, lo + width)
-    assert br.values == held
+    assert _held(br) == held
     assert window == [markov._Branch(*pq)[i] for i in range(lo, lo + width + 1)]
 
 
@@ -493,17 +514,18 @@ def test_first_wider_matches_a_walk_from_zero_and_grows_only_to_its_neighbours(q
     pq, grown, alpha = query
     br = markov._Branch(*pq)
     br[grown]  # hold some terms on one side of the valley
-    held = dict(br.values)
+    held = _held(br)
     pn, d = pq[0] * alpha.numerator, alpha.denominator
     i = br.first_wider(pn, d)
     assert i == _least_wider(pq, pn, d)
-    assert all(br.values[k] == v for k, v in held.items())
+    now = _held(br)
+    assert all(now[k] == v for k, v in held.items())
     if i is None:
-        assert br.values == held
+        assert now == held
     else:
-        assert {i - 1, i, i + 1} <= br.values.keys()
-        assert min(br.values) == min(*held, i - 1) and max(br.values) == max(*held, i + 1)
-        assert (br._lo, br._hi) == (min(br.values), max(br.values))
+        assert {i - 1, i, i + 1} <= now.keys()
+        assert min(now) == min(*held, i - 1) and max(now) == max(*held, i + 1)
+        assert (br._lo, br._hi) == (min(now), max(now))
 
 
 @pytest.mark.parametrize("pq", [(1, 1), (2, 1), (5, 1), (29, 7), (433, 104)])
@@ -512,9 +534,166 @@ def test_first_wider_finds_no_box_above_sigma_and_grows_nothing(pq):
     s = Fraction(sigma_p(p).decimal(45))  # sigma_p - 10^-45 < s < sigma_p
     for alpha in (s + Fraction(1, 10**44), Fraction(3), Fraction(10**9)):
         br = markov._Branch(*pq)
-        held = dict(br.values)
+        held = _held(br)
         assert br.first_wider(p * alpha.numerator, alpha.denominator) is None
-        assert br.values == held
+        assert _held(br) == held
+
+
+class _CountingTerms(list):
+    """A term list that counts the items read from it."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return super().__getitem__(k)
+
+
+@pytest.mark.parametrize("pq", [(1, 1), (2, 1), (5, 1), (5, 4), (29, 7), (433, 104)])
+def test_a_box_inside_the_held_ones_is_confirmed_by_its_two_inequalities(pq):
+    # where the keys of boxes i - 1 and i differ by 2 or more, an alpha in
+    # [alpha_sup(i - 1), alpha_sup(i)) has its key in [keys(i - 1), keys(i)):
+    # box i is read from the keys and confirmed by pn*m_{i-1} >= d*m_i and
+    # pn*m_i < d*m_{i+1}, 4 term reads, at the tie alpha = alpha_sup(i - 1) too
+    p = pq[0]
+    br = markov._Branch(*pq)
+    br[-12], br[12]
+    m = _held(br)
+    br.terms = counting = _CountingTerms(br.terms)
+    decided = 0
+    for i in range(br._lo + 1, br._hi):
+        k = i - br._lo
+        if br.keys[k] - br.keys[k - 1] < 2:
+            continue
+        tie, wider = Fraction(m[i], p * m[i - 1]), Fraction(m[i + 1], p * m[i])
+        for alpha in (tie, (tie + wider) / 2):
+            counting.reads = 0
+            assert br.first_wider(p * alpha.numerator, alpha.denominator) == i
+            assert counting.reads == 4
+            decided += 1
+    assert decided >= 10
+
+
+GRID_FAMILIES = [(1, 1), (2, 1), (5, 1), (5, 4), (29, 7), (433, 104), (7453378, 1807955)]
+
+
+def _walked_verdict(p, q, alpha, beta):
+    """(answer, index) by definition: OutsideVisibleRange above sigma_p; else
+    the least box wider than alpha, walked from box 0 on a fresh branch,
+    holds the point when beta is below its height, and otherwise its inner
+    corner obstructs.  When alpha is at or below 1/(p^2 sigma_p), every box
+    is wider, and the witness is the last box up to 0 taller than beta."""
+    if compare_to_sigma(p, alpha) == "greater" or compare_to_sigma(p, beta) == "greater":
+        return "OutsideVisibleRange", None
+    m = markov._Branch(p, q)
+    if compare_to_sigma(p, 1 / (p * p * alpha)) == "greater":
+        i = 0
+        while beta >= Fraction(m[i], p * m[i + 1]):
+            i -= 1
+        return "Embeds", i
+    i = _least_wider((p, q), p * alpha.numerator, alpha.denominator)
+    below, here, above = m[i - 1], m[i], m[i + 1]
+    if beta < Fraction(here, p * above):
+        return "Embeds", i
+    return "DoesNotEmbed", i
+
+
+def _answer(verdict, p, q):
+    """A verdict as (answer, index), its box or corner checked against the
+    branch terms at that index."""
+    if verdict.answer == "OutsideVisibleRange":
+        return verdict.answer, None
+    if verdict.answer == "Embeds":
+        i = verdict.witness.index
+        below, here, above = branch_sequence(p, q, i - 1, i + 1).values
+        assert (verdict.witness.alpha_sup, verdict.witness.beta_sup) == (
+            Fraction(above, p * here), Fraction(here, p * above))
+        return verdict.answer, i
+    # the corner (m_i/(p*m_{i-1}), m_i/(p*m_{i+1})) names its index by
+    # beta_sup(i): box i + 1 is the least wider than 1/(p^2 beta_sup(i)) = alpha_sup(i)
+    height = verdict.obstruction[1]
+    i = _least_wider((p, q), height.denominator, p * height.numerator) - 1
+    below, here, above = branch_sequence(p, q, i - 1, i + 1).values
+    assert verdict.obstruction == (Fraction(here, p * below), Fraction(here, p * above))
+    return verdict.answer, i
+
+
+def _wrong_keys(keys):
+    """Key lists as long as `keys` and wrong: reversed, all 0, shuffled, and
+    shifted by one index either way."""
+    shuffled = list(keys)
+    random.Random(len(keys)).shuffle(shuffled)
+    return {"reversed": keys[::-1], "zero": [0] * len(keys), "shuffled": shuffled,
+            "shifted_up": keys[1:] + keys[-1:], "shifted_down": keys[:1] + keys[:-1]}
+
+
+@pytest.mark.parametrize("pq", GRID_FAMILIES)
+def test_the_keys_never_decide_a_verdict(pq):
+    # a 40x40 sub-grid of the benchmark grid, direct and swapped, and exact
+    # ties at every held box: alpha = alpha_sup(i), beta = beta_sup(i) or
+    # beta_sup(i + 1), and alphas 2^-70 either side of a box width.  With
+    # every wrong key list each verdict is the clean family's own object
+    p, q = pq
+    q_swap = p - q if p > 2 else 1
+    top = Fraction(int(float(sigma_p(p)) * 1000), 1001)
+    vals = [Fraction(k, 40) * top for k in range(1, 41)]
+    queries = [(q, a, b) for a in vals for b in vals] + [(q_swap, b, a) for a in vals for b in vals]
+    clean = [embeds(p, *query) for query in queries]
+    ties = []
+    for qq in sorted({q, q_swap}):
+        br = markov._family(p, qq)
+        m = _held(br)
+        for i in range(br._lo, br._hi):
+            width, height = Fraction(m[i + 1], p * m[i]), Fraction(m[i], p * m[i + 1])
+            lower = Fraction(m[i + 2], p * m[i + 1]) if i + 1 < br._hi else height
+            for alpha in (width, width - Fraction(1, 2**70), width + Fraction(1, 2**70)):
+                for beta in (height, lower):
+                    ties.append((qq, alpha, beta))
+    tie_verdicts = [embeds(p, *query) for query in ties]
+    for query, verdict in zip(ties, tie_verdicts):
+        assert _answer(verdict, p, query[0]) == _walked_verdict(p, *query)
+    queries += ties
+    clean += tie_verdicts
+    try:
+        for qq in sorted({q, q_swap}):
+            for name, wrong in _wrong_keys(markov._family(p, qq).keys).items():
+                br = markov._family(p, qq)
+                br.keys[:] = wrong
+                for query, verdict in zip(queries, clean):
+                    assert embeds(p, *query) is verdict, (name, query)
+                m = _held(br)
+                br.keys[:] = [(m[i + 1] << 64) // m[i] for i in range(br._lo, br._hi)]
+    finally:
+        markov._family.cache_clear()
+
+
+@pytest.mark.parametrize("pq", [(5, 1), (433, 104), (7453378, 1807955)])
+def test_an_alpha_with_a_400_digit_numerator_finds_the_walked_box(pq):
+    p, q = pq
+    m = markov._Branch(*pq)
+    tiny = Fraction(1, 10**420)
+    for i in range(-6, 7):
+        width = Fraction(m[i + 1], p * m[i])
+        for alpha in (width - tiny, width + tiny, width * Fraction(10**420 + 1, 10**420)):
+            assert len(str(alpha.numerator)) >= 400
+            want = _least_wider(pq, p * alpha.numerator, alpha.denominator)
+            verdict = embeds(p, q, alpha, tiny)
+            assert verdict.answer == "Embeds" and verdict.witness.index == want
+
+
+def test_a_325_digit_fibonacci_p_finds_the_walked_box():
+    _, u, p = fibonacci_markov_triple(1553)
+    assert len(str(p)) == 325
+    for q in (3 * u % p, p - 3 * u % p):
+        m = markov._Branch(p, q)
+        # below box 0 the widths lie within about p^-2 = 10^-648 of their
+        # limit, so a width less 10^-700 can fall below it, where every box is wider
+        for i in range(0, 6):
+            width, next_width = Fraction(m[i + 1], p * m[i]), Fraction(m[i + 2], p * m[i + 1])
+            for alpha in (width, width - Fraction(1, 10**700), (width + next_width) / 2):
+                want = _least_wider((p, q), p * alpha.numerator, alpha.denominator)
+                verdict = embeds(p, q, alpha, Fraction(1, 10**2000))
+                assert verdict.answer == "Embeds" and verdict.witness.index == want
 
 
 def test_branch_sequence_window_validation():

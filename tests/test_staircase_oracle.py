@@ -419,6 +419,33 @@ def grid_points(p, n=30):
     return pts
 
 
+@pytest.mark.parametrize("p,q", BENCHMARK_PAIRS)
+def test_every_corner_is_dominated_and_every_box_holds_its_point(p, q):
+    # embeds does not check the corner it returns: at the corner i of a
+    # DoesNotEmbed, alpha >= alpha_sup(i - 1) as box i is the least wider than
+    # alpha, and beta >= beta_sup(i) as box i is too short.  Here both are
+    # checked in integers, on the parts of each fraction, over the benchmark
+    # grid at N = 60, direct and swapped, and the corner is one of the branch's
+    top = Fraction(int(float(sigma_p(p)) * 1000), 1001)
+    vals = [Fraction(k, 60) * top for k in range(1, 61)]
+    q_swap = p - q if p > 2 else 1
+    for qq, swap in ((q, False), (q_swap, True)):
+        m = branch_sequence(p, qq, -60, 60).values
+        corners = {(Fraction(here, p * below), Fraction(here, p * above))
+                   for below, here, above in zip(m, m[1:], m[2:])}
+        for a in vals:
+            for b in vals:
+                alpha, beta = (b, a) if swap else (a, b)
+                verdict = embeds(p, qq, alpha, beta)
+                if verdict.answer == "Embeds":
+                    assert verdict.witness.contains(alpha, beta)
+                    continue
+                assert verdict.answer == "DoesNotEmbed" and verdict.obstruction in corners
+                (cn, cd), (hn, hd) = (x.as_integer_ratio() for x in verdict.obstruction)
+                assert alpha.numerator * cd >= cn * alpha.denominator
+                assert beta.numerator * hd >= hn * beta.denominator
+
+
 @pytest.mark.parametrize("p,q", GRID_PAIRS)
 def test_embeds_agrees_with_box_union_oracle(p, q):
     boxes = [(b.alpha_sup, b.beta_sup) for b in stair_boxes(p, q, -60, 60)]
